@@ -14,6 +14,7 @@ between threads.
 """
 
 from dataclasses import dataclass
+from math import lcm
 
 from ._kernel import Rational
 from .errors import AlgebraMismatchError, NotInvertibleError
@@ -23,6 +24,8 @@ def as_rational(x):
     """Coerce an int (or Rational) to Rational."""
     if isinstance(x, Rational):
         return x
+    if isinstance(x, int):  # n/1 is already reduced
+        return Rational._raw(x, 1)
     return Rational(x)
 
 
@@ -39,6 +42,22 @@ class AlgebraParams:
 
     def __str__(self):
         return f"H({self.beta1}, {self.beta2})"
+
+
+def cleared_norm(params, x1, x2, x3, x4):
+    """d1*d2 * n(x1 + x2*e2 + x3*e3 + x4*e4) for integer x1..x4, as an int.
+
+    With beta1 = n1/d1 and beta2 = n2/d2 this is the integer quadratic form
+    d2*(d1*x1^2 + n1*x2^2) + n2*(d1*x3^2 + n1*x4^2).  Denominators are
+    positive, so it has the sign of the norm and vanishes exactly with it.
+    """
+    b1 = params.beta1
+    b2 = params.beta2
+    n1 = b1.numerator
+    d1 = b1.denominator
+    return b2.denominator * (d1 * (x1 * x1) + n1 * (x2 * x2)) + b2.numerator * (
+        d1 * (x3 * x3) + n1 * (x4 * x4)
+    )
 
 
 class Quaternion:
@@ -167,14 +186,28 @@ class Quaternion:
         return 2 * self.a1
 
     def norm(self):
-        """a1^2 + beta1*a2^2 + beta2*a3^2 + beta1*beta2*a4^2."""
-        b1 = self.params.beta1
-        b2 = self.params.beta2
-        return (
-            self.a1 * self.a1
-            + b1 * (self.a2 * self.a2)
-            + b2 * (self.a3 * self.a3)
-            + b1 * (b2 * (self.a4 * self.a4))
+        """a1^2 + beta1*a2^2 + beta2*a3^2 + beta1*beta2*a4^2, exactly.
+
+        Evaluated with denominators cleared: the coefficients are scaled by
+        L, the lcm of their denominators (L = 1 for every sequence
+        quaternion), ``cleared_norm`` gives the integer d1*d2*L^2 * n(a), and
+        a single reduction over d1*d2*L^2 returns the Rational.
+        """
+        a1, a2, a3, a4 = self.a1, self.a2, self.a3, self.a4
+        params = self.params
+        den1, den2, den3, den4 = (
+            a1.denominator, a2.denominator, a3.denominator, a4.denominator
+        )
+        scale = lcm(den1, den2, den3, den4)
+        top = cleared_norm(
+            params,
+            a1.numerator * (scale // den1),
+            a2.numerator * (scale // den2),
+            a3.numerator * (scale // den3),
+            a4.numerator * (scale // den4),
+        )
+        return Rational(
+            top, params.beta1.denominator * params.beta2.denominator * scale * scale
         )
 
     def square(self):

@@ -22,7 +22,15 @@ from typing import Callable, Iterable, Optional
 from ._kernel import Rational
 from .algebra import AlgebraParams, Quaternion, basis, combine
 from .analytic import binet_fib, binet_narayana, binet_narayana_quat, gf_check
-from .errors import NotInvertibleError, SeriesMismatchError, UnknownIdentityError
+from .errors import (
+    ConsistencyError,
+    DomainError,
+    IndicatorDegenerateError,
+    NotInvertibleError,
+    ScanExhaustedError,
+    SeriesMismatchError,
+    UnknownIdentityError,
+)
 from .normforms import (
     growth_indicator_E,
     growth_indicator_Eprime,
@@ -770,7 +778,9 @@ def _threshold_instance(params, pq, n_max):
     try:
         report = invertibility_threshold(params, pq, n_max)
         verify_threshold_report(report)
-    except Exception as exc:  # recorded as a counterexample, not a crash
+    except (ScanExhaustedError, IndicatorDegenerateError, ConsistencyError) as exc:
+        # outcomes the mathematics can produce are counterexamples; any other
+        # exception is a library error and propagates
         return (inputs, False, f"error: {exc}", "verified threshold report")
     summary = (
         f"n0={report.empirical_n0} sign={report.sign_of_E:+d} "
@@ -966,7 +976,8 @@ def audit(identity_id, *, seed=DEFAULT_SEED, n_max=None):
     ``n_max`` rescales the entry's primary range (index bound or draw count,
     see the entry's domain description); ``seed`` feeds all random draws.
     Instances run in a fixed order and the first failure is kept with exact
-    values.
+    values.  A run of zero instances proves nothing, so it raises
+    DomainError instead of reporting a pass.
     """
     check = get_check(identity_id)
     rng = random.Random(seed)
@@ -982,6 +993,8 @@ def audit(identity_id, *, seed=DEFAULT_SEED, n_max=None):
             if first is None:
                 first = Counterexample(inputs=dict(inputs), lhs=lhs, rhs=rhs)
     elapsed = time.perf_counter() - started
+    if not instances:
+        raise DomainError(f"{check.id} ran no instances with n_max={n_max}")
     return AuditReport(
         id=check.id,
         paper_ref=check.paper_ref,

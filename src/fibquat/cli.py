@@ -505,7 +505,23 @@ _HANDLERS = {
 
 
 def run(argv):
-    """Dispatch a CLI invocation; returns the process exit code."""
+    """Dispatch a CLI invocation; returns the process exit code.
+
+    Exact values can have any number of digits, so CPython's int-to-str
+    digit limit is lifted for the call and restored afterwards, leaving
+    in-process callers unaffected.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # interpreter without the limit
+        return _dispatch(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _dispatch(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _dispatch(argv):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,44 +1,90 @@
 """Closed-form norms of the quaternion sequences, the growth indicators
 E and E' in Q(sqrt 5), and empirical invertibility thresholds.
 
-The closed forms evaluate h-values with *rational* seeds through the
-relation h_{n+1} = p*f_n + q*f_{n+1}, which is the route independent of the
-integer recurrence used by the direct norms.
+Every norm here is evaluated with denominators cleared.  With
+beta1 = n1/d1 and beta2 = n2/d2, d1*d2 times the norm of an integer
+quaternion is an integer with the norm's sign, so the threshold scan and
+its re-verification decide sign and zeroness on plain integers, and the
+public closed forms reduce one integer numerator over d1*d2.
+
+The closed forms evaluate h-values through h_{n+1} = p*f_n + q*f_{n+1},
+with the betas' numerators and denominators folded into integer seeds: the
+route independent of the integer recurrence and the quadratic form used by
+the direct norms.
 """
 
 from dataclasses import dataclass
 
 from ._kernel import Rational
-from .algebra import AlgebraParams, as_rational
+from .algebra import AlgebraParams, cleared_norm
 from .errors import (
     ConsistencyError,
     DomainError,
     IndicatorDegenerateError,
     ScanExhaustedError,
 )
-from .quatseq import fib_quat, gen_fib_quat
-from .sequences import GenFibParams, fib
+from .sequences import GenFibParams, fib, gen_fib
 from .surd import ALPHA, QuadraticSurd
 
 
 def _h(p, q, m):
-    # h_m for rational seeds, via h_m = p*f_{m-1} + q*f_m
+    # h_m for seeds p, q, via h_m = p*f_{m-1} + q*f_m
     return p * fib(m - 1) + q * fib(m)
+
+
+def _cleared(params):
+    b1 = params.beta1
+    b2 = params.beta2
+    return b1.numerator, b1.denominator, b2.numerator, b2.denominator
+
+
+def _over_d1d2(params, top):
+    return Rational(top, params.beta1.denominator * params.beta2.denominator)
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _fib_formula_top(params, n):
+    # d1*d2 * n(F_n) by the closed form below
+    n1, d1, n2, d2 = _cleared(params)
+    p_hi = d2 + 2 * n2
+    return (
+        d1 * _h(p_hi, 3 * n2, 2 * n + 2)
+        + (n1 - d1) * _h(p_hi, n2, 2 * n + 3)
+        - 2 * ((n1 - d1) * (d2 + n2)) * (fib(n) * fib(n + 1))
+    )
+
+
+def _genfib_formula_top(params, pq, n):
+    # d1*d2 * n(H^{p,q}_n) by the closed form below, term by term
+    n1, d1, n2, d2 = _cleared(params)
+    p, q = pq
+    p_hi = d2 + 2 * n2
+    p2 = p * p
+    q2 = q * q
+    pq2 = 2 * p * q
+    total = (d1 * p2) * _h(p_hi, 3 * n2, 2 * n)
+    total += (p2 * (n1 - d1)) * _h(p_hi, n2, 2 * n + 1)
+    total += (d1 * q2) * _h(p_hi, 3 * n2, 2 * n + 2)
+    total += (q2 * (n1 - d1)) * _h(p_hi, n2, 2 * n + 3)
+    total -= (2 * p) * ((n1 - d1) * (p * n2 + (p + q) * d2)) * (fib(n - 1) * fib(n))
+    total -= (2 * q2) * ((n1 - d1) * (d2 + n2)) * (fib(n) * fib(n + 1))
+    total += (pq2 * n1) * _h(d2, n2, 2 * n + 1)
+    total += (pq2 * (n1 * n2)) * (fib(2 * n) + fib(2 * n + 3))
+    total += (pq2 * (n2 * (d1 - n1))) * (fib(n + 1) * fib(n + 2))
+    return total
 
 
 def norm_fib_formula(params, n):
     """Closed form of n(F_n):
 
     h^{1+2b2, 3b2}_{2n+2} + (b1-1) h^{1+2b2, b2}_{2n+3} - 2(b1-1)(1+b2) f_n f_{n+1}
+
+    evaluated as one integer numerator over d1*d2.
     """
-    b1 = params.beta1
-    b2 = params.beta2
-    p_hi = 1 + 2 * b2
-    return (
-        _h(p_hi, 3 * b2, 2 * n + 2)
-        + (b1 - 1) * _h(p_hi, b2, 2 * n + 3)
-        - 2 * ((b1 - 1) * (1 + b2)) * (fib(n) * fib(n + 1))
-    )
+    return _over_d1d2(params, _fib_formula_top(params, n))
 
 
 def norm_genfib_formula(params, pq, n):
@@ -49,24 +95,10 @@ def norm_genfib_formula(params, pq, n):
     - 2p(b1-1)(p*b2+p+q) f_{n-1} f_n - 2q^2(b1-1)(1+b2) f_n f_{n+1}
     + h^{2pq*b1, 2pq*b1*b2}_{2n+1} + 2pq*b1*b2 (f_{2n} + f_{2n+3})
     + 2pq*b2(1-b1) f_{n+1} f_{n+2}
+
+    evaluated as one integer numerator over d1*d2.
     """
-    b1 = params.beta1
-    b2 = params.beta2
-    p, q = pq
-    p_hi = 1 + 2 * b2
-    p2 = p * p
-    q2 = q * q
-    pq2 = 2 * p * q
-    total = p2 * _h(p_hi, 3 * b2, 2 * n)
-    total = total + (p2 * (b1 - 1)) * _h(p_hi, b2, 2 * n + 1)
-    total = total + q2 * _h(p_hi, 3 * b2, 2 * n + 2)
-    total = total + (q2 * (b1 - 1)) * _h(p_hi, b2, 2 * n + 3)
-    total = total - (2 * p) * ((b1 - 1) * (p * b2 + p + q)) * (fib(n - 1) * fib(n))
-    total = total - (2 * q2) * ((b1 - 1) * (1 + b2)) * (fib(n) * fib(n + 1))
-    total = total + _h(pq2 * b1, pq2 * (b1 * b2), 2 * n + 1)
-    total = total + (pq2 * (b1 * b2)) * (fib(2 * n) + fib(2 * n + 3))
-    total = total + (pq2 * b2 * (1 - b1)) * (fib(n + 1) * fib(n + 2))
-    return total
+    return _over_d1d2(params, _genfib_formula_top(params, pq, n))
 
 
 def swamy_norm_as_stated(pq, n):
@@ -148,6 +180,11 @@ class ThresholdReport:
 def invertibility_threshold(params, pq=None, n_max=50):
     """Scan exact norms of F_n (or H^{p,q}_n when pq is given) for n in [0, n_max].
 
+    One list of the n_max + 4 sequence values f_0.. (or h_0..) feeds the
+    integer form ``cleared_norm``, d1*d2 times each norm, whose sign and
+    zeroness are those of the norm itself; no Quaternion or Rational is
+    built per index.
+
     Raises IndicatorDegenerateError when the applicable growth indicator is
     zero (only possible for pq == (0, 0) with rational parameters), and
     ScanExhaustedError when even the last scanned index breaks the sign
@@ -157,24 +194,29 @@ def invertibility_threshold(params, pq=None, n_max=50):
         raise DomainError(f"invertibility_threshold requires n_max >= 1, got {n_max}")
     if pq is None:
         indicator = growth_indicator_E(params)
+        values = [fib(m) for m in range(n_max + 4)]
     else:
         indicator = growth_indicator_Eprime(params, pq)
+        values = [gen_fib(pq, m) for m in range(n_max + 4)]
     if indicator.is_zero():
         raise IndicatorDegenerateError(
             f"growth indicator vanishes for {params} with seeds {pq}"
         )
     target = indicator.sign()
-    norms = [_scanned_norm(params, pq, n) for n in range(n_max + 1)]
+    signs = [
+        _sign(cleared_norm(params, x1, x2, x3, x4))
+        for x1, x2, x3, x4 in zip(values, values[1:], values[2:], values[3:])
+    ]
     n0 = 0
     for n in range(n_max, -1, -1):
-        if norms[n].sign() != target:  # zero norm also fails this
+        if signs[n] != target:  # zero norm also fails this
             n0 = n + 1
             break
     if n0 > n_max:
         raise ScanExhaustedError(
             f"no sign threshold within [0, {n_max}] for {params} with seeds {pq}"
         )
-    zeros = tuple(n for n in range(n0) if not norms[n])
+    zeros = tuple(n for n in range(n0) if not signs[n])
     return ThresholdReport(
         params=params,
         pq=pq,
@@ -188,11 +230,11 @@ def invertibility_threshold(params, pq=None, n_max=50):
 def verify_threshold_report(report):
     """Re-verify a ThresholdReport by an independent second scan.
 
-    The second scan evaluates norms through the closed-form route instead of
-    the direct quadratic form, and rechecks every invariant: the tail is
-    uniformly nonzero with sign sign_of_E, empirical_n0 is minimal, and
-    zero_norm_indices lists exactly the zero norms below it.  Raises
-    ConsistencyError on any disagreement.
+    The second scan evaluates d1*d2 times each norm through the closed-form
+    route instead of the quadratic form on recurrence values, and rechecks
+    every invariant: the tail is uniformly nonzero with sign sign_of_E,
+    empirical_n0 is minimal, and zero_norm_indices lists exactly the zero
+    norms below it.  Raises ConsistencyError on any disagreement.
     """
     params = report.params
     pq = report.pq
@@ -203,36 +245,26 @@ def verify_threshold_report(report):
     )
     if indicator.sign() != report.sign_of_E:
         raise ConsistencyError("sign_of_E does not match the growth indicator")
-    norms = [_formula_norm(params, pq, n) for n in range(report.scanned_up_to + 1)]
+    signs = [_sign(_formula_top(params, pq, n)) for n in range(report.scanned_up_to + 1)]
     for n in range(report.empirical_n0, report.scanned_up_to + 1):
-        if norms[n].sign() != report.sign_of_E:
+        if signs[n] != report.sign_of_E:
             raise ConsistencyError(f"tail condition fails at n = {n}")
-    if report.empirical_n0 > 0:
-        before = norms[report.empirical_n0 - 1]
-        if before.sign() == report.sign_of_E:
-            raise ConsistencyError("empirical_n0 is not minimal")
-    zeros = tuple(n for n in range(report.empirical_n0) if not norms[n])
+    if report.empirical_n0 > 0 and signs[report.empirical_n0 - 1] == report.sign_of_E:
+        raise ConsistencyError("empirical_n0 is not minimal")
+    zeros = tuple(n for n in range(report.empirical_n0) if not signs[n])
     if zeros != report.zero_norm_indices:
         raise ConsistencyError(
             f"zero norms disagree: {zeros} vs {report.zero_norm_indices}"
         )
 
 
-def _scanned_norm(params, pq, n):
+def _formula_top(params, pq, n):
+    # d1*d2 * norm by the closed forms
     if pq is None:
-        return fib_quat(params, n).norm()
-    return gen_fib_quat(params, pq, n).norm()
-
-
-def _formula_norm(params, pq, n):
-    if pq is None:
-        return norm_fib_formula(params, n)
+        return _fib_formula_top(params, n)
     if n >= 1:
-        return norm_genfib_formula(params, pq, n)
+        return _genfib_formula_top(params, pq, n)
     # the closed form is stated for n >= 1; fall back to the quadratic form
     # evaluated on closed-form coefficients h_m = p f_{m-1} + q f_m
     p, q = pq
-    b1 = params.beta1
-    b2 = params.beta2
-    h0, h1, h2, h3 = (_h(as_rational(p), as_rational(q), m) for m in range(n, n + 4))
-    return h0 * h0 + b1 * (h1 * h1) + b2 * (h2 * h2) + b1 * (b2 * (h3 * h3))
+    return cleared_norm(params, *(_h(p, q, m) for m in range(n, n + 4)))

@@ -1,6 +1,8 @@
 """Audit registry shape, determinism, adjudication semantics, and spot
 instances of the registered identities."""
 
+import importlib
+
 import pytest
 
 from fibquat import (
@@ -9,6 +11,7 @@ from fibquat import (
     DEFAULT_SEED,
     AlgebraParams,
     Counterexample,
+    DomainError,
     Quaternion,
     UnknownIdentityError,
     adjudicate,
@@ -124,6 +127,23 @@ class TestAuditRuns:
     def test_n_max_override_shrinks_domain(self):
         assert audit("EQ_1_2", n_max=10).instances_run == 11
         assert audit("SH06", n_max=20).instances_run == 19
+
+    def test_zero_instances_is_an_error(self):
+        with pytest.raises(DomainError, match="no instances"):
+            audit("THM_2_4", n_max=-1)
+
+    def test_library_errors_are_not_counterexamples(self, monkeypatch):
+        with pytest.raises(DomainError, match="n_max >= 1"):
+            audit("THM_2_6_THRESHOLD", n_max=0)
+
+        def broken(*args):
+            raise TypeError("library bug")
+
+        # the package exports a function named audit, so reach the module
+        module = importlib.import_module("fibquat.audit")
+        monkeypatch.setattr(module, "invertibility_threshold", broken)
+        with pytest.raises(TypeError, match="library bug"):
+            audit("THM_2_6_THRESHOLD")
 
     def test_seed_changes_draws_not_verdicts(self):
         for seed in (DEFAULT_SEED, 7, 123456789):

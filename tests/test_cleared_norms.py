@@ -1,0 +1,131 @@
+"""Differential tests of the cleared-denominator norm routes.
+
+Each route is held against the textbook Rational evaluation it replaced:
+``Quaternion.norm`` against a1^2 + b1*a2^2 + b2*a3^2 + b1*b2*a4^2, the
+closed forms against the direct norm, and the integer threshold scan against
+a scan over ``Quaternion`` norms kept here as the reference.
+"""
+
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fibquat import (
+    AlgebraParams,
+    GenFibParams,
+    IndicatorDegenerateError,
+    Quaternion,
+    Rational,
+    ScanExhaustedError,
+    fib_quat,
+    gen_fib_quat,
+    growth_indicator_E,
+    growth_indicator_Eprime,
+    invertibility_threshold,
+    norm_fib_formula,
+    norm_genfib_formula,
+)
+from fibquat import algebra
+from fibquat._kernel import _pyrational
+
+try:
+    from fibquat._kernel import _crational
+except ImportError:
+    _crational = None
+
+BACKENDS = [pytest.param(_pyrational.Rational, id="pure-python")]
+if _crational is not None:
+    BACKENDS.append(pytest.param(_crational.Rational, id="compiled"))
+
+ZERO_NORM_ALGEBRAS = [
+    AlgebraParams(-1, Rational(-1, 3)),  # n(F_0) = 1 - 1/3 - 2/3 = 0
+    AlgebraParams(0, 0),                 # n(F_0) = f_0^2 = 0
+]
+
+numerators = st.integers(-10**6, 10**6)
+denominators = st.integers(1, 10**4)
+small_rationals = st.builds(Rational, st.integers(-12, 12), st.integers(1, 6))
+small_params = st.builds(AlgebraParams, small_rationals, small_rationals)
+seeds = st.builds(GenFibParams, st.integers(-9, 9), st.integers(-9, 9))
+
+
+def backend(R):
+    # the algebra module builds every coefficient and norm with this class
+    return mock.patch.object(algebra, "Rational", R)
+
+
+@pytest.mark.parametrize("R", BACKENDS)
+@given(data=st.data())
+def test_norm_matches_textbook_expression(R, data):
+    def rational():
+        return R(data.draw(numerators), data.draw(denominators))
+
+    b1, b2 = rational(), rational()
+    a1, a2, a3, a4 = (rational() for _ in range(4))
+    with backend(R):
+        value = Quaternion(a1, a2, a3, a4, AlgebraParams(b1, b2)).norm()
+    textbook = a1 * a1 + b1 * (a2 * a2) + b2 * (a3 * a3) + b1 * b2 * (a4 * a4)
+    assert type(value) is R
+    assert (value.numerator, value.denominator) == (
+        textbook.numerator, textbook.denominator,
+    )
+
+
+@pytest.mark.parametrize("R", BACKENDS)
+def test_norm_with_zero_betas_and_coefficients(R):
+    with backend(R):
+        params = AlgebraParams(R(0), R(-3, 4))
+        value = Quaternion(R(0), R(5, 6), R(-2, 3), R(0), params).norm()
+    assert (value.numerator, value.denominator) == (-1, 3)  # -3/4 * 4/9
+
+
+@settings(max_examples=25)
+@given(params=small_params, pq=seeds)
+def test_closed_forms_match_direct_norms(params, pq):
+    for n in range(-30, 61):
+        assert norm_fib_formula(params, n) == fib_quat(params, n).norm()
+        assert norm_genfib_formula(params, pq, n) == gen_fib_quat(params, pq, n).norm()
+
+
+def reference_threshold(params, pq, n_max):
+    """(sign_of_E, empirical_n0, zero_norm_indices) from Quaternion norms."""
+    if pq is None:
+        target = growth_indicator_E(params).sign()
+        norms = [fib_quat(params, n).norm() for n in range(n_max + 1)]
+    else:
+        target = growth_indicator_Eprime(params, pq).sign()
+        norms = [gen_fib_quat(params, pq, n).norm() for n in range(n_max + 1)]
+    n0 = 0
+    for n in range(n_max, -1, -1):
+        if norms[n].sign() != target:
+            n0 = n + 1
+            break
+    return target, n0, tuple(n for n in range(n0) if not norms[n])
+
+
+def assert_matches_reference(params, pq, n_max):
+    target, n0, zeros = reference_threshold(params, pq, n_max)
+    if target == 0:
+        with pytest.raises(IndicatorDegenerateError):
+            invertibility_threshold(params, pq, n_max)
+    elif n0 > n_max:
+        with pytest.raises(ScanExhaustedError):
+            invertibility_threshold(params, pq, n_max)
+    else:
+        report = invertibility_threshold(params, pq, n_max)
+        assert (report.sign_of_E, report.empirical_n0, report.zero_norm_indices) == (
+            target, n0, zeros,
+        )
+
+
+@settings(max_examples=40)
+@given(params=small_params, pq=st.none() | seeds, n_max=st.integers(1, 40))
+def test_threshold_matches_reference_scan(params, pq, n_max):
+    assert_matches_reference(params, pq, n_max)
+
+
+@pytest.mark.parametrize("params", ZERO_NORM_ALGEBRAS, ids=str)
+@pytest.mark.parametrize("pq", [None, GenFibParams(2, -1), GenFibParams(-3, 2)], ids=str)
+def test_threshold_matches_reference_on_zero_norms(params, pq):
+    assert_matches_reference(params, pq, 50)

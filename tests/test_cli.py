@@ -1,7 +1,11 @@
 """CLI surface: subcommand outputs, formats, exit codes, determinism."""
 
 import json
+import sys
 
+import pytest
+
+from fibquat import fib
 from fibquat.cli import run
 
 
@@ -62,6 +66,23 @@ class TestQuat:
         document = json.loads(out)
         assert document["coefficients"] == ["0", "1", "1", "2"]
         assert document["beta2"] == "-1/3"
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="interpreter without an int-to-str digit limit")
+    def test_past_int_str_digit_limit(self, capsys):
+        n = 21000  # f_n has about 4390 digits, past CPython's default 4300
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = invoke(capsys, "quat", "--kind", "fib", "--n", str(n),
+                              "--format", "json")
+        assert code == 0
+        coefficients = json.loads(out)["coefficients"]
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = [str(fib(n + k)) for k in range(4)]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert coefficients == expected
+        assert sys.get_int_max_str_digits() == limit
 
     def test_bare_negative_integer_flag(self, capsys):
         # plain negative integers work without the = form
@@ -200,6 +221,19 @@ class TestAudit:
         document = json.loads(out)
         assert all(r["provenance"] == "corrected-variant" for r in document["reports"])
         assert all(r["failures"] == 0 for r in document["reports"])
+
+    def test_zero_instances_is_a_usage_error(self, capsys):
+        code, out, err = invoke(capsys, "audit", "--id", "THM_2_4", "--n-max", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_library_error_is_not_a_counterexample(self, capsys):
+        for scope in (("--all",), ("--id", "THM_2_6_THRESHOLD")):
+            code, out, err = invoke(capsys, "audit", *scope, "--n-max", "0")
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:")
 
     def test_unknown_id(self, capsys):
         code, _, err = invoke(capsys, "audit", "--id", "NOPE")
