@@ -1025,20 +1025,21 @@ def expected_failure_ids():
 
 
 def aggregate_ok(reports):
-    """Overall verdict: every entry not documented as failing must pass."""
-    for report in reports:
-        if _REGISTRY[report.id].expect_failures:
-            continue
-        if report.failures:
-            return False
-    return True
+    """Overall verdict: every entry not documented as failing must pass, and
+    every documented anomaly must still fail."""
+    return all(
+        (report.failures > 0) == _REGISTRY[report.id].expect_failures
+        for report in reports
+    )
 
 
 def adjudicate(reports):
-    """Classify each report: 'pass', 'transcription-issue' or 'artifact-error'.
+    """Classify each report: 'pass', 'anomaly-vanished', 'transcription-issue'
+    or 'artifact-error'.
 
-    A failing entry whose corrected variant passes is a transcription issue;
-    a failure with no passing corrected sibling is an artifact error.
+    A documented anomaly that no longer fails has vanished; a failing entry
+    whose corrected variant passes is a transcription issue; a failure with
+    no passing corrected sibling is an artifact error.
     """
     corrected = {}
     for report in reports:
@@ -1048,7 +1049,8 @@ def adjudicate(reports):
     verdicts = {}
     for report in reports:
         if report.failures == 0:
-            verdicts[report.id] = "pass"
+            vanished = _REGISTRY[report.id].expect_failures
+            verdicts[report.id] = "anomaly-vanished" if vanished else "pass"
             continue
         sibling = corrected.get(report.id)
         if sibling is not None and sibling.failures == 0:

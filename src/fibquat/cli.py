@@ -383,8 +383,10 @@ def _cmd_audit(args, parser):
         unexpected = [
             r.id for r in reports if r.failures and r.id not in expected
         ]
+        vanished = [i for i, v in verdicts.items() if v == "anomaly-vanished"]
         print(f"aggregate: {'pass' if ok else 'FAIL'}"
-              + (f" (unexpected failures: {', '.join(unexpected)})" if unexpected else ""))
+              + (f" (unexpected failures: {', '.join(unexpected)})" if unexpected else "")
+              + (f" (vanished anomalies: {', '.join(vanished)})" if vanished else ""))
     return 0 if ok else 1
 
 

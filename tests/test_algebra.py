@@ -4,6 +4,7 @@ inverses, and the composition-algebra properties."""
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from fibquat import (
     AlgebraMismatchError,
@@ -140,6 +141,16 @@ class TestInverse:
         assert f2.norm() == 39  # f_2^2 + f_3^2 + f_4^2 + f_5^2
         assert f2 * f2.inverse() == Quaternion.one(H11)
         assert f2.inverse() == f2.conj().scale(Rational(1, 39))
+
+    @given(st.data())
+    def test_times_inverse_is_one(self, data):
+        rationals = st.builds(Rational, st.integers(-50, 50), st.integers(1, 12))
+        params = AlgebraParams(data.draw(rationals), data.draw(rationals))
+        a = Quaternion(*(data.draw(rationals) for _ in range(4)), params)
+        assume(a.norm() != 0)
+        one = Quaternion.one(params)
+        assert a * a.inverse() == one
+        assert a.inverse() * a == one
 
 
 class TestLinearStructure:

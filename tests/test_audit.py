@@ -217,3 +217,17 @@ class TestAuditAll:
             for r in reports
         ]
         assert not aggregate_ok(sabotaged)
+
+    def test_vanished_anomaly_is_flagged(self, reports):
+        from dataclasses import replace
+
+        vanished = [
+            replace(r, failures=0, passes=r.instances_run, first_counterexample=None)
+            if r.id == "SWAMY_AS_STATED"
+            else r
+            for r in reports
+        ]
+        verdicts = adjudicate(vanished)
+        assert verdicts["SWAMY_AS_STATED"] == "anomaly-vanished"
+        assert verdicts["PROP_2_3_AS_STATED"] == "transcription-issue"
+        assert not aggregate_ok(vanished)

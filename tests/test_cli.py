@@ -235,6 +235,34 @@ class TestAudit:
             assert out == ""
             assert err.startswith("error:")
 
+    def test_vanished_anomaly_fails_and_is_named(self, capsys, monkeypatch):
+        from dataclasses import replace
+
+        import fibquat.cli
+
+        real = fibquat.cli.audit_all
+
+        def vanished(*args, **kwargs):
+            return [
+                replace(r, failures=0, passes=r.instances_run, first_counterexample=None)
+                if r.id == "SWAMY_AS_STATED"
+                else r
+                for r in real(*args, **kwargs)
+            ]
+
+        monkeypatch.setattr(fibquat.cli, "audit_all", vanished)
+        code, out, _ = invoke(capsys, "audit", "--all", "--n-max", "5", "--no-timing")
+        assert code == 1
+        row = next(line for line in out.splitlines() if line.startswith("SWAMY_AS_STATED "))
+        assert row.endswith("FAIL (anomaly-vanished)")
+        assert out.splitlines()[-1] == "aggregate: FAIL (vanished anomalies: SWAMY_AS_STATED)"
+        code, out, _ = invoke(capsys, "audit", "--all", "--n-max", "5", "--format", "json",
+                              "--no-timing")
+        assert code == 1
+        document = json.loads(out)
+        assert document["ok"] is False
+        assert document["verdicts"]["SWAMY_AS_STATED"] == "anomaly-vanished"
+
     def test_unknown_id(self, capsys):
         code, _, err = invoke(capsys, "audit", "--id", "NOPE")
         assert code == 2

@@ -1,0 +1,172 @@
+"""The recurrence engine behind fib, gen_fib and narayana.
+
+Indices past TABLE_CAP take the jump route (companion-matrix powers, then
+short walks by the recurrence from a kept state).  Both routes are held
+against each other and against references kept here: fast doubling for
+f_n, and plain recurrence loops for u_n and h_n.  The bounded-memory tests
+check that no table or cache grows past its cap.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fibquat import fib, gen_fib, narayana
+from fibquat import sequences
+from fibquat.sequences import (
+    GENFIB_CACHE_CAP,
+    JUMP_CACHE_CAP,
+    JUMP_STEP_LIMIT,
+    TABLE_CAP,
+    _Recurrence,
+)
+
+BIG = 10**5
+
+
+def fib_pair(n):
+    """(f_n, f_{n+1}) for n >= 0 by fast doubling."""
+    if n == 0:
+        return 0, 1
+    a, b = fib_pair(n >> 1)
+    c = a * (2 * b - a)
+    d = a * a + b * b
+    return (d, c + d) if n & 1 else (c, d)
+
+
+def fib_ref(n):
+    f = fib_pair(abs(n))[0]
+    return -f if n < 0 and n % 2 == 0 else f
+
+
+def loop_run(seeds, n, count=1):
+    """x_n, ..., x_{n+count-1} of x_n = x_{n-1} + x_{n-k}, k = len(seeds),
+    by a plain loop."""
+    window = list(seeds)  # x_i, ..., x_{i+k-1}, starting at i = 0
+    for _ in range(n):
+        window = window[1:] + [window[-1] + window[0]]
+    for _ in range(-n):
+        window = [window[-1] - window[-2]] + window[:-1]
+    out = []
+    for _ in range(count):
+        out.append(window[0])
+        window = window[1:] + [window[-1] + window[0]]
+    return out
+
+
+def loop_ref(seeds, n):
+    return loop_run(seeds, n)[0]
+
+
+STRADDLE = [s * (TABLE_CAP + d) for s in (1, -1) for d in (-3, -1, 0, 1, 2, 5)]
+FAR = [BIG, BIG + 1, BIG + 3, BIG + JUMP_STEP_LIMIT + 1, BIG - 2, 2 * BIG + 3]
+FAR += [-n for n in FAR]
+
+
+@pytest.mark.parametrize("n", STRADDLE + FAR)
+def test_fib_matches_fast_doubling(n):
+    assert fib(n) == fib_ref(n)
+
+
+def test_narayana_matches_loop():
+    for n in STRADDLE:
+        assert narayana(n) == loop_ref((0, 1, 1), n)
+    # +-BIG come from powers, their neighbours from walks off the kept state
+    ahead = loop_run((0, 1, 1), BIG, JUMP_STEP_LIMIT + 2)
+    assert [narayana(BIG + i) for i in (0, 2, JUMP_STEP_LIMIT + 1, 1)] == [
+        ahead[i] for i in (0, 2, JUMP_STEP_LIMIT + 1, 1)]
+    behind = loop_run((0, 1, 1), -BIG - 5, 7)
+    assert [narayana(-BIG + i) for i in (0, -5, 1)] == [behind[5 + i] for i in (0, -5, 1)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.integers(-10**6, 10**6), q=st.integers(-10**6, 10**6),
+       n=st.integers(TABLE_CAP - 4, 2 * TABLE_CAP) | st.integers(-2 * TABLE_CAP, -TABLE_CAP + 4))
+def test_gen_fib_matches_loop(p, q, n):
+    assert gen_fib((p, q), n) == loop_ref((p, q), n)
+    assert gen_fib((p, q), n + 1) == loop_ref((p, q), n + 1)
+
+
+@pytest.mark.parametrize("n", [BIG, -BIG])
+def test_gen_fib_far_matches_loop(n):
+    assert gen_fib((3, -7), n) == loop_ref((3, -7), n)
+
+
+@pytest.mark.parametrize("seeds", [(0, 1), (5, -7), (0, 1, 1), (2, 3, 4), (-4, 0, 9)])
+def test_jump_route_matches_table_route(seeds):
+    engine = _Recurrence(*seeds)
+    k = len(seeds)
+    for n in list(range(-40, 41)) + [TABLE_CAP - k, TABLE_CAP // 2, -TABLE_CAP]:
+        assert engine._power(n) == tuple(engine.value(n + i) for i in range(k))
+
+
+def test_walk_from_kept_state_matches_power():
+    engine = _Recurrence(0, 1, 1)
+    powers = []
+    power = engine._power
+    engine._power = lambda n: powers.append(n) or power(n)
+    base = 3 * TABLE_CAP
+    for n in (base, base + 1, base - 7, base + JUMP_STEP_LIMIT - 8, base):
+        assert engine.value(n) == power(n)[0] == loop_ref((0, 1, 1), n)
+    assert powers == [base]  # every later read walked from the kept state
+
+
+def table_sizes_bounded(engine):
+    k = engine._k
+    return (len(engine._fwd) <= TABLE_CAP + k and len(engine._bwd) <= TABLE_CAP + k
+            and len(engine._jumps) <= JUMP_CACHE_CAP)
+
+
+def test_bounded_memory_after_large_indices():
+    fib(10**6)
+    narayana(-BIG)
+    gen_fib((3, -7), BIG)
+    engines = [sequences._fib, sequences._narayana, sequences._herd]
+    engines += list(sequences._genfib_caches.values())
+    assert all(table_sizes_bounded(engine) for engine in engines)
+    assert len(sequences._genfib_caches) <= GENFIB_CACHE_CAP
+
+
+def test_jump_cache_cleared_when_full():
+    engine = _Recurrence(0, 1)
+    for i in range(3 * JUMP_CACHE_CAP):
+        n = (TABLE_CAP + 1 + 1000 * i) * (-1) ** i
+        assert engine.value(n) == fib_ref(n)
+        assert len(engine._jumps) <= JUMP_CACHE_CAP
+    assert table_sizes_bounded(engine)
+
+
+def test_genfib_seed_tables_cleared_when_full(monkeypatch):
+    monkeypatch.setattr(sequences, "_genfib_caches", {})
+    monkeypatch.setattr(sequences, "GENFIB_CACHE_CAP", 8)
+    for p in range(20):
+        assert gen_fib((p, 1), 10) == loop_ref((p, 1), 10)
+        assert len(sequences._genfib_caches) <= 8
+
+
+def test_jump_states_shared_by_threads():
+    import sys
+    import threading
+
+    engine = _Recurrence(0, 1, 1)
+    base = 5 * TABLE_CAP
+    indices = [base + d for d in (0, 3, -9, 40, 1, -30, 17)] * 3
+    expected = [loop_ref((0, 1, 1), n) for n in indices]
+    results = {}
+
+    def worker(tag):
+        order = indices[tag % len(indices):] + indices[:tag % len(indices)]
+        results[tag] = dict(zip(order, (engine.value(n) for n in order)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(results[i] == dict(zip(indices, expected)) for i in range(8))
+    assert table_sizes_bounded(engine)

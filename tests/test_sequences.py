@@ -129,7 +129,7 @@ class TestConcurrency:
     def test_caches_deterministic_under_threads(self):
         import threading
 
-        from fibquat.sequences import _Recurrence2, _Recurrence3
+        from fibquat.sequences import _Recurrence
 
         results = {}
 
@@ -147,8 +147,8 @@ class TestConcurrency:
         baseline = results[0]
         assert all(results[i] == baseline for i in range(8))
         # against fresh unshared caches
-        fresh2 = _Recurrence2(0, 1)
-        fresh3 = _Recurrence3(0, 1, 1)
+        fresh2 = _Recurrence(0, 1)
+        fresh3 = _Recurrence(0, 1, 1)
         assert [fresh2.value(n) for n in range(-300, 301)] == baseline[:601]
         assert [fresh3.value(n) for n in range(-300, 301)] == baseline[601:1202]
 
