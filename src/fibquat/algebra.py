@@ -8,13 +8,21 @@ Basis 1, e2, e3, e4 with the defining products
     e3*e4 =  beta2*e2   e4*e3 = -beta2*e2
 
 beta1 = beta2 = 1 gives Hamilton's division quaternions; other parameters
-may give split algebras with zero divisors.  All values are immutable and
-every operation is a pure function, so everything here is safe to share
-between threads.
+may give split algebras with zero divisors.
+
+A quaternion is held as four integer numerators over one positive common
+denominator, (x1 + x2*e2 + x3*e3 + x4*e4)/den, reduced so that
+gcd(x1, x2, x3, x4, den) == 1.  With beta_i = n_i/d_i, every operation works
+on these integers with the betas' denominators cleared too, and reduces its
+result once by a single gcd; products, norms and inverses build no Rational
+per coefficient.  The coefficients a1..a4 are Rational views built on demand.
+
+All values are immutable and every operation is a pure function, so
+everything here is safe to share between threads.
 """
 
-from dataclasses import dataclass
-from math import lcm
+from dataclasses import dataclass, field
+from math import gcd, lcm
 
 from ._kernel import Rational
 from .errors import AlgebraMismatchError, NotInvertibleError
@@ -31,14 +39,25 @@ def as_rational(x):
 
 @dataclass(frozen=True)
 class AlgebraParams:
-    """The pair (beta1, beta2) fixing one algebra.  Any rationals are allowed."""
+    """The pair (beta1, beta2) fixing one algebra.  Any rationals are allowed.
+
+    ``cleared`` is (n1, d1, n2, d2) with beta_i = n_i/d_i and d_i > 0, the
+    integers every cleared product and norm reads; it is derived from the
+    betas, so it takes no part in equality, hashing or repr.
+    """
 
     beta1: Rational
     beta2: Rational
+    cleared: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "beta1", as_rational(self.beta1))
-        object.__setattr__(self, "beta2", as_rational(self.beta2))
+        b1 = as_rational(self.beta1)
+        b2 = as_rational(self.beta2)
+        object.__setattr__(self, "beta1", b1)
+        object.__setattr__(self, "beta2", b2)
+        object.__setattr__(
+            self, "cleared", (b1.numerator, b1.denominator, b2.numerator, b2.denominator)
+        )
 
     def __str__(self):
         return f"H({self.beta1}, {self.beta2})"
@@ -51,55 +70,70 @@ def cleared_norm(params, x1, x2, x3, x4):
     d2*(d1*x1^2 + n1*x2^2) + n2*(d1*x3^2 + n1*x4^2).  Denominators are
     positive, so it has the sign of the norm and vanishes exactly with it.
     """
-    b1 = params.beta1
-    b2 = params.beta2
-    n1 = b1.numerator
-    d1 = b1.denominator
-    return b2.denominator * (d1 * (x1 * x1) + n1 * (x2 * x2)) + b2.numerator * (
-        d1 * (x3 * x3) + n1 * (x4 * x4)
-    )
+    n1, d1, n2, d2 = params.cleared
+    return d2 * (d1 * (x1 * x1) + n1 * (x2 * x2)) + n2 * (d1 * (x3 * x3) + n1 * (x4 * x4))
 
 
 class Quaternion:
     """a1*1 + a2*e2 + a3*e3 + a4*e4 with exact rational coefficients.
 
+    Stored as (x1, x2, x3, x4, den): a_i = x_i/den with integer x_i, and the
+    invariant den > 0 and gcd(x1, x2, x3, x4, den) == 1, so two quaternions
+    of one algebra are equal exactly when these tuples are.  ``a1``..``a4``,
+    ``coefficients`` and ``scalar_part`` are Rational views of them.
+
     Instances remember their algebra; mixing algebras in an operation is a
     hard error, never a silent coercion.  Treat instances as immutable.
     """
 
-    __slots__ = ("a1", "a2", "a3", "a4", "params")
+    __slots__ = ("x1", "x2", "x3", "x4", "den", "params")
 
     def __init__(self, a1, a2, a3, a4, params):
-        self.a1 = as_rational(a1)
-        self.a2 = as_rational(a2)
-        self.a3 = as_rational(a3)
-        self.a4 = as_rational(a4)
+        """Coefficients may be ints or Rationals.  Four ints are stored as
+        they are, over den = 1; otherwise the numerators are put over the
+        least common denominator, which leaves no common factor."""
+        if type(a1) is int and type(a2) is int and type(a3) is int and type(a4) is int:
+            self.x1, self.x2, self.x3, self.x4 = a1, a2, a3, a4
+            self.den = 1
+        else:
+            coefficients = [as_rational(a) for a in (a1, a2, a3, a4)]
+            den = lcm(*(c.denominator for c in coefficients))
+            self.x1, self.x2, self.x3, self.x4 = (
+                c.numerator * (den // c.denominator) for c in coefficients
+            )
+            self.den = den
         self.params = params
-
-    @classmethod
-    def _raw(cls, a1, a2, a3, a4, params):
-        # internal: coefficients already Rational
-        self = object.__new__(cls)
-        self.a1 = a1
-        self.a2 = a2
-        self.a3 = a3
-        self.a4 = a4
-        self.params = params
-        return self
 
     @classmethod
     def zero(cls, params):
-        z = Rational(0)
-        return cls._raw(z, z, z, z, params)
+        return _new(0, 0, 0, 0, 1, params)
 
     @classmethod
     def one(cls, params):
-        return cls._raw(Rational(1), Rational(0), Rational(0), Rational(0), params)
+        return _new(1, 0, 0, 0, 1, params)
 
     @classmethod
     def scalar(cls, value, params):
-        z = Rational(0)
-        return cls._raw(as_rational(value), z, z, z, params)
+        value = as_rational(value)
+        return _new(value.numerator, 0, 0, 0, value.denominator, params)
+
+    # -- Rational views ----------------------------------------------------
+
+    @property
+    def a1(self):
+        return Rational(self.x1, self.den)
+
+    @property
+    def a2(self):
+        return Rational(self.x2, self.den)
+
+    @property
+    def a3(self):
+        return Rational(self.x3, self.den)
+
+    @property
+    def a4(self):
+        return Rational(self.x4, self.den)
 
     @property
     def coefficients(self):
@@ -110,10 +144,10 @@ class Quaternion:
         return self.a1
 
     def is_scalar(self):
-        return not (self.a2 or self.a3 or self.a4)
+        return not (self.x2 or self.x3 or self.x4)
 
     def _require_same_algebra(self, other):
-        if self.params != other.params:
+        if self.params is not other.params and self.params != other.params:
             raise AlgebraMismatchError(
                 f"cannot combine elements of {self.params} and {other.params}"
             )
@@ -124,50 +158,45 @@ class Quaternion:
         if not isinstance(other, Quaternion):
             return NotImplemented
         self._require_same_algebra(other)
-        return Quaternion._raw(
-            self.a1 + other.a1,
-            self.a2 + other.a2,
-            self.a3 + other.a3,
-            self.a4 + other.a4,
-            self.params,
-        )
+        return _linear(self, 1, 1, other, 1, 1)
 
     def __sub__(self, other):
         if not isinstance(other, Quaternion):
             return NotImplemented
         self._require_same_algebra(other)
-        return Quaternion._raw(
-            self.a1 - other.a1,
-            self.a2 - other.a2,
-            self.a3 - other.a3,
-            self.a4 - other.a4,
-            self.params,
-        )
+        return _linear(self, 1, 1, other, -1, 1)
 
     def __neg__(self):
-        return Quaternion._raw(-self.a1, -self.a2, -self.a3, -self.a4, self.params)
+        return _new(-self.x1, -self.x2, -self.x3, -self.x4, self.den, self.params)
 
     def scale(self, k):
         k = as_rational(k)
-        return Quaternion._raw(
-            k * self.a1, k * self.a2, k * self.a3, k * self.a4, self.params
+        top = k.numerator
+        return _reduced(
+            top * self.x1, top * self.x2, top * self.x3, top * self.x4,
+            k.denominator * self.den, self.params,
         )
 
     def __mul__(self, other):
+        """The product table with the betas cleared: numerators over
+        d1*d2*den_a*den_b, reduced once."""
         if isinstance(other, (int, Rational)):
             return self.scale(other)
         if not isinstance(other, Quaternion):
             return NotImplemented
         self._require_same_algebra(other)
-        b1 = self.params.beta1
-        b2 = self.params.beta2
-        a1, a2, a3, a4 = self.a1, self.a2, self.a3, self.a4
-        c1, c2, c3, c4 = other.a1, other.a2, other.a3, other.a4
-        return Quaternion._raw(
-            a1 * c1 - b1 * (a2 * c2) - b2 * (a3 * c3) - b1 * (b2 * (a4 * c4)),
-            a1 * c2 + a2 * c1 + b2 * (a3 * c4 - a4 * c3),
-            a1 * c3 + a3 * c1 + b1 * (a4 * c2 - a2 * c4),
-            a1 * c4 + a4 * c1 + a2 * c3 - a3 * c2,
+        n1, d1, n2, d2 = self.params.cleared
+        x1, x2, x3, x4 = self.x1, self.x2, self.x3, self.x4
+        y1, y2, y3, y4 = other.x1, other.x2, other.x3, other.x4
+        # times d1*d2, the factors 1, beta1, beta2, beta1*beta2 of the table
+        # become the integers d1*d2, n1*d2, d1*n2, n1*n2
+        dd = d1 * d2
+        return _reduced(
+            dd * (x1 * y1) - n1 * d2 * (x2 * y2) - d1 * n2 * (x3 * y3) - n1 * n2 * (x4 * y4),
+            dd * (x1 * y2 + x2 * y1) + d1 * n2 * (x3 * y4 - x4 * y3),
+            dd * (x1 * y3 + x3 * y1) + n1 * d2 * (x4 * y2 - x2 * y4),
+            dd * (x1 * y4 + x4 * y1 + x2 * y3 - x3 * y2),
+            dd * self.den * other.den,
             self.params,
         )
 
@@ -179,36 +208,23 @@ class Quaternion:
     # -- involution, trace, norm ------------------------------------------
 
     def conj(self):
-        return Quaternion._raw(self.a1, -self.a2, -self.a3, -self.a4, self.params)
+        return _new(self.x1, -self.x2, -self.x3, -self.x4, self.den, self.params)
 
     def trace(self):
         """2*a1, so that a + conj(a) == trace(a)*1 exactly."""
-        return 2 * self.a1
+        return Rational(2 * self.x1, self.den)
 
     def norm(self):
         """a1^2 + beta1*a2^2 + beta2*a3^2 + beta1*beta2*a4^2, exactly.
 
-        Evaluated with denominators cleared: the coefficients are scaled by
-        L, the lcm of their denominators (L = 1 for every sequence
-        quaternion), ``cleared_norm`` gives the integer d1*d2*L^2 * n(a), and
-        a single reduction over d1*d2*L^2 returns the Rational.
+        ``cleared_norm`` of the numerators is d1*d2*den^2 * n(a), so one
+        reduction over d1*d2*den^2 returns the Rational.
         """
-        a1, a2, a3, a4 = self.a1, self.a2, self.a3, self.a4
         params = self.params
-        den1, den2, den3, den4 = (
-            a1.denominator, a2.denominator, a3.denominator, a4.denominator
-        )
-        scale = lcm(den1, den2, den3, den4)
-        top = cleared_norm(
-            params,
-            a1.numerator * (scale // den1),
-            a2.numerator * (scale // den2),
-            a3.numerator * (scale // den3),
-            a4.numerator * (scale // den4),
-        )
-        return Rational(
-            top, params.beta1.denominator * params.beta2.denominator * scale * scale
-        )
+        den = self.den
+        top = cleared_norm(params, self.x1, self.x2, self.x3, self.x4)
+        n1, d1, n2, d2 = params.cleared
+        return Rational(top, d1 * d2 * den * den)
 
     def square(self):
         return self * self
@@ -218,7 +234,14 @@ class Quaternion:
         n = self.norm()
         if not n:
             raise NotInvertibleError(n)
-        return self.conj().scale(1 / n)
+        top = n.numerator
+        bottom = n.denominator
+        if top < 0:
+            top, bottom = -top, -bottom
+        return _reduced(
+            bottom * self.x1, -bottom * self.x2, -bottom * self.x3, -bottom * self.x4,
+            top * self.den, self.params,
+        )
 
     # -- comparisons -------------------------------------------------------
 
@@ -226,18 +249,19 @@ class Quaternion:
         if not isinstance(other, Quaternion):
             return NotImplemented
         return (
-            self.params == other.params
-            and self.a1 == other.a1
-            and self.a2 == other.a2
-            and self.a3 == other.a3
-            and self.a4 == other.a4
+            self.x1 == other.x1
+            and self.x2 == other.x2
+            and self.x3 == other.x3
+            and self.x4 == other.x4
+            and self.den == other.den
+            and self.params == other.params
         )
 
     def __hash__(self):
-        return hash((self.a1, self.a2, self.a3, self.a4, self.params))
+        return hash((self.x1, self.x2, self.x3, self.x4, self.den, self.params))
 
     def __bool__(self):
-        return bool(self.a1 or self.a2 or self.a3 or self.a4)
+        return bool(self.x1 or self.x2 or self.x3 or self.x4)
 
     def __str__(self):
         return (
@@ -250,33 +274,59 @@ class Quaternion:
         )
 
 
+def _new(x1, x2, x3, x4, den, params):
+    # internal: (x1, x2, x3, x4, den) is already canonical
+    q = object.__new__(Quaternion)
+    q.x1 = x1
+    q.x2 = x2
+    q.x3 = x3
+    q.x4 = x4
+    q.den = den
+    q.params = params
+    return q
+
+
+def _reduced(x1, x2, x3, x4, den, params):
+    # internal: den > 0; divides out the one common factor
+    g = gcd(x1, x2, x3, x4, den)
+    if g != 1:
+        return _new(x1 // g, x2 // g, x3 // g, x4 // g, den // g, params)
+    return _new(x1, x2, x3, x4, den, params)
+
+
+def _linear(a, lam_top, lam_bottom, b, mu_top, mu_bottom):
+    # (lam_top/lam_bottom)*a + (mu_top/mu_bottom)*b, bottoms positive
+    s = lam_top * mu_bottom * b.den
+    t = mu_top * lam_bottom * a.den
+    return _reduced(
+        s * a.x1 + t * b.x1,
+        s * a.x2 + t * b.x2,
+        s * a.x3 + t * b.x3,
+        s * a.x4 + t * b.x4,
+        lam_bottom * mu_bottom * a.den * b.den,
+        a.params,
+    )
+
+
 def basis(params):
     """The four basis elements (1, e2, e3, e4) of the given algebra."""
-    zero = Rational(0)
-    one = Rational(1)
     return (
-        Quaternion._raw(one, zero, zero, zero, params),
-        Quaternion._raw(zero, one, zero, zero, params),
-        Quaternion._raw(zero, zero, one, zero, params),
-        Quaternion._raw(zero, zero, zero, one, params),
+        _new(1, 0, 0, 0, 1, params),
+        _new(0, 1, 0, 0, 1, params),
+        _new(0, 0, 1, 0, 1, params),
+        _new(0, 0, 0, 1, 1, params),
     )
 
 
 def combine(a, b, lam, mu):
     """lam*a + mu*b, the linear structure of the algebra."""
-    if a.params != b.params:
+    if a.params is not b.params and a.params != b.params:
         raise AlgebraMismatchError(
             f"cannot combine elements of {a.params} and {b.params}"
         )
     lam = as_rational(lam)
     mu = as_rational(mu)
-    return Quaternion._raw(
-        lam * a.a1 + mu * b.a1,
-        lam * a.a2 + mu * b.a2,
-        lam * a.a3 + mu * b.a3,
-        lam * a.a4 + mu * b.a4,
-        a.params,
-    )
+    return _linear(a, lam.numerator, lam.denominator, b, mu.numerator, mu.denominator)
 
 
 def mul(a, b):

@@ -147,15 +147,79 @@ def _build_parser():
     return parser
 
 
+# -- rendering ----------------------------------------------------------------
+# Every int or Rational the CLI prints goes through _text.  CPython's int-to-str
+# takes quadratic time, so ints above _DECIMAL_MIN_BITS are converted by binary
+# splitting into the C decimal module, whose multiplication is subquadratic.
+
+_DECIMAL_MIN_BITS = 1 << 16  # ~19,700 digits; below this str() is faster
+_SPLIT_BASE_BITS = 128       # pieces this small convert directly
+
+
+def _text(value):
+    """Decimal text of an int or a Rational, exactly as str() renders it."""
+    if isinstance(value, int):
+        return _int_text(value)
+    top = _int_text(value.numerator)
+    if value.denominator == 1:
+        return top
+    return f"{top}/{_int_text(value.denominator)}"
+
+
+def _int_text(x):
+    if x.bit_length() < _DECIMAL_MIN_BITS or isinstance(x, bool):
+        return str(x)
+    try:
+        import _decimal
+    except ImportError:  # the pure-Python decimal is no faster than str()
+        return str(x)
+    context = _decimal.Context(
+        prec=_decimal.MAX_PREC, Emax=_decimal.MAX_EMAX, Emin=_decimal.MIN_EMIN,
+        traps=[_decimal.Inexact],
+    )
+    m = abs(x)
+    powers = [_decimal.Decimal(1 << _SPLIT_BASE_BITS)]  # 2**(128 * 2**k) at index k
+    while m.bit_length() > _SPLIT_BASE_BITS << len(powers):
+        powers.append(context.multiply(powers[-1], powers[-1]))
+
+    def convert(m, k):
+        # Decimal of 0 <= m < 2**(128 * 2**k): the halves, joined by one product
+        if k == 0:
+            return _decimal.Decimal(m)
+        half = _SPLIT_BASE_BITS << (k - 1)
+        hi = m >> half
+        lo = convert(m - (hi << half), k - 1)
+        if not hi:
+            return lo
+        return context.add(lo, context.multiply(convert(hi, k - 1), powers[k - 1]))
+
+    digits = str(convert(m, len(powers)))
+    return "-" + digits if x < 0 else digits
+
+
+def _json_text(value):
+    """json.dumps(value) for a document with string keys, ints rendered by _int_text."""
+    if isinstance(value, dict):
+        items = (f"{json.dumps(k)}: {_json_text(v)}" for k, v in value.items())
+        return "{" + ", ".join(items) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_json_text(v) for v in value) + "]"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return _int_text(value)
+    return json.dumps(value)
+
+
 def _emit_json(document):
-    print(json.dumps(document))
+    print(_json_text(document))
 
 
 def _emit_csv(header, rows):
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows(
+        [_int_text(v) if isinstance(v, int) else v for v in row] for row in rows
+    )
     sys.stdout.write(out.getvalue())
 
 
@@ -188,7 +252,7 @@ def _cmd_seq(args, parser):
         _emit_csv(["n", "value"],
                   [(n, v) for n, v in zip(range(args.start, args.stop + 1), values)])
     else:
-        print(" ".join(str(v) for v in values))
+        print(" ".join(_text(v) for v in values))
     return 0
 
 
@@ -207,19 +271,20 @@ def _cmd_quat(args, parser):
         document = {
             "kind": args.kind,
             "n": args.n,
-            "beta1": str(params.beta1),
-            "beta2": str(params.beta2),
+            "beta1": _text(params.beta1),
+            "beta2": _text(params.beta2),
         }
         if args.kind == "genfib":
             document["p"] = args.p
             document["q"] = args.q
-        document["coefficients"] = [str(c) for c in value.coefficients]
+        document["coefficients"] = [_text(c) for c in value.coefficients]
         _emit_json(document)
     elif args.format == "csv":
         _emit_csv(["coefficient", "value"],
-                  zip(("a1", "a2", "a3", "a4"), (str(c) for c in value.coefficients)))
+                  zip(("a1", "a2", "a3", "a4"), (_text(c) for c in value.coefficients)))
     else:
-        print(f"{value}  [{params}]")
+        a1, a2, a3, a4 = (_text(c) for c in value.coefficients)
+        print(f"{a1} + {a2}*e2 + {a3}*e3 + {a4}*e4  [{params}]")
     return 0
 
 
@@ -240,36 +305,37 @@ def _cmd_norm(args, parser):
         if args.format == "json":
             document = {
                 "kind": args.kind, "n": args.n,
-                "beta1": str(params.beta1), "beta2": str(params.beta2),
+                "beta1": _text(params.beta1), "beta2": _text(params.beta2),
             }
             if pq is not None:
                 document["p"] = pq.p
                 document["q"] = pq.q
             document.update({
-                "direct": str(direct), "formula": str(formula), "match": match,
+                "direct": _text(direct), "formula": _text(formula), "match": match,
             })
             _emit_json(document)
         elif args.format == "csv":
             _emit_csv(["direct", "formula", "match"],
-                      [(str(direct), str(formula), str(match).lower())])
+                      [(_text(direct), _text(formula), str(match).lower())])
         else:
-            print(f"direct={direct} formula={formula} match={str(match).lower()}")
+            print(f"direct={_text(direct)} formula={_text(formula)} "
+                  f"match={str(match).lower()}")
         return 0 if match else 1
     value = formula if args.method == "formula" else direct
     if args.format == "json":
         document = {
             "kind": args.kind, "n": args.n,
-            "beta1": str(params.beta1), "beta2": str(params.beta2),
+            "beta1": _text(params.beta1), "beta2": _text(params.beta2),
         }
         if pq is not None:
             document["p"] = pq.p
             document["q"] = pq.q
-        document.update({"method": args.method, "value": str(value)})
+        document.update({"method": args.method, "value": _text(value)})
         _emit_json(document)
     elif args.format == "csv":
-        _emit_csv(["method", "value"], [(args.method, str(value))])
+        _emit_csv(["method", "value"], [(args.method, _text(value))])
     else:
-        print(value)
+        print(_text(value))
     return 0
 
 
@@ -400,8 +466,8 @@ def _cmd_threshold(args, parser):
     report = invertibility_threshold(params, pq, args.n_max)
     verify_threshold_report(report)
     document = {
-        "beta1": str(params.beta1),
-        "beta2": str(params.beta2),
+        "beta1": _text(params.beta1),
+        "beta2": _text(params.beta2),
     }
     if pq is not None:
         document["p"] = pq.p
@@ -434,7 +500,7 @@ def _cmd_cows(args, parser):
     elif args.format == "csv":
         _emit_csv(["years", "herd"], [(args.years, total)])
     else:
-        print(total)
+        print(_text(total))
     return 0
 
 
@@ -474,7 +540,7 @@ def _cmd_binet(args, parser):
                       [(f"a{k + 1}", repr(approx[k]), exact_values[k]) for k in range(4)])
         else:
             rendered = " ".join(repr(v) for v in approx)
-            print(f"{rendered}  (exact: {' '.join(map(str, exact_values))})")
+            print(f"{rendered}  (exact: {' '.join(map(_text, exact_values))})")
         return 0
     if args.kind == "fib":
         approx = binet_fib(args.n)
@@ -490,7 +556,7 @@ def _cmd_binet(args, parser):
     elif args.format == "csv":
         _emit_csv(["n", "value", "exact"], [(args.n, repr(approx), exact_value)])
     else:
-        print(f"{approx!r}  (exact: {exact_value})")
+        print(f"{approx!r}  (exact: {_text(exact_value)})")
     return 0
 
 

@@ -10,7 +10,10 @@ public closed forms reduce one integer numerator over d1*d2.
 The closed forms evaluate h-values through h_{n+1} = p*f_n + q*f_{n+1},
 with the betas' numerators and denominators folded into integer seeds: the
 route independent of the integer recurrence and the quadratic form used by
-the direct norms.
+the direct norms.  They are written once, over an index range: the public
+single-index forms pass one index, the threshold re-verification a whole
+scan fed by one list of f-values.  The growth indicators are likewise
+integer surd numerators over 10*d1*d2.
 """
 
 from dataclasses import dataclass
@@ -23,7 +26,7 @@ from .errors import (
     IndicatorDegenerateError,
     ScanExhaustedError,
 )
-from .sequences import GenFibParams, fib, gen_fib
+from .sequences import GenFibParams, fib, fib_values, gen_fib_values
 from .surd import ALPHA, QuadraticSurd
 
 
@@ -32,49 +35,83 @@ def _h(p, q, m):
     return p * fib(m - 1) + q * fib(m)
 
 
-def _cleared(params):
-    b1 = params.beta1
-    b2 = params.beta2
-    return b1.numerator, b1.denominator, b2.numerator, b2.denominator
-
-
 def _over_d1d2(params, top):
-    return Rational(top, params.beta1.denominator * params.beta2.denominator)
+    n1, d1, n2, d2 = params.cleared
+    return Rational(top, d1 * d2)
 
 
 def _sign(x):
     return (x > 0) - (x < 0)
 
 
-def _fib_formula_top(params, n):
-    # d1*d2 * n(F_n) by the closed form below
-    n1, d1, n2, d2 = _cleared(params)
+def _fib_values(indices):
+    # f[m] = f_m for every m in indices (any sign), for one closed-form index
+    return {m: fib(m) for m in indices}
+
+
+def _fib_formula_tops(params, f, ns):
+    """d1*d2 * n(F_n) by the closed form, for each n in ns.
+
+    f[m] must be f_m for m in {n, n+1, 2n+1, 2n+2, 2n+3}: a list from f_0 for
+    a scan over n >= 0, a dict for one arbitrary index.  The constants of the
+    algebra are computed once for the whole range.
+    """
+    n1, d1, n2, d2 = params.cleared
     p_hi = d2 + 2 * n2
-    return (
-        d1 * _h(p_hi, 3 * n2, 2 * n + 2)
-        + (n1 - d1) * _h(p_hi, n2, 2 * n + 3)
-        - 2 * ((n1 - d1) * (d2 + n2)) * (fib(n) * fib(n + 1))
-    )
+    n2_3 = 3 * n2
+    b1_less_1 = n1 - d1
+    cross = 2 * (b1_less_1 * (d2 + n2))
+    tops = []
+    for n in ns:
+        m = 2 * n
+        # d1 h^{p_hi, 3n2}_{2n+2} + (n1-d1) h^{p_hi, n2}_{2n+3} - cross f_n f_{n+1}
+        tops.append(
+            d1 * (p_hi * f[m + 1] + n2_3 * f[m + 2])
+            + b1_less_1 * (p_hi * f[m + 2] + n2 * f[m + 3])
+            - cross * (f[n] * f[n + 1])
+        )
+    return tops
 
 
-def _genfib_formula_top(params, pq, n):
-    # d1*d2 * n(H^{p,q}_n) by the closed form below, term by term
-    n1, d1, n2, d2 = _cleared(params)
+def _genfib_formula_tops(params, pq, f, ns):
+    """d1*d2 * n(H^{p,q}_n) by the closed form, term by term, for each n in ns.
+
+    f[m] must be f_m for m in n-1..n+2 and 2n-1..2n+3 (see _fib_formula_tops).
+    """
+    n1, d1, n2, d2 = params.cleared
     p, q = pq
     p_hi = d2 + 2 * n2
+    n2_3 = 3 * n2
+    b1_less_1 = n1 - d1
     p2 = p * p
     q2 = q * q
     pq2 = 2 * p * q
-    total = (d1 * p2) * _h(p_hi, 3 * n2, 2 * n)
-    total += (p2 * (n1 - d1)) * _h(p_hi, n2, 2 * n + 1)
-    total += (d1 * q2) * _h(p_hi, 3 * n2, 2 * n + 2)
-    total += (q2 * (n1 - d1)) * _h(p_hi, n2, 2 * n + 3)
-    total -= (2 * p) * ((n1 - d1) * (p * n2 + (p + q) * d2)) * (fib(n - 1) * fib(n))
-    total -= (2 * q2) * ((n1 - d1) * (d2 + n2)) * (fib(n) * fib(n + 1))
-    total += (pq2 * n1) * _h(d2, n2, 2 * n + 1)
-    total += (pq2 * (n1 * n2)) * (fib(2 * n) + fib(2 * n + 3))
-    total += (pq2 * (n2 * (d1 - n1))) * (fib(n + 1) * fib(n + 2))
-    return total
+    k1 = d1 * p2
+    k2 = p2 * b1_less_1
+    k3 = d1 * q2
+    k4 = q2 * b1_less_1
+    k5 = (2 * p) * (b1_less_1 * (p * n2 + (p + q) * d2))
+    k6 = (2 * q2) * (b1_less_1 * (d2 + n2))
+    k7 = pq2 * n1
+    k8 = pq2 * (n1 * n2)
+    k9 = pq2 * (n2 * (d1 - n1))
+    tops = []
+    for n in ns:
+        m = 2 * n
+        f0, f1, f2, f3, f4 = f[m - 1], f[m], f[m + 1], f[m + 2], f[m + 3]
+        g0, g1, g2, g3 = f[n - 1], f[n], f[n + 1], f[n + 2]
+        tops.append(
+            k1 * (p_hi * f0 + n2_3 * f1)    # p^2 d1 h^{p_hi, 3n2}_{2n}
+            + k2 * (p_hi * f1 + n2 * f2)    # p^2 (n1-d1) h^{p_hi, n2}_{2n+1}
+            + k3 * (p_hi * f2 + n2_3 * f3)  # q^2 d1 h^{p_hi, 3n2}_{2n+2}
+            + k4 * (p_hi * f3 + n2 * f4)    # q^2 (n1-d1) h^{p_hi, n2}_{2n+3}
+            - k5 * (g0 * g1)
+            - k6 * (g1 * g2)
+            + k7 * (d2 * f1 + n2 * f2)      # 2pq n1 h^{d2, n2}_{2n+1}
+            + k8 * (f1 + f4)
+            + k9 * (g2 * g3)
+        )
+    return tops
 
 
 def norm_fib_formula(params, n):
@@ -84,7 +121,8 @@ def norm_fib_formula(params, n):
 
     evaluated as one integer numerator over d1*d2.
     """
-    return _over_d1d2(params, _fib_formula_top(params, n))
+    f = _fib_values((n, n + 1, 2 * n + 1, 2 * n + 2, 2 * n + 3))
+    return _over_d1d2(params, _fib_formula_tops(params, f, (n,))[0])
 
 
 def norm_genfib_formula(params, pq, n):
@@ -98,7 +136,8 @@ def norm_genfib_formula(params, pq, n):
 
     evaluated as one integer numerator over d1*d2.
     """
-    return _over_d1d2(params, _genfib_formula_top(params, pq, n))
+    f = _fib_values((*range(n - 1, n + 3), *range(2 * n - 1, 2 * n + 4)))
+    return _over_d1d2(params, _genfib_formula_tops(params, pq, f, (n,))[0])
 
 
 def swamy_norm_as_stated(pq, n):
@@ -122,19 +161,48 @@ def swamy_norm_corrected(pq, n):
     return 3 * ((2 * p * q - p * p) * fib(2 * n + 2) + (p * p + q * q) * fib(2 * n + 3))
 
 
+def _alpha_pair(surd):
+    # an element (u + v*sqrt 5)/2 of Z[alpha] as the integer pair (u, v)
+    return (surd.r * 2).numerator, (surd.s * 2).numerator
+
+
+def _times(a, b):
+    # product of two (u + v*sqrt 5)/2 pairs; u = v mod 2 keeps the halving exact
+    (u1, v1), (u2, v2) = a, b
+    return (u1 * u2 + 5 * (v1 * v2)) // 2, (u1 * v2 + v1 * u2) // 2
+
+
+# alpha^2, alpha^4, alpha^6 as (u + v*sqrt 5)/2 pairs, from powers of ALPHA
+_ALPHA2 = _alpha_pair(ALPHA ** 2)
+_ALPHA4 = _alpha_pair(ALPHA ** 4)
+_ALPHA6 = _alpha_pair(ALPHA ** 6)
+
+
+def _surd_over(params, pair):
+    # (u + v*sqrt 5)/(10*d1*d2) for the integer pair (u, v)
+    n1, d1, n2, d2 = params.cleared
+    bottom = 10 * d1 * d2
+    return QuadraticSurd(Rational(pair[0], bottom), Rational(pair[1], bottom))
+
+
+def _indicator_E_pair(params):
+    # 10*d1*d2 * E as the integers (u, v) of u + v*sqrt 5
+    n1, d1, n2, d2 = params.cleared
+    c0 = d1 * d2 + n1 * d2 + 2 * (d1 * n2) + 5 * (n1 * n2)  # d1*d2 (1 + b1 + 2 b2 + 5 b1 b2)
+    c1 = n1 * d2 + 3 * (d1 * n2) + 8 * (n1 * n2)            # d1*d2 (b1 + 3 b2 + 8 b1 b2)
+    # c0 + c1*alpha = ((2 c0 + c1) + c1*sqrt 5)/2
+    return 2 * c0 + c1, c1
+
+
 def growth_indicator_E(params):
     """E(b1, b2) = (1/5)[1 + b1 + 2 b2 + 5 b1 b2 + alpha(b1 + 3 b2 + 8 b1 b2)].
 
     Exact element of Q(sqrt 5); its sign is the eventual sign of n(F_n).
     Nonzero for every rational (b1, b2): E = 0 would force
     b2^2 + 7 b2 + 1 = 0, whose discriminant 45 is not a perfect square.
+    Evaluated as integer surd numerators over 10*d1*d2.
     """
-    b1 = params.beta1
-    b2 = params.beta2
-    c0 = 1 + b1 + 2 * b2 + 5 * (b1 * b2)
-    c1 = b1 + 3 * b2 + 8 * (b1 * b2)
-    fifth = Rational(1, 5)
-    return QuadraticSurd(fifth * (c0 + c1 * Rational(1, 2)), fifth * (c1 * Rational(1, 2)))
+    return _surd_over(params, _indicator_E_pair(params))
 
 
 def growth_indicator_Eprime(params, pq):
@@ -142,22 +210,27 @@ def growth_indicator_Eprime(params, pq):
 
     Evaluated literally from powers of alpha, then cross-checked against the
     reduced form (p + alpha*q)^2 * E(b1, b2); the two must agree exactly.
+    Both routes work on integer surd numerators over 10*d1*d2, in the ring
+    Z[alpha] of pairs (u + v*sqrt 5)/2.
     """
-    b1 = params.beta1
-    b2 = params.beta2
+    n1, d1, n2, d2 = params.cleared
     p, q = pq
-    a2 = ALPHA * ALPHA
-    a4 = a2 * a2
-    a6 = a4 * a2
-    bracket = 1 + b1 * a2 + b2 * a4 + (b1 * b2) * a6
-    weight = (p + q * ALPHA) ** 2
-    literal = Rational(1, 5) * (weight * bracket)
-    reduced = weight * growth_indicator_E(params)
+    # d1*d2 [1 + b1 a^2 + b2 a^4 + b1 b2 a^6]; the scalar 1 is the pair (2, 0)
+    k0, k1, k2, k3 = d1 * d2, n1 * d2, d1 * n2, n1 * n2
+    bracket = (
+        2 * k0 + k1 * _ALPHA2[0] + k2 * _ALPHA4[0] + k3 * _ALPHA6[0],
+        k1 * _ALPHA2[1] + k2 * _ALPHA4[1] + k3 * _ALPHA6[1],
+    )
+    root = (2 * p + q, q)  # p + alpha*q
+    weight = _times(root, root)
+    literal = _times(weight, bracket)
+    reduced = _times(weight, _indicator_E_pair(params))
     if literal != reduced:
         raise ConsistencyError(
-            f"growth indicator routes disagree: {literal} vs {reduced}"
+            f"growth indicator routes disagree: {_surd_over(params, literal)} "
+            f"vs {_surd_over(params, reduced)}"
         )
-    return literal
+    return _surd_over(params, literal)
 
 
 @dataclass(frozen=True)
@@ -194,10 +267,10 @@ def invertibility_threshold(params, pq=None, n_max=50):
         raise DomainError(f"invertibility_threshold requires n_max >= 1, got {n_max}")
     if pq is None:
         indicator = growth_indicator_E(params)
-        values = [fib(m) for m in range(n_max + 4)]
+        values = fib_values(0, n_max + 4)
     else:
         indicator = growth_indicator_Eprime(params, pq)
-        values = [gen_fib(pq, m) for m in range(n_max + 4)]
+        values = gen_fib_values(pq, 0, n_max + 4)
     if indicator.is_zero():
         raise IndicatorDegenerateError(
             f"growth indicator vanishes for {params} with seeds {pq}"
@@ -231,10 +304,12 @@ def verify_threshold_report(report):
     """Re-verify a ThresholdReport by an independent second scan.
 
     The second scan evaluates d1*d2 times each norm through the closed-form
-    route instead of the quadratic form on recurrence values, and rechecks
-    every invariant: the tail is uniformly nonzero with sign sign_of_E,
-    empirical_n0 is minimal, and zero_norm_indices lists exactly the zero
-    norms below it.  Raises ConsistencyError on any disagreement.
+    route instead of the quadratic form on recurrence values: one list of
+    f-values f_0..f_{2N+3} feeds the closed forms for the whole range
+    n in [0, N].  It rechecks every invariant: the tail is uniformly nonzero
+    with sign sign_of_E, empirical_n0 is minimal, and zero_norm_indices lists
+    exactly the zero norms below it.  Raises ConsistencyError on any
+    disagreement.
     """
     params = report.params
     pq = report.pq
@@ -245,8 +320,15 @@ def verify_threshold_report(report):
     )
     if indicator.sign() != report.sign_of_E:
         raise ConsistencyError("sign_of_E does not match the growth indicator")
-    signs = [_sign(_formula_top(params, pq, n)) for n in range(report.scanned_up_to + 1)]
-    for n in range(report.empirical_n0, report.scanned_up_to + 1):
+    n_max = report.scanned_up_to
+    f = fib_values(0, 2 * n_max + 4)
+    if pq is None:
+        tops = _fib_formula_tops(params, f, range(n_max + 1))
+    else:
+        tops = [_genfib_start_top(params, pq)]
+        tops += _genfib_formula_tops(params, pq, f, range(1, n_max + 1))
+    signs = [_sign(top) for top in tops]
+    for n in range(report.empirical_n0, n_max + 1):
         if signs[n] != report.sign_of_E:
             raise ConsistencyError(f"tail condition fails at n = {n}")
     if report.empirical_n0 > 0 and signs[report.empirical_n0 - 1] == report.sign_of_E:
@@ -258,13 +340,8 @@ def verify_threshold_report(report):
         )
 
 
-def _formula_top(params, pq, n):
-    # d1*d2 * norm by the closed forms
-    if pq is None:
-        return _fib_formula_top(params, n)
-    if n >= 1:
-        return _genfib_formula_top(params, pq, n)
-    # the closed form is stated for n >= 1; fall back to the quadratic form
-    # evaluated on closed-form coefficients h_m = p f_{m-1} + q f_m
+def _genfib_start_top(params, pq):
+    # d1*d2 * n(H^{p,q}_0): the closed form is stated for n >= 1, so this is
+    # the quadratic form on closed-form coefficients h_m = p f_{m-1} + q f_m
     p, q = pq
-    return cleared_norm(params, *(_h(p, q, m) for m in range(n, n + 4)))
+    return cleared_norm(params, *(_h(p, q, m) for m in range(4)))

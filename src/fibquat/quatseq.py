@@ -3,24 +3,22 @@
 Four consecutive sequence values become the coefficients of one quaternion:
 F_n = f_n*1 + f_{n+1}*e2 + f_{n+2}*e3 + f_{n+3}*e4, and likewise for the
 generalized and Fibonacci-Narayana variants.  All builders accept any signed
-index; the scalar sequences extend backward by their own recurrences.
+index; the scalar sequences extend backward by their own recurrences.  The
+values are integers, so each quaternion is stored over denominator 1.
 """
 
 from .algebra import Quaternion
-from .sequences import fib, gen_fib, narayana
+from .sequences import fib_values, gen_fib_values, narayana
 
 
 def fib_quat(params, n):
     """Fibonacci quaternion F_n."""
-    return Quaternion(fib(n), fib(n + 1), fib(n + 2), fib(n + 3), params)
+    return Quaternion(*fib_values(n, n + 4), params)
 
 
 def gen_fib_quat(params, pq, n):
     """Generalized Fibonacci quaternion H_n^{p,q}."""
-    return Quaternion(
-        gen_fib(pq, n), gen_fib(pq, n + 1), gen_fib(pq, n + 2), gen_fib(pq, n + 3),
-        params,
-    )
+    return Quaternion(*gen_fib_values(pq, n, n + 4), params)
 
 
 def narayana_quat(params, n):

@@ -3,9 +3,10 @@ binomials, figurate sums, and the cow-herd count.
 
 The recurrence sequences share one engine.  Indices with |n| <= TABLE_CAP
 come from tables filled by the recurrence (backward for negative n); larger
-ones jump there in O(log n) multiplications by powers of the companion matrix
-or its inverse.  Every cache is bounded: tables stop at the cap, and the jump
-states and gen_fib seed tables are cleared when full.  All of them are guarded
+ones jump there in O(log n) multiplications, by powers of t modulo the
+characteristic polynomial (the companion-matrix power held as k numbers).
+Every cache is bounded: tables stop at the cap, and the jump states and
+gen_fib seed tables are cleared when full.  All of them are guarded
 by locks, so concurrent callers always see the same deterministic values.
 """
 
@@ -28,23 +29,41 @@ JUMP_CACHE_CAP = 16  # largest number of jump states one sequence keeps
 JUMP_STEP_LIMIT = 64  # farthest a jump state is walked by the recurrence
 GENFIB_CACHE_CAP = 4096  # largest number of (p, q) seed tables kept
 
-# Companion matrix C_k of x_n = x_{n-1} + x_{n-k} and its integer inverse
-# (det = +-1).  C_k maps the state (x_{n+k-1}, ..., x_n) to the state at n + 1.
-_COMPANIONS = {
-    2: ((1, 1), (1, 0)),
-    3: ((1, 0, 1), (1, 0, 0), (0, 1, 0)),
-}
-_INVERSES = {
-    2: ((0, 1), (1, -1)),
-    3: ((0, 1, 0), (0, 0, 1), (1, -1, 0)),
-}
+# Residues modulo chi(t) = t^k - t^(k-1) - 1, the characteristic polynomial of
+# x_n = x_{n-1} + x_{n-k}, are coefficient lists [c_0, ..., c_{k-1}].  If
+# t^n = sum c_i t^i (mod chi) then x_n = sum c_i x_i for every solution, so the
+# k numbers of t^n mod chi stand for the k x k companion-matrix power C_k^n.
 
 
-def _mat_mul(a, b):
-    return tuple(
-        tuple(sum(row[m] * b[m][j] for m in range(len(b))) for j in range(len(b)))
-        for row in a
-    )
+def _reduce(poly, k):
+    # fold degrees >= k down with t^d = t^(d-1) + t^(d-k) (mod chi)
+    for d in range(len(poly) - 1, k - 1, -1):
+        top = poly[d]
+        poly[d - 1] += top
+        poly[d - k] += top
+    return poly[:k]
+
+
+def _square(c):
+    k = len(c)
+    poly = [0] * (2 * k - 1)
+    for i, ci in enumerate(c):
+        poly[2 * i] += ci * ci
+        for j in range(i + 1, k):
+            poly[i + j] += (ci * c[j]) << 1
+    return _reduce(poly, k)
+
+
+def _times_t(c):
+    return _reduce([0, *c], len(c))
+
+
+def _over_t(c):
+    # c/t, with 1/t = t^(k-1) - t^(k-2) (mod chi)
+    low = c[0]
+    out = [*c[1:], low]
+    out[-2] -= low
+    return out
 
 
 class _Recurrence:
@@ -55,9 +74,10 @@ class _Recurrence:
     (forward, and backward by x_n = x_{n+k} - x_{n+k-1}).  Beyond the cap, the
     value comes from a jump state, k consecutive values (x_b, ..., x_{b+k-1}):
     one within JUMP_STEP_LIMIT of n is walked to n by the recurrence, else the
-    state at n is C_k^n applied to the seeds (C_k^-1 for n < 0), by binary
-    exponentiation.  At most JUMP_CACHE_CAP states are kept; they are all
-    dropped when that many are held.
+    state at n comes from t^n modulo the characteristic polynomial, by binary
+    exponentiation (k(k+1)/2 big multiplications per squaring).  At most
+    JUMP_CACHE_CAP states are kept; they are all dropped when that many are
+    held.
     """
 
     def __init__(self, *seeds):
@@ -92,6 +112,13 @@ class _Recurrence:
                 self._bwd.append(self.value(i + k) - self.value(i + k - 1))
         return self._bwd[m]
 
+    def values(self, start, stop):
+        """[x_start, ..., x_{stop-1}]: one slice when the forward table holds them."""
+        fwd = self._fwd
+        if 0 <= start and stop <= len(fwd):
+            return fwd[start:stop]
+        return [self.value(m) for m in range(start, stop)]
+
     def _jump(self, n):
         with self._lock:
             jumps = self._jumps
@@ -110,17 +137,20 @@ class _Recurrence:
         return state[0]
 
     def _power(self, n):
-        """(x_n, ..., x_{n+k-1}) as C_k^n applied to the seeds."""
+        """(x_n, ..., x_{n+k-1}) from t^n modulo the characteristic polynomial."""
         k = self._k
-        step = _COMPANIONS[k] if n >= 0 else _INVERSES[k]
-        power = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+        step = _times_t if n >= 0 else _over_t
+        residue = [1] + [0] * (k - 1)
         for bit in bin(abs(n))[2:]:
-            power = _mat_mul(power, power)
+            residue = _square(residue)
             if bit == "1":
-                power = _mat_mul(power, step)
-        start = self._fwd[k - 1::-1]  # (x_{k-1}, ..., x_0)
-        top = tuple(sum(c * s for c, s in zip(row, start)) for row in power)
-        return top[::-1]
+                residue = step(residue)
+        seeds = self._fwd[:k]
+        state = []
+        for _ in range(k):
+            state.append(sum(c * x for c, x in zip(residue, seeds)))
+            residue = _times_t(residue)
+        return tuple(state)
 
 
 _fib = _Recurrence(0, 1)
@@ -135,25 +165,39 @@ def fib(n):
     return _fib.value(n)
 
 
+def fib_values(start, stop):
+    """[f_start, ..., f_{stop-1}] for any signed start <= stop."""
+    return _fib.values(start, stop)
+
+
+def _genfib_engine(pq):
+    p, q = pq
+    key = (p, q)
+    engine = _genfib_caches.get(key)
+    if engine is None:
+        with _genfib_lock:
+            engine = _genfib_caches.get(key)
+            if engine is None:
+                if len(_genfib_caches) >= GENFIB_CACHE_CAP:
+                    _genfib_caches.clear()
+                engine = _genfib_caches[key] = _Recurrence(p, q)
+    return engine
+
+
 def gen_fib(pq, n):
     """Generalized Fibonacci number h_n with seeds h_0 = p, h_1 = q.
 
-    Computed from its own seeds (by the recurrence or by powers of its
-    companion matrix, never through fib), so it can be checked independently
+    Computed from its own seeds (by the recurrence or by powers of t modulo
+    its characteristic polynomial, never through fib), so it can be checked independently
     against h_{n+1} = p*f_n + q*f_{n+1}.  At most GENFIB_CACHE_CAP seed
     tables are kept; the set is cleared when full.
     """
-    p, q = pq
-    key = (p, q)
-    cache = _genfib_caches.get(key)
-    if cache is None:
-        with _genfib_lock:
-            cache = _genfib_caches.get(key)
-            if cache is None:
-                if len(_genfib_caches) >= GENFIB_CACHE_CAP:
-                    _genfib_caches.clear()
-                cache = _genfib_caches[key] = _Recurrence(p, q)
-    return cache.value(n)
+    return _genfib_engine(pq).value(n)
+
+
+def gen_fib_values(pq, start, stop):
+    """[h_start, ..., h_{stop-1}] for seeds (p, q), computed as gen_fib does."""
+    return _genfib_engine(pq).values(start, stop)
 
 
 def narayana(n):

@@ -1,11 +1,12 @@
 """CLI surface: subcommand outputs, formats, exit codes, determinism."""
 
 import json
+import math
 import sys
 
 import pytest
 
-from fibquat import fib
+from fibquat import Rational, cli, fib
 from fibquat.cli import run
 
 
@@ -385,3 +386,60 @@ class TestUsage:
         code, out, _ = invoke(capsys, "--help")
         assert code == 0
         assert "seq" in out and "audit" in out and "cows" in out
+
+
+class TestBigIntegerRendering:
+    """Ints past the cut-off are converted by binary splitting into Decimal;
+    the text must be exactly what str() and json.dumps print."""
+
+    @pytest.fixture(autouse=True)
+    def unlimited_int_str(self):
+        # the references below are str() of ints past CPython's digit limit
+        if not hasattr(sys, "set_int_max_str_digits"):
+            yield
+            return
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        yield
+        sys.set_int_max_str_digits(limit)
+
+    BIG = [
+        1 << cli._DECIMAL_MIN_BITS,
+        (1 << cli._DECIMAL_MIN_BITS) - 1,
+        -(3 ** 50000) + 1,
+        fib(100003),
+        10 ** 30000,
+        7 ** 90000,
+    ]
+
+    def test_ints_match_str(self):
+        for x in self.BIG + [0, 1, -1, 2 ** 128, -(2 ** 129) - 5, True]:
+            assert cli._int_text(x) == str(x)
+            assert cli._int_text(-x) == str(-x)
+
+    def test_rationals_match_str(self):
+        for x in (Rational(self.BIG[2], 3 ** 40000 + 2), Rational(self.BIG[3]), Rational(-5, 7)):
+            assert cli._text(x) == str(x)
+
+    def test_json_matches_json_dumps(self):
+        document = {
+            "a": self.BIG[:3], "b": {"c": [1, -2, True, None, 0.25, "xé"]},
+            "d": (), "e": {}, "f": self.BIG[3], "g": False,
+        }
+        assert cli._json_text(document) == json.dumps(document)
+
+    def test_without_c_decimal_falls_back_to_str(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "_decimal", None)  # import raises ImportError
+        assert cli._int_text(self.BIG[3]) == str(self.BIG[3])
+
+    def test_million_index_quaternion(self, capsys):
+        n = 10 ** 6  # four coefficients of about 209,000 digits
+        code, out, _ = invoke(capsys, "quat", "--kind", "fib", "--n", str(n), "--format", "json")
+        assert code == 0
+        coefficients = json.loads(out)["coefficients"]
+        phi = (1 + 5 ** 0.5) / 2
+        for i, text in enumerate(coefficients):
+            value = fib(n + i)
+            assert len(text) == int((n + i) * math.log10(phi) - math.log10(5) / 2) + 1
+            assert text[-12:] == str(value % 10 ** 12).zfill(12)
+            assert text.isdigit()

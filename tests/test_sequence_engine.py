@@ -1,7 +1,8 @@
 """The recurrence engine behind fib, gen_fib and narayana.
 
-Indices past TABLE_CAP take the jump route (companion-matrix powers, then
-short walks by the recurrence from a kept state).  Both routes are held
+Indices past TABLE_CAP take the jump route (powers of t modulo the
+characteristic polynomial, then short walks by the recurrence from a kept
+state).  Both routes are held
 against each other and against references kept here: fast doubling for
 f_n, and plain recurrence loops for u_n and h_n.  The bounded-memory tests
 check that no table or cache grows past its cap.
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from fibquat import fib, gen_fib, narayana
 from fibquat import sequences
+from fibquat.sequences import fib_values, gen_fib_values
 from fibquat.sequences import (
     GENFIB_CACHE_CAP,
     JUMP_CACHE_CAP,
@@ -170,3 +172,20 @@ def test_jump_states_shared_by_threads():
     assert not any(t.is_alive() for t in threads)
     assert all(results[i] == dict(zip(indices, expected)) for i in range(8))
     assert table_sizes_bounded(engine)
+
+
+@pytest.mark.parametrize("start, stop", [
+    (0, 0), (0, 54), (-6, 5), (-30, -20), (TABLE_CAP - 3, TABLE_CAP + 4),
+    (-TABLE_CAP - 2, -TABLE_CAP + 2), (BIG, BIG + 4), (-BIG - 3, -BIG + 1),
+])
+def test_value_ranges_match_single_reads(start, stop):
+    assert fib_values(start, stop) == [fib_ref(m) for m in range(start, stop)]
+    assert gen_fib_values((3, -7), start, stop) == [gen_fib((3, -7), m) for m in range(start, stop)]
+    fresh = _Recurrence(2, 3, 4)
+    assert fresh.values(start, stop) == [fresh.value(m) for m in range(start, stop)]
+
+
+def test_value_ranges_are_copies():
+    values = fib_values(0, 10)
+    values[3] = -1
+    assert fib(3) == 2
