@@ -1,12 +1,7 @@
-"""Scalar kernel selection: compiled extension if built, else pure Python."""
+"""Scalar kernel: the pure-Python ``Rational``."""
 
-try:
-    from ._crational import Rational
+from ._pyrational import Rational
 
-    KERNEL_BACKEND = "compiled"
-except ImportError:  # extension not built on this install
-    from ._pyrational import Rational
-
-    KERNEL_BACKEND = "pure-python"
+KERNEL_BACKEND = "pure-python"
 
 __all__ = ["Rational", "KERNEL_BACKEND"]

@@ -2,8 +2,8 @@
 
 Every coefficient in the package is a ``Rational``: an always-reduced
 fraction of arbitrary-precision integers with a positive denominator.
-``_crational.pyx`` is the compiled twin with the identical interface;
-whichever is importable wins (see ``_kernel.__init__``).
+Quaternion arithmetic, norms and closed forms run on cleared integers, so
+this class mostly holds views, norms and the betas.
 """
 
 import sys

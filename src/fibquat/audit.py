@@ -159,13 +159,15 @@ def _rand_quat(rng, params):
     )
 
 
+# instances yield raw lhs, rhs; audit() renders only the counterexample it keeps
+
 def _exact(inputs, lhs, rhs):
-    return (inputs, lhs == rhs, str(lhs), str(rhs))
+    return (inputs, lhs == rhs, lhs, rhs)
 
 
 def _close(inputs, approx, exact_value, tol):
     err = abs(approx - exact_value) / max(1, abs(exact_value))
-    return (inputs, err <= tol, repr(approx), str(exact_value))
+    return (inputs, err <= tol, approx, exact_value)
 
 
 def _params_inputs(params, **rest):
@@ -811,7 +813,7 @@ def _remark_2_7(rng, n_max):
             try:
                 product = element * element.inverse()
             except NotInvertibleError as exc:
-                yield (_params_inputs(params, n=n), False, f"error: {exc}", str(one))
+                yield (_params_inputs(params, n=n), False, f"error: {exc}", one)
                 continue
             yield _exact(_params_inputs(params, n=n), product, one)
 
@@ -944,12 +946,7 @@ def _thm_3_4(rng, n_max):
             abs(a - e) / max(1, abs(e)) <= 1e-9
             for a, e in zip(approx, exact_values)
         )
-        yield (
-            {"n": str(n)},
-            ok,
-            "(" + ", ".join(repr(a) for a in approx) + ")",
-            str(exact_values),
-        )
+        yield ({"n": str(n)}, ok, approx, exact_values)
 
 
 # ---------------------------------------------------------------------------
@@ -991,7 +988,7 @@ def audit(identity_id, *, seed=DEFAULT_SEED, n_max=None):
         else:
             failures += 1
             if first is None:
-                first = Counterexample(inputs=dict(inputs), lhs=lhs, rhs=rhs)
+                first = Counterexample(inputs=dict(inputs), lhs=str(lhs), rhs=str(rhs))
     elapsed = time.perf_counter() - started
     if not instances:
         raise DomainError(f"{check.id} ran no instances with n_max={n_max}")

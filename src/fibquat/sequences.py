@@ -241,17 +241,30 @@ def herd_total(years):
     if years < 1:
         raise DomainError(f"herd_total requires years >= 1, got {years}")
     by_recurrence = _herd_recurrence(years)
-    by_figurate = 1 + years
-    j = 1
-    while years - 3 * j >= 1:
-        by_figurate += figurate(years - 3 * j, j)
-        j += 1
+    by_figurate = _herd_figurate(years)
     if by_recurrence != by_figurate:
         raise ConsistencyError(
             f"herd routes disagree at year {years}: "
             f"recurrence {by_recurrence}, figurate {by_figurate}"
         )
     return by_recurrence
+
+
+def _herd_figurate(years):
+    """1 + Y + sum_{j>=1, Y-3j>=1} T_j, T_j = S^(j)_{Y-3j} = C(Y-2j, j+1), built
+    from T_1 = ``figurate(Y-3, 1)`` by the exact ratio T_{j+1} / T_j =
+    (Y-3j-1)(Y-3j-2)(Y-3j-3) / ((Y-2j)(Y-2j-1)(j+2)): O(Y) big-integer steps."""
+    total = 1 + years
+    if years <= 3:
+        return total
+    term = figurate(years - 3, 1)
+    for j in range(1, (years - 1) // 3 + 1):
+        total += term
+        r = years - 3 * j
+        term = term * (r - 1) * (r - 2) * (r - 3) // (
+            (years - 2 * j) * (years - 2 * j - 1) * (j + 2)
+        )
+    return total
 
 
 _herd = _Recurrence(2, 3, 4)  # indexed from year 1 at position 0

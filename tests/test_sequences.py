@@ -213,6 +213,19 @@ class TestHerd:
         for year in range(1, 61):
             assert herd_total(year) == narayana(year + 3)
 
+    def test_stepped_figurate_sum_matches_direct_terms(self):
+        from fibquat.sequences import _herd_figurate
+
+        for year in range(1, 301):
+            direct = 1 + year + sum(
+                figurate(year - 3 * j, j) for j in range(1, (year - 1) // 3 + 1)
+            )
+            assert _herd_figurate(year) == direct
+
+    def test_large_year(self):
+        # the figurate route steps each term, so this takes milliseconds
+        assert herd_total(8000) == narayana(8003)
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             herd_total(0)
