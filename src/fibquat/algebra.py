@@ -329,6 +329,11 @@ def combine(a, b, lam, mu):
     return _linear(a, lam.numerator, lam.denominator, b, mu.numerator, mu.denominator)
 
 
+# Function forms of the Quaternion operations, kept on purpose: nothing in the
+# package calls them, but they are public exports and perfbench/tracer.py
+# looks mul, conj, trace, norm, square and inverse up here by name to time
+# them.  They can go once the tracer reads counters owned by the library.
+
 def mul(a, b):
     return a * b
 

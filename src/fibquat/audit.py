@@ -42,7 +42,9 @@ from .normforms import (
     verify_threshold_report,
 )
 from .quatseq import fib_quat, gen_fib_quat, narayana_quat
-from .sequences import GenFibParams, binom, fib, figurate, gen_fib, herd_total, narayana
+from .sequences import (
+    GenFibParams, binom, fib, figurate, gen_fib, herd_total, narayana, narayana_values,
+)
 from .surd import ALPHA
 
 DEFAULT_SEED = 1729
@@ -159,7 +161,8 @@ def _rand_quat(rng, params):
     )
 
 
-# instances yield raw lhs, rhs; audit() renders only the counterexample it keeps
+# instances yield raw inputs, lhs and rhs; audit() renders only the
+# counterexample it keeps
 
 def _exact(inputs, lhs, rhs):
     return (inputs, lhs == rhs, lhs, rhs)
@@ -170,10 +173,15 @@ def _close(inputs, approx, exact_value, tol):
     return (inputs, err <= tol, approx, exact_value)
 
 
-def _params_inputs(params, **rest):
-    out = {"beta1": str(params.beta1), "beta2": str(params.beta2)}
-    for key, value in rest.items():
-        out[key] = str(value)
+def _render_inputs(inputs):
+    """Counterexample inputs as strings; an algebra becomes beta1, beta2 in its place."""
+    out = {}
+    for key, value in inputs.items():
+        if isinstance(value, AlgebraParams):
+            out["beta1"] = str(value.beta1)
+            out["beta2"] = str(value.beta2)
+        else:
+            out[key] = str(value)
     return out
 
 
@@ -205,7 +213,7 @@ def _eq_1_1(rng, n_max):
         p, q = pq
         for n in range(0, hi + 1):
             yield _exact(
-                {"p": str(p), "q": str(q), "n": str(n)},
+                {"p": p, "q": q, "n": n},
                 gen_fib(pq, n + 1),
                 p * fib(n) + q * fib(n + 1),
             )
@@ -218,7 +226,7 @@ def _eq_1_1(rng, n_max):
 )
 def _eq_1_2(rng, n_max):
     for n in range(0, _span(n_max, 100) + 1):
-        yield _exact({"n": str(n)}, fib_quat(_H11, n).norm(), 3 * fib(2 * n + 3))
+        yield _exact({"n": n}, fib_quat(_H11, n).norm(), 3 * fib(2 * n + 3))
 
 
 @_identity(
@@ -231,7 +239,7 @@ def _eq_2_3(rng, n_max):
     sign = 1
     for n in range(1, _span(n_max, 200) + 1):
         total += sign * fib(n)
-        yield _exact({"n": str(n)}, total, sign * fib(n - 1) + 1)
+        yield _exact({"n": n}, total, sign * fib(n - 1) + 1)
         sign = -sign
 
 
@@ -242,7 +250,7 @@ def _eq_2_3(rng, n_max):
 )
 def _eq_2_5(rng, n_max):
     for n in range(1, _span(n_max, 200) + 1):
-        yield _exact({"n": str(n)}, fib(n) ** 2 + fib(n - 1) ** 2, fib(2 * n - 1))
+        yield _exact({"n": n}, fib(n) ** 2 + fib(n - 1) ** 2, fib(2 * n - 1))
 
 
 @_identity(
@@ -253,7 +261,7 @@ def _eq_2_5(rng, n_max):
 def _eq_2_6(rng, n_max):
     for n in range(1, _span(n_max, 200) + 1):
         yield _exact(
-            {"n": str(n)}, fib(2 * n), fib(n) ** 2 + 2 * fib(n) * fib(n - 1)
+            {"n": n}, fib(2 * n), fib(n) ** 2 + 2 * fib(n) * fib(n - 1)
         )
 
 
@@ -266,7 +274,7 @@ def _intro_prop_1(rng, n_max):
     total = 0
     for n in range(1, _span(n_max, 100) + 1):
         total += narayana(n)
-        yield _exact({"n": str(n)}, total, narayana(n + 3) - 1)
+        yield _exact({"n": n}, total, narayana(n + 3) - 1)
 
 
 @_identity(
@@ -278,7 +286,7 @@ def _intro_prop_2(rng, n_max):
     total = 0
     for n in range(1, _span(n_max, 100) + 1):
         total += narayana(3 * n - 2)
-        yield _exact({"n": str(n)}, total, narayana(3 * n - 1))
+        yield _exact({"n": n}, total, narayana(3 * n - 1))
 
 
 @_identity(
@@ -290,7 +298,7 @@ def _intro_prop_3(rng, n_max):
     total = 0
     for n in range(1, _span(n_max, 100) + 1):
         total += narayana(3 * n - 1)
-        yield _exact({"n": str(n)}, total, narayana(3 * n))
+        yield _exact({"n": n}, total, narayana(3 * n))
 
 
 @_identity(
@@ -302,7 +310,7 @@ def _intro_prop_4(rng, n_max):
     total = 0
     for n in range(1, _span(n_max, 100) + 1):
         total += narayana(3 * n)
-        yield _exact({"n": str(n)}, total, narayana(3 * n + 1) - 1)
+        yield _exact({"n": n}, total, narayana(3 * n + 1) - 1)
 
 
 @_identity(
@@ -315,7 +323,7 @@ def _intro_prop_5(rng, n_max):
     for n in range(1, hi + 1):
         for m in range(1, hi + 1):
             yield _exact(
-                {"n": str(n), "m": str(m)},
+                {"n": n, "m": m},
                 narayana(n + m),
                 narayana(n - 1) * narayana(m + 2)
                 + narayana(n - 2) * narayana(m)
@@ -331,7 +339,7 @@ def _intro_prop_5(rng, n_max):
 def _intro_prop_6(rng, n_max):
     for n in range(1, _span(n_max, 100) + 1):
         yield _exact(
-            {"n": str(n)},
+            {"n": n},
             narayana(2 * n),
             narayana(n + 1) ** 2 + narayana(n - 1) ** 2 - narayana(n - 2) ** 2,
         )
@@ -345,7 +353,7 @@ def _intro_prop_6(rng, n_max):
 def _intro_prop_7(rng, n_max):
     for k in range(0, _span(n_max, 30) + 1):
         for n in (7 * k, 7 * k + 4, 7 * k + 6):
-            yield _exact({"k": str(k), "n": str(n)}, narayana(n) % 2, 0)
+            yield _exact({"k": k, "n": n}, narayana(n) % 2, 0)
 
 
 @_identity(
@@ -356,7 +364,7 @@ def _intro_prop_7(rng, n_max):
 def _intro_prop_8(rng, n_max):
     for k in range(0, _span(n_max, 30) + 1):
         for n in (8 * k, 8 * k - 1, 8 * k - 3):
-            yield _exact({"k": str(k), "n": str(n)}, narayana(n) % 3, 0)
+            yield _exact({"k": k, "n": n}, narayana(n) % 3, 0)
 
 
 @_identity(
@@ -368,7 +376,7 @@ def _sh06(rng, n_max):
     for n in range(2, _span(n_max, 150) + 1):
         t = n // 3
         total = sum(binom(t, m) * narayana(n - t - 2 * m) for m in range(t + 1))
-        yield _exact({"n": str(n)}, narayana(n), total)
+        yield _exact({"n": n}, narayana(n), total)
 
 
 @_identity(
@@ -380,13 +388,13 @@ def _neg_index_u(rng, n_max):
     hi = _span(n_max, 57)
     for n in range(-60, hi + 1):
         yield _exact(
-            {"level": "scalar", "n": str(n)},
+            {"level": "scalar", "n": n},
             narayana(n),
             narayana(n + 3) - narayana(n + 2),
         )
     for n in range(-30, 11):
         yield _exact(
-            {"level": "quaternion", "n": str(n)},
+            {"level": "quaternion", "n": n},
             narayana_quat(_H11, n),
             narayana_quat(_H11, n + 3) - narayana_quat(_H11, n + 2),
         )
@@ -402,7 +410,7 @@ def _figurate_star(rng, n_max):
     for n in range(1, hi + 1):
         for m in range(0, 9):
             yield _exact(
-                {"n": str(n), "m": str(m)}, figurate(n, m), _iterated_prefix_sum(n, m)
+                {"n": n, "m": m}, figurate(n, m), _iterated_prefix_sum(n, m)
             )
 
 
@@ -418,7 +426,7 @@ def _herd(rng, n_max):
         while len(xs) < year:
             xs.append(xs[-1] + xs[-3])
         expected = xs[year - 1] if year != 20 else 2745
-        yield _exact({"years": str(year)}, herd_total(year), expected)
+        yield _exact({"years": year}, herd_total(year), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +455,7 @@ def _mul_table(rng, n_max):
         for i in range(4):
             for j in range(4):
                 yield _exact(
-                    _params_inputs(params, left=names[i], right=names[j]),
+                    {"params": params, "left": names[i], "right": names[j]},
                     units[i] * units[j],
                     expected[i][j],
                 )
@@ -464,7 +472,7 @@ def _norm_expr(rng, n_max):
         params = _rand_params(rng)
         a = _rand_quat(rng, params)
         yield _exact(
-            _params_inputs(params, a=a),
+            {"params": params, "a": a},
             a * a.conj(),
             Quaternion.scalar(a.norm(), params),
         )
@@ -491,7 +499,8 @@ def _thm_2_1(rng, n_max):
         )
         rhs = gen_fib_quat(params, GenFibParams(a * p + b * p2, a * q + b * q2), n)
         yield _exact(
-            _params_inputs(params, a=a, b=b, p=p, q=q, p_prime=p2, q_prime=q2, n=n),
+            {"params": params, "a": a, "b": b, "p": p, "q": q,
+             "p_prime": p2, "q_prime": q2, "n": n},
             lhs,
             rhs,
         )
@@ -511,7 +520,7 @@ def _thm_2_2_i(rng, n_max):
         for n in range(1, hi + 1):
             total = total + fib_quat(params, n).scale(sign)
             rhs = fib_quat(params, n - 1).scale(sign) + constant
-            yield _exact(_params_inputs(params, n=n), total, rhs)
+            yield _exact({"params": params, "n": n}, total, rhs)
             sign = -sign
 
 
@@ -534,7 +543,7 @@ def _thm_2_2_ii(rng, n_max):
             for n in range(1, hi + 1):
                 total = total + gen_fib_quat(params, pq, n).scale(sign)
                 rhs = gen_fib_quat(params, pq, n - 1).scale(sign) + constant
-                yield _exact(_params_inputs(params, p=p, q=q, n=n), total, rhs)
+                yield _exact({"params": params, "p": p, "q": q, "n": n}, total, rhs)
                 sign = -sign
 
 
@@ -553,7 +562,7 @@ def _thm_2_4(rng, n_max):
         params = _rand_params(rng)
         for n in range(0, hi + 1):
             yield _exact(
-                _params_inputs(params, n=n),
+                {"params": params, "n": n},
                 norm_fib_formula(params, n),
                 fib_quat(params, n).norm(),
             )
@@ -572,7 +581,7 @@ def _thm_2_5(rng, n_max):
         pq = _rand_pq(rng)
         for n in range(1, hi + 1):
             yield _exact(
-                _params_inputs(params, p=pq.p, q=pq.q, n=n),
+                {"params": params, "p": pq.p, "q": pq.q, "n": n},
                 norm_genfib_formula(params, pq, n),
                 gen_fib_quat(params, pq, n).norm(),
             )
@@ -593,7 +602,7 @@ def _swamy_as_stated(rng, n_max):
     for pq in _swamy_domain(rng):
         for n in range(0, hi + 1):
             yield _exact(
-                {"p": str(pq.p), "q": str(pq.q), "n": str(n)},
+                {"p": pq.p, "q": pq.q, "n": n},
                 swamy_norm_as_stated(pq, n),
                 gen_fib_quat(_H11, pq, n).norm(),
             )
@@ -611,7 +620,7 @@ def _swamy_corrected(rng, n_max):
     for pq in _swamy_domain(rng):
         for n in range(0, hi + 1):
             yield _exact(
-                {"p": str(pq.p), "q": str(pq.q), "n": str(n)},
+                {"p": pq.p, "q": pq.q, "n": n},
                 swamy_norm_corrected(pq, n),
                 gen_fib_quat(_H11, pq, n).norm(),
             )
@@ -630,7 +639,7 @@ def _swamy_proof_variant(rng, n_max):
         for n in range(0, hi + 1):
             lhs = 3 * ((p * p + 2 * p * q) * fib(2 * n + 2) + (p * p + q * q) * fib(2 * n + 1))
             yield _exact(
-                {"p": str(p), "q": str(q), "n": str(n)},
+                {"p": p, "q": q, "n": n},
                 lhs,
                 gen_fib_quat(_H11, pq, n + 1).norm(),
             )
@@ -649,7 +658,7 @@ def _swamy_proof_variant_corrected(rng, n_max):
     for pq in _swamy_domain(rng):
         for n in range(0, hi + 1):
             yield _exact(
-                {"p": str(pq.p), "q": str(pq.q), "n": str(n)},
+                {"p": pq.p, "q": pq.q, "n": n},
                 swamy_norm_corrected(pq, n + 1),
                 gen_fib_quat(_H11, pq, n + 1).norm(),
             )
@@ -678,7 +687,7 @@ def _prop_2_3_as_stated(rng, n_max):
             fib(2 * n + 1) ** 2 - fib(n + 1) * fib(n - 2) * fib(2 * n + 2)
         )
         yield _exact(
-            {"n": str(n), "k": str(k), "p": str(p), "q": str(q)},
+            {"n": n, "k": k, "p": p, "q": q},
             lhs,
             Quaternion.scalar(scalar, _H11),
         )
@@ -696,7 +705,7 @@ def _prop_2_3_corrected(rng, n_max):
     for n, k, pq in _trace_zero_instances(n_max):
         element = gen_fib_quat(_H11, pq, n + 1)
         yield _exact(
-            {"n": str(n), "k": str(k), "p": str(pq.p), "q": str(pq.q)},
+            {"n": n, "k": k, "p": pq.p, "q": pq.q},
             element.square(),
             Quaternion.scalar(-element.norm(), _H11),
         )
@@ -721,7 +730,7 @@ def _eprime_as_stated(rng, n_max):
         literal = growth_indicator_Eprime(params, pq)
         weight = (pq.p + pq.q * ALPHA) ** 2
         claimed = Rational(1, 5) * (weight * growth_indicator_E(params))
-        yield _exact(_params_inputs(params, p=pq.p, q=pq.q), literal, claimed)
+        yield _exact({"params": params, "p": pq.p, "q": pq.q}, literal, claimed)
 
 
 @_identity(
@@ -741,7 +750,7 @@ def _eprime_corrected(rng, n_max):
         literal = growth_indicator_Eprime(params, pq)
         weight = (pq.p + pq.q * ALPHA) ** 2
         yield _exact(
-            _params_inputs(params, p=pq.p, q=pq.q),
+            {"params": params, "p": pq.p, "q": pq.q},
             literal,
             weight * growth_indicator_E(params),
         )
@@ -773,10 +782,10 @@ def _thm_2_6(rng, n_max):
 
 
 def _threshold_instance(params, pq, n_max):
-    inputs = _params_inputs(params, n_max=n_max)
+    inputs = {"params": params, "n_max": n_max}
     if pq is not None:
-        inputs["p"] = str(pq.p)
-        inputs["q"] = str(pq.q)
+        inputs["p"] = pq.p
+        inputs["q"] = pq.q
     try:
         report = invertibility_threshold(params, pq, n_max)
         verify_threshold_report(report)
@@ -813,9 +822,9 @@ def _remark_2_7(rng, n_max):
             try:
                 product = element * element.inverse()
             except NotInvertibleError as exc:
-                yield (_params_inputs(params, n=n), False, f"error: {exc}", one)
+                yield ({"params": params, "n": n}, False, f"error: {exc}", one)
                 continue
-            yield _exact(_params_inputs(params, n=n), product, one)
+            yield _exact({"params": params, "n": n}, product, one)
 
 
 # ---------------------------------------------------------------------------
@@ -834,7 +843,7 @@ def _thm_3_1_a(rng, n_max):
         for n in range(0, hi + 1):
             total = total + narayana_quat(params, n)
             yield _exact(
-                _params_inputs(params, n=n), total, narayana_quat(params, n + 3) - u2
+                {"params": params, "n": n}, total, narayana_quat(params, n + 3) - u2
             )
 
 
@@ -851,7 +860,7 @@ def _thm_3_1_b(rng, n_max):
         for n in range(0, hi + 1):
             total = total + narayana_quat(params, 3 * n)
             yield _exact(
-                _params_inputs(params, n=n),
+                {"params": params, "n": n},
                 total,
                 narayana_quat(params, 3 * n + 1) - constant,
             )
@@ -864,7 +873,7 @@ def _thm_3_1_b(rng, n_max):
 )
 def _thm_3_2_gf(rng, n_max):
     degree = max(3, _span(n_max, 300))
-    inputs = {"max_degree": str(degree)}
+    inputs = {"max_degree": degree}
     try:
         check = gf_check(degree)
     except SeriesMismatchError as exc:
@@ -883,7 +892,7 @@ def _thm_3_5_1(rng, n_max):
         total = Quaternion.zero(_H11)
         for i in range(0, n + 1):
             total = total + narayana_quat(_H11, 2 * n - 2 * i - 1).scale(binom(n, i))
-        yield _exact({"n": str(n)}, total, narayana_quat(_H11, 3 * n - 1))
+        yield _exact({"n": n}, total, narayana_quat(_H11, 3 * n - 1))
 
 
 @_identity(
@@ -896,7 +905,7 @@ def _thm_3_5_2(rng, n_max):
         total = Quaternion.zero(_H11)
         for i in range(0, n + 1):
             total = total + narayana_quat(_H11, 3 * n - 2 * i - 1).scale(binom(n, i))
-        yield _exact({"n": str(n)}, total, narayana_quat(_H11, 4 * n - 1))
+        yield _exact({"n": n}, total, narayana_quat(_H11, 4 * n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -912,7 +921,7 @@ def _thm_3_5_2(rng, n_max):
 def _eq_2_9(rng, n_max):
     hi = min(_span(n_max, 70), 70)
     for n in range(-hi, hi + 1):
-        yield _close({"n": str(n)}, binet_fib(n), fib(n), 1e-9)
+        yield _close({"n": n}, binet_fib(n), fib(n), 1e-9)
 
 
 @_identity(
@@ -926,7 +935,7 @@ def _eq_2_9(rng, n_max):
 def _thm_3_3(rng, n_max):
     hi = min(_span(n_max, 90), 90)
     for n in range(-20, hi + 1):
-        yield _close({"n": str(n)}, binet_narayana(n), narayana(n), 1e-9)
+        yield _close({"n": n}, binet_narayana(n), narayana(n), 1e-9)
 
 
 @_identity(
@@ -941,12 +950,12 @@ def _thm_3_4(rng, n_max):
     hi = min(_span(n_max, 60), 87)
     for n in range(0, hi + 1):
         approx = binet_narayana_quat(_H11, n)
-        exact_values = tuple(narayana(n + k) for k in range(4))
+        exact_values = tuple(narayana_values(n, n + 4))
         ok = all(
             abs(a - e) / max(1, abs(e)) <= 1e-9
             for a, e in zip(approx, exact_values)
         )
-        yield ({"n": str(n)}, ok, approx, exact_values)
+        yield ({"n": n}, ok, approx, exact_values)
 
 
 # ---------------------------------------------------------------------------
@@ -988,7 +997,9 @@ def audit(identity_id, *, seed=DEFAULT_SEED, n_max=None):
         else:
             failures += 1
             if first is None:
-                first = Counterexample(inputs=dict(inputs), lhs=str(lhs), rhs=str(rhs))
+                first = Counterexample(
+                    inputs=_render_inputs(inputs), lhs=str(lhs), rhs=str(rhs)
+                )
     elapsed = time.perf_counter() - started
     if not instances:
         raise DomainError(f"{check.id} ran no instances with n_max={n_max}")

@@ -4,6 +4,11 @@ Subcommands: seq, quat, norm, audit, threshold, cows, gf, binet.
 Output goes to stdout as text (default), a single JSON document, or CSV with
 a header row; diagnostics go to stderr.  Exit codes: 0 success / all-pass,
 1 counterexample or non-invertible/degenerate result, 2 usage error.
+Output cut short by a reader that closes the pipe exits 1, with nothing on
+stderr.
+
+Each subcommand handler returns one _Result holding its output in all three
+formats and its exit code; _render alone reads --format and prints.
 
 Identical invocations print byte-identical json/csv (pass --no-timing to
 drop the elapsed_ms field, the only run-dependent output).
@@ -13,7 +18,10 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
+from dataclasses import asdict
+from typing import Callable, Iterable, NamedTuple
 
 from ._kernel import Rational
 from .algebra import AlgebraParams
@@ -46,7 +54,9 @@ from .normforms import (
     verify_threshold_report,
 )
 from .quatseq import fib_quat, gen_fib_quat, narayana_quat
-from .sequences import GenFibParams, fib, gen_fib, herd_total, narayana
+from .sequences import (
+    GenFibParams, fib, fib_values, gen_fib_values, herd_total, narayana, narayana_values,
+)
 
 
 def _rational_flag(text):
@@ -209,24 +219,55 @@ def _json_text(value):
     return json.dumps(value)
 
 
-def _emit_json(document):
-    print(_json_text(document))
+class _Result(NamedTuple):
+    """One subcommand's output in every format; _render prints the requested one.
+
+    Only the printed format turns big integers into decimal text: ints stay
+    raw in the document and the rows, and the text lines come from a callable.
+    A value that every format shows as a string is rendered once and shared.
+    """
+
+    document: dict   # the JSON document
+    header: list     # the CSV header row
+    rows: Iterable   # the CSV rows
+    text: Callable   # () -> the text lines
+    code: int = 0    # the exit code
 
 
-def _emit_csv(header, rows):
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(
-        [_int_text(v) if isinstance(v, int) else v for v in row] for row in rows
-    )
-    sys.stdout.write(out.getvalue())
+def _render(result, fmt):
+    if fmt == "json":
+        body = _json_text(result.document)
+    elif fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(result.header)
+        writer.writerows(
+            [_int_text(v) if isinstance(v, int) else v for v in row] for row in result.rows
+        )
+        body = out.getvalue()[:-1]
+    else:
+        body = "\n".join(result.text())
+    # The last newline is a write of its own: a large write that a closed pipe
+    # cuts short can return without an error, and the write after it raises
+    # BrokenPipeError, so truncated output never passes for complete.
+    print(body)
 
 
-def _need_pq(args, parser):
+def _seeds(args, parser):
+    """The (p, q) seeds of --kind genfib, None for the other kinds."""
+    if args.kind != "genfib":
+        return None
     if args.p is None or args.q is None:
-        parser.error(f"--kind {args.kind} requires --p and --q")
+        parser.error("--kind genfib requires --p and --q")
     return GenFibParams(args.p, args.q)
+
+
+def _seed_fields(pq):
+    return {} if pq is None else {"p": pq.p, "q": pq.q}
+
+
+def _algebra_fields(params, pq):
+    return {"beta1": _text(params.beta1), "beta2": _text(params.beta2), **_seed_fields(pq)}
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -234,148 +275,55 @@ def _need_pq(args, parser):
 def _cmd_seq(args, parser):
     if args.stop < args.start:
         parser.error("--to must be >= --from")
-    if args.kind == "genfib":
-        pq = _need_pq(args, parser)
-        values = [gen_fib(pq, n) for n in range(args.start, args.stop + 1)]
-    elif args.kind == "fib":
-        values = [fib(n) for n in range(args.start, args.stop + 1)]
+    pq = _seeds(args, parser)
+    stop = args.stop + 1
+    if pq is not None:
+        values = gen_fib_values(pq, args.start, stop)
     else:
-        values = [narayana(n) for n in range(args.start, args.stop + 1)]
-    if args.format == "json":
-        document = {"kind": args.kind, "from": args.start, "to": args.stop}
-        if args.kind == "genfib":
-            document["p"] = args.p
-            document["q"] = args.q
-        document["values"] = values
-        _emit_json(document)
-    elif args.format == "csv":
-        _emit_csv(["n", "value"],
-                  [(n, v) for n, v in zip(range(args.start, args.stop + 1), values)])
-    else:
-        print(" ".join(_text(v) for v in values))
-    return 0
-
-
-def _build_quat(args, parser):
-    params = AlgebraParams(args.beta1, args.beta2)
-    if args.kind == "genfib":
-        return params, gen_fib_quat(params, _need_pq(args, parser), args.n)
-    if args.kind == "fib":
-        return params, fib_quat(params, args.n)
-    return params, narayana_quat(params, args.n)
+        values = {"fib": fib_values, "narayana": narayana_values}[args.kind](args.start, stop)
+    document = {"kind": args.kind, "from": args.start, "to": args.stop,
+                **_seed_fields(pq), "values": values}
+    return _Result(document, ["n", "value"], zip(range(args.start, stop), values),
+                   lambda: [" ".join(map(_text, values))])
 
 
 def _cmd_quat(args, parser):
-    params, value = _build_quat(args, parser)
-    if args.format == "json":
-        document = {
-            "kind": args.kind,
-            "n": args.n,
-            "beta1": _text(params.beta1),
-            "beta2": _text(params.beta2),
-        }
-        if args.kind == "genfib":
-            document["p"] = args.p
-            document["q"] = args.q
-        document["coefficients"] = [_text(c) for c in value.coefficients]
-        _emit_json(document)
-    elif args.format == "csv":
-        _emit_csv(["coefficient", "value"],
-                  zip(("a1", "a2", "a3", "a4"), (_text(c) for c in value.coefficients)))
+    params = AlgebraParams(args.beta1, args.beta2)
+    pq = _seeds(args, parser)
+    if pq is not None:
+        value = gen_fib_quat(params, pq, args.n)
     else:
-        a1, a2, a3, a4 = (_text(c) for c in value.coefficients)
-        print(f"{a1} + {a2}*e2 + {a3}*e3 + {a4}*e4  [{params}]")
-    return 0
+        value = {"fib": fib_quat, "narayana": narayana_quat}[args.kind](params, args.n)
+    a1, a2, a3, a4 = coefficients = [_text(c) for c in value.coefficients]
+    document = {"kind": args.kind, "n": args.n, **_algebra_fields(params, pq),
+                "coefficients": coefficients}
+    return _Result(document, ["coefficient", "value"],
+                   zip(("a1", "a2", "a3", "a4"), coefficients),
+                   lambda: [f"{a1} + {a2}*e2 + {a3}*e3 + {a4}*e4  [{params}]"])
 
 
 def _cmd_norm(args, parser):
     params = AlgebraParams(args.beta1, args.beta2)
-    if args.kind == "genfib":
-        pq = _need_pq(args, parser)
+    pq = _seeds(args, parser)
+    if pq is not None:
         if args.n < 1:
             parser.error("the genfib closed form needs --n >= 1")
         direct = gen_fib_quat(params, pq, args.n).norm()
         formula = norm_genfib_formula(params, pq, args.n)
     else:
-        pq = None
         direct = fib_quat(params, args.n).norm()
         formula = norm_fib_formula(params, args.n)
+    document = {"kind": args.kind, "n": args.n, **_algebra_fields(params, pq)}
     if args.check:
         match = direct == formula
-        if args.format == "json":
-            document = {
-                "kind": args.kind, "n": args.n,
-                "beta1": _text(params.beta1), "beta2": _text(params.beta2),
-            }
-            if pq is not None:
-                document["p"] = pq.p
-                document["q"] = pq.q
-            document.update({
-                "direct": _text(direct), "formula": _text(formula), "match": match,
-            })
-            _emit_json(document)
-        elif args.format == "csv":
-            _emit_csv(["direct", "formula", "match"],
-                      [(_text(direct), _text(formula), str(match).lower())])
-        else:
-            print(f"direct={_text(direct)} formula={_text(formula)} "
-                  f"match={str(match).lower()}")
-        return 0 if match else 1
-    value = formula if args.method == "formula" else direct
-    if args.format == "json":
-        document = {
-            "kind": args.kind, "n": args.n,
-            "beta1": _text(params.beta1), "beta2": _text(params.beta2),
-        }
-        if pq is not None:
-            document["p"] = pq.p
-            document["q"] = pq.q
-        document.update({"method": args.method, "value": _text(value)})
-        _emit_json(document)
-    elif args.format == "csv":
-        _emit_csv(["method", "value"], [(args.method, _text(value))])
-    else:
-        print(_text(value))
-    return 0
-
-
-def _report_document(report, with_timing):
-    document = {
-        "id": report.id,
-        "paper_ref": report.paper_ref,
-        "mode": report.mode,
-        "provenance": report.provenance,
-        "seed": report.seed,
-        "instances_run": report.instances_run,
-        "passes": report.passes,
-        "failures": report.failures,
-    }
-    if report.first_counterexample is not None:
-        document["first_counterexample"] = {
-            "inputs": report.first_counterexample.inputs,
-            "lhs": report.first_counterexample.lhs,
-            "rhs": report.first_counterexample.rhs,
-        }
-    if with_timing:
-        document["elapsed_ms"] = round(report.elapsed * 1000.0, 3)
-    return document
-
-
-def _report_row(report, with_timing):
-    cex = ""
-    if report.first_counterexample is not None:
-        cex = json.dumps({
-            "inputs": report.first_counterexample.inputs,
-            "lhs": report.first_counterexample.lhs,
-            "rhs": report.first_counterexample.rhs,
-        })
-    row = [
-        report.id, report.paper_ref, report.mode, report.provenance,
-        report.seed, report.instances_run, report.passes, report.failures, cex,
-    ]
-    if with_timing:
-        row.append(round(report.elapsed * 1000.0, 3))
-    return row
+        shown = (_text(direct), _text(formula), str(match).lower())
+        document.update(direct=shown[0], formula=shown[1], match=match)
+        return _Result(document, ["direct", "formula", "match"], [shown],
+                       lambda: ["direct={} formula={} match={}".format(*shown)],
+                       0 if match else 1)
+    value = _text(formula if args.method == "formula" else direct)
+    document.update(method=args.method, value=value)
+    return _Result(document, ["method", "value"], [(args.method, value)], lambda: [value])
 
 
 _REPORT_HEADER = [
@@ -384,76 +332,76 @@ _REPORT_HEADER = [
 ]
 
 
-def _print_report_text(report, verdict=None):
+def _report_document(report, with_timing):
+    document = {key: getattr(report, key) for key in _REPORT_HEADER[:-1]}
+    if report.first_counterexample is not None:
+        document["first_counterexample"] = asdict(report.first_counterexample)
+    if with_timing:
+        document["elapsed_ms"] = round(report.elapsed * 1000.0, 3)
+    return document
+
+
+def _report_row(document, header):
+    """A report document as a CSV row: the counterexample as JSON text, "" if none."""
+    cex = document.get("first_counterexample")
+    fields = dict(document, first_counterexample=json.dumps(cex) if cex else "")
+    return [fields[key] for key in header]
+
+
+_LIST_HEADER = ["id", "paper_ref", "mode", "provenance"]
+
+
+def _report_lines(report, verdict=None):
     status = "pass" if report.failures == 0 else "FAIL"
     if verdict and verdict != "pass":
         status = f"FAIL ({verdict})"
-    print(
-        f"{report.id:<28} {report.provenance:<17} {report.mode:<14} "
-        f"{report.passes}/{report.instances_run} {status}"
-    )
+    yield (f"{report.id:<28} {report.provenance:<17} {report.mode:<14} "
+           f"{report.passes}/{report.instances_run} {status}")
     if report.first_counterexample is not None:
         cex = report.first_counterexample
         inputs = ", ".join(f"{k}={v}" for k, v in cex.inputs.items())
-        print(f"    first counterexample: {inputs}")
-        print(f"        lhs = {cex.lhs}")
-        print(f"        rhs = {cex.rhs}")
+        yield f"    first counterexample: {inputs}"
+        yield f"        lhs = {cex.lhs}"
+        yield f"        rhs = {cex.rhs}"
+
+
+def _audit_all_lines(reports, verdicts, ok):
+    for report in reports:
+        yield from _report_lines(report, verdicts.get(report.id))
+    expected = set(expected_failure_ids())
+    unexpected = [r.id for r in reports if r.failures and r.id not in expected]
+    vanished = [i for i, v in verdicts.items() if v == "anomaly-vanished"]
+    yield (f"aggregate: {'pass' if ok else 'FAIL'}"
+           + (f" (unexpected failures: {', '.join(unexpected)})" if unexpected else "")
+           + (f" (vanished anomalies: {', '.join(vanished)})" if vanished else ""))
 
 
 def _cmd_audit(args, parser):
-    with_timing = not args.no_timing
     if args.list:
         entries = list_identities()
-        if args.format == "json":
-            _emit_json({
-                "identities": [
-                    {"id": i, "paper_ref": ref, "mode": mode, "provenance": prov}
-                    for i, ref, mode, prov in entries
-                ]
-            })
-        elif args.format == "csv":
-            _emit_csv(["id", "paper_ref", "mode", "provenance"], entries)
-        else:
-            for i, ref, mode, prov in entries:
-                print(f"{i:<28} {prov:<17} {mode:<14} {ref}")
-        return 0
+        return _Result(
+            {"identities": [dict(zip(_LIST_HEADER, entry)) for entry in entries]},
+            _LIST_HEADER, entries,
+            lambda: (f"{i:<28} {prov:<17} {mode:<14} {ref}" for i, ref, mode, prov in entries),
+        )
+    with_timing = not args.no_timing
+    header = _REPORT_HEADER + (["elapsed_ms"] if with_timing else [])
     if args.id:
         report = audit(args.id, seed=args.seed, n_max=args.n_max)
-        if args.format == "json":
-            _emit_json(_report_document(report, with_timing))
-        elif args.format == "csv":
-            header = _REPORT_HEADER + (["elapsed_ms"] if with_timing else [])
-            _emit_csv(header, [_report_row(report, with_timing)])
-        else:
-            _print_report_text(report)
-        return 0 if report.failures == 0 else 1
+        document = _report_document(report, with_timing)
+        return _Result(document, header, [_report_row(document, header)],
+                       lambda: _report_lines(report), 0 if report.failures == 0 else 1)
     if not getattr(args, "all", False):
         parser.error("audit needs one of --id, --all or --list")
     reports = audit_all(args.provenance, seed=args.seed, n_max=args.n_max)
     ok = aggregate_ok(reports)
     verdicts = adjudicate(reports)
-    if args.format == "json":
-        _emit_json({
-            "seed": args.seed,
-            "ok": ok,
-            "reports": [_report_document(r, with_timing) for r in reports],
-            "verdicts": verdicts,
-        })
-    elif args.format == "csv":
-        header = _REPORT_HEADER + (["elapsed_ms"] if with_timing else [])
-        _emit_csv(header, [_report_row(r, with_timing) for r in reports])
-    else:
-        for report in reports:
-            _print_report_text(report, verdicts.get(report.id))
-        expected = set(expected_failure_ids())
-        unexpected = [
-            r.id for r in reports if r.failures and r.id not in expected
-        ]
-        vanished = [i for i, v in verdicts.items() if v == "anomaly-vanished"]
-        print(f"aggregate: {'pass' if ok else 'FAIL'}"
-              + (f" (unexpected failures: {', '.join(unexpected)})" if unexpected else "")
-              + (f" (vanished anomalies: {', '.join(vanished)})" if vanished else ""))
-    return 0 if ok else 1
+    documents = [_report_document(r, with_timing) for r in reports]
+    return _Result(
+        {"seed": args.seed, "ok": ok, "reports": documents, "verdicts": verdicts},
+        header, (_report_row(d, header) for d in documents),
+        lambda: _audit_all_lines(reports, verdicts, ok), 0 if ok else 1,
+    )
 
 
 def _cmd_threshold(args, parser):
@@ -466,98 +414,59 @@ def _cmd_threshold(args, parser):
     report = invertibility_threshold(params, pq, args.n_max)
     verify_threshold_report(report)
     document = {
-        "beta1": _text(params.beta1),
-        "beta2": _text(params.beta2),
-    }
-    if pq is not None:
-        document["p"] = pq.p
-        document["q"] = pq.q
-    document.update({
+        **_algebra_fields(params, pq),
         "sign_of_E": report.sign_of_E,
         "empirical_n0": report.empirical_n0,
         "scanned_up_to": report.scanned_up_to,
         "zero_norm_indices": list(report.zero_norm_indices),
-    })
-    if args.format == "json":
-        _emit_json(document)
-    elif args.format == "csv":
-        _emit_csv(list(document.keys()),
-                  [[document[k] if k != "zero_norm_indices"
-                    else " ".join(map(str, document[k])) for k in document]])
-    else:
-        zeros = ", ".join(map(str, report.zero_norm_indices)) or "none"
-        print(f"algebra {params}" + (f", seeds (p, q) = ({pq.p}, {pq.q})" if pq else ""))
-        print(f"sign of growth indicator: {report.sign_of_E:+d}")
-        print(f"empirical n0 = {report.empirical_n0} "
-              f"(scanned n in [0, {report.scanned_up_to}]; zero norms: {zeros})")
-    return 0
+    }
+    zeros = report.zero_norm_indices
+    row = dict(document, zero_norm_indices=" ".join(map(str, zeros)))
+    return _Result(document, list(row), [list(row.values())], lambda: [
+        f"algebra {params}" + (f", seeds (p, q) = ({pq.p}, {pq.q})" if pq else ""),
+        f"sign of growth indicator: {report.sign_of_E:+d}",
+        f"empirical n0 = {report.empirical_n0} (scanned n in [0, {report.scanned_up_to}]; "
+        f"zero norms: {', '.join(map(str, zeros)) or 'none'})",
+    ])
 
 
 def _cmd_cows(args, parser):
     total = herd_total(args.years)
-    if args.format == "json":
-        _emit_json({"years": args.years, "herd": total})
-    elif args.format == "csv":
-        _emit_csv(["years", "herd"], [(args.years, total)])
-    else:
-        print(_text(total))
-    return 0
+    return _Result({"years": args.years, "herd": total}, ["years", "herd"],
+                   [(args.years, total)], lambda: [_text(total)])
 
 
 def _cmd_gf(args, parser):
     check = gf_check(args.degree)
-    ok = check.max_abs_residual_coefficient == (0, 0, 0, 0)
-    if args.format == "json":
-        _emit_json({
-            "degree_checked": check.degree_checked,
-            "max_abs_residual_coefficient": list(check.max_abs_residual_coefficient),
-            "ok": ok,
-        })
-    elif args.format == "csv":
-        _emit_csv(["degree_checked", "max_abs_residual_coefficient", "ok"],
-                  [(check.degree_checked,
-                    " ".join(map(str, check.max_abs_residual_coefficient)),
-                    str(ok).lower())])
-    else:
-        print(f"degrees 0..{check.degree_checked}: all residual coefficients zero")
-    return 0 if ok else 1
+    residual = list(check.max_abs_residual_coefficient)
+    ok = residual == [0, 0, 0, 0]
+    return _Result(
+        {"degree_checked": check.degree_checked,
+         "max_abs_residual_coefficient": residual, "ok": ok},
+        ["degree_checked", "max_abs_residual_coefficient", "ok"],
+        [(check.degree_checked, " ".join(map(str, residual)), str(ok).lower())],
+        lambda: [f"degrees 0..{check.degree_checked}: all residual coefficients zero"],
+        0 if ok else 1,
+    )
 
 
 def _cmd_binet(args, parser):
     if args.quat:
         if args.kind != "narayana":
             parser.error("--quat applies to --kind narayana only")
-        params = AlgebraParams(args.beta1, args.beta2)
-        approx = binet_narayana_quat(params, args.n)
-        exact_values = [narayana(args.n + k) for k in range(4)]
-        if args.format == "json":
-            _emit_json({
-                "kind": "narayana", "quat": True, "n": args.n,
-                "value": list(approx), "exact": exact_values,
-            })
-        elif args.format == "csv":
-            _emit_csv(["component", "value", "exact"],
-                      [(f"a{k + 1}", repr(approx[k]), exact_values[k]) for k in range(4)])
-        else:
-            rendered = " ".join(repr(v) for v in approx)
-            print(f"{rendered}  (exact: {' '.join(map(_text, exact_values))})")
-        return 0
-    if args.kind == "fib":
-        approx = binet_fib(args.n)
-        exact_value = fib(args.n)
+        approx = list(binet_narayana_quat(AlgebraParams(args.beta1, args.beta2), args.n))
+        exact = narayana_values(args.n, args.n + 4)
+        labels, header = ("a1", "a2", "a3", "a4"), ["component", "value", "exact"]
+        document = {"value": approx, "exact": exact}
     else:
-        approx = binet_narayana(args.n)
-        exact_value = narayana(args.n)
-    if args.format == "json":
-        _emit_json({
-            "kind": args.kind, "quat": False, "n": args.n,
-            "value": approx, "exact": exact_value,
-        })
-    elif args.format == "csv":
-        _emit_csv(["n", "value", "exact"], [(args.n, repr(approx), exact_value)])
-    else:
-        print(f"{approx!r}  (exact: {_text(exact_value)})")
-    return 0
+        binet, value = (binet_fib, fib) if args.kind == "fib" else (binet_narayana, narayana)
+        approx, exact = [binet(args.n)], [value(args.n)]
+        labels, header = (args.n,), ["n", "value", "exact"]
+        document = {"value": approx[0], "exact": exact[0]}
+    document = {"kind": args.kind, "quat": args.quat, "n": args.n, **document}
+    shown = " ".join(map(repr, approx))
+    return _Result(document, header, zip(labels, map(repr, approx), exact),
+                   lambda: [f"{shown}  (exact: {' '.join(map(_text, exact))})"])
 
 
 _HANDLERS = {
@@ -593,11 +502,8 @@ def _dispatch(argv):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed the diagnostic
-        return exc.code if exc.code is not None else 0
-    try:
-        return _HANDLERS[args.command](args, parser)
-    except SystemExit as exc:  # parser.error inside a handler
+        result = _HANDLERS[args.command](args, parser)
+    except SystemExit as exc:  # argparse or parser.error already printed the diagnostic
         return exc.code if exc.code is not None else 0
     except (DomainError, PrecisionGuardError, UnknownIdentityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -609,10 +515,20 @@ def _dispatch(argv):
     except FibquatError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return 1
+    _render(result, args.format)
+    return result.code
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early; point stdout at devnull so the
+        # interpreter's own flush at exit cannot raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

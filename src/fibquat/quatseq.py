@@ -8,7 +8,7 @@ values are integers, so each quaternion is stored over denominator 1.
 """
 
 from .algebra import Quaternion
-from .sequences import fib_values, gen_fib_values, narayana
+from .sequences import fib_values, gen_fib_values, narayana_values
 
 
 def fib_quat(params, n):
@@ -23,6 +23,4 @@ def gen_fib_quat(params, pq, n):
 
 def narayana_quat(params, n):
     """Fibonacci-Narayana quaternion U_n."""
-    return Quaternion(
-        narayana(n), narayana(n + 1), narayana(n + 2), narayana(n + 3), params
-    )
+    return Quaternion(*narayana_values(n, n + 4), params)

@@ -205,6 +205,11 @@ def narayana(n):
     return _narayana.value(n)
 
 
+def narayana_values(start, stop):
+    """[u_start, ..., u_{stop-1}] for any signed start <= stop."""
+    return _narayana.values(start, stop)
+
+
 def binom(n, k):
     """Exact binomial coefficient C(n, k) = n!/(k!(n-k)!)."""
     if n < 0 or k < 0:

@@ -231,3 +231,19 @@ class TestAuditAll:
         assert verdicts["SWAMY_AS_STATED"] == "anomaly-vanished"
         assert verdicts["PROP_2_3_AS_STATED"] == "transcription-issue"
         assert not aggregate_ok(vanished)
+
+    def test_inputs_rendered_only_for_kept_counterexamples(self, monkeypatch):
+        module = importlib.import_module("fibquat.audit")
+        render = module._render_inputs
+        calls = []
+
+        def counting(inputs):
+            calls.append(inputs)
+            return render(inputs)
+
+        monkeypatch.setattr(module, "_render_inputs", counting)
+        failing = [r for r in audit_all() if r.failures]
+        assert len(failing) == 4
+        assert [render(inputs) for inputs in calls] == [
+            r.first_counterexample.inputs for r in failing
+        ]

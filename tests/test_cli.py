@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -386,6 +389,22 @@ class TestUsage:
         code, out, _ = invoke(capsys, "--help")
         assert code == 0
         assert "seq" in out and "audit" in out and "cows" in out
+
+    def test_closed_pipe_exits_quietly(self):
+        # about 1 MB of output against a 64 KiB pipe: the writer is still
+        # writing when the reader closes its end after 10 bytes
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fibquat.cli", "seq", "--kind", "fib",
+             "--from", "0", "--to", "3000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert proc.stdout.read(10) == b"0 1 1 2 3 "
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert err == b""
+        assert proc.returncode == 1
 
 
 class TestBigIntegerRendering:

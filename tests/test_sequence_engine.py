@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from fibquat import fib, gen_fib, narayana
 from fibquat import sequences
-from fibquat.sequences import fib_values, gen_fib_values
+from fibquat.sequences import fib_values, gen_fib_values, narayana_values
 from fibquat.sequences import (
     GENFIB_CACHE_CAP,
     JUMP_CACHE_CAP,
@@ -181,6 +181,7 @@ def test_jump_states_shared_by_threads():
 def test_value_ranges_match_single_reads(start, stop):
     assert fib_values(start, stop) == [fib_ref(m) for m in range(start, stop)]
     assert gen_fib_values((3, -7), start, stop) == [gen_fib((3, -7), m) for m in range(start, stop)]
+    assert narayana_values(start, stop) == [narayana(m) for m in range(start, stop)]
     fresh = _Recurrence(2, 3, 4)
     assert fresh.values(start, stop) == [fresh.value(m) for m in range(start, stop)]
 
