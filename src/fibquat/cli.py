@@ -308,20 +308,21 @@ def _cmd_norm(args, parser):
     if pq is not None:
         if args.n < 1:
             parser.error("the genfib closed form needs --n >= 1")
-        direct = gen_fib_quat(params, pq, args.n).norm()
-        formula = norm_genfib_formula(params, pq, args.n)
+        routes = {"direct": lambda: gen_fib_quat(params, pq, args.n).norm(),
+                  "formula": lambda: norm_genfib_formula(params, pq, args.n)}
     else:
-        direct = fib_quat(params, args.n).norm()
-        formula = norm_fib_formula(params, args.n)
+        routes = {"direct": lambda: fib_quat(params, args.n).norm(),
+                  "formula": lambda: norm_fib_formula(params, args.n)}
     document = {"kind": args.kind, "n": args.n, **_algebra_fields(params, pq)}
     if args.check:
+        direct, formula = routes["direct"](), routes["formula"]()
         match = direct == formula
         shown = (_text(direct), _text(formula), str(match).lower())
         document.update(direct=shown[0], formula=shown[1], match=match)
         return _Result(document, ["direct", "formula", "match"], [shown],
                        lambda: ["direct={} formula={} match={}".format(*shown)],
                        0 if match else 1)
-    value = _text(formula if args.method == "formula" else direct)
+    value = _text(routes[args.method]())
     document.update(method=args.method, value=value)
     return _Result(document, ["method", "value"], [(args.method, value)], lambda: [value])
 

@@ -13,7 +13,8 @@ route independent of the integer recurrence and the quadratic form used by
 the direct norms.  They are written once, over an index range: the public
 single-index forms pass one index, the threshold re-verification a whole
 scan fed by one list of f-values.  The growth indicators are likewise
-integer surd numerators over 10*d1*d2.
+integer residues c0 + c1*alpha of Z[alpha] over 5*d1*d2, multiplied by the
+residue ring of ``surd``, and returned as QuadraticSurds.
 """
 
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from .errors import (
     ScanExhaustedError,
 )
 from .sequences import GenFibParams, fib, fib_values, gen_fib_values
-from .surd import ALPHA, QuadraticSurd
+from .surd import from_residue, mul, t_power
 
 
 def _h(p, q, m):
@@ -161,37 +162,13 @@ def swamy_norm_corrected(pq, n):
     return 3 * ((2 * p * q - p * p) * fib(2 * n + 2) + (p * p + q * q) * fib(2 * n + 3))
 
 
-def _alpha_pair(surd):
-    # an element (u + v*sqrt 5)/2 of Z[alpha] as the integer pair (u, v)
-    return (surd.r * 2).numerator, (surd.s * 2).numerator
-
-
-def _times(a, b):
-    # product of two (u + v*sqrt 5)/2 pairs; u = v mod 2 keeps the halving exact
-    (u1, v1), (u2, v2) = a, b
-    return (u1 * u2 + 5 * (v1 * v2)) // 2, (u1 * v2 + v1 * u2) // 2
-
-
-# alpha^2, alpha^4, alpha^6 as (u + v*sqrt 5)/2 pairs, from powers of ALPHA
-_ALPHA2 = _alpha_pair(ALPHA ** 2)
-_ALPHA4 = _alpha_pair(ALPHA ** 4)
-_ALPHA6 = _alpha_pair(ALPHA ** 6)
-
-
-def _surd_over(params, pair):
-    # (u + v*sqrt 5)/(10*d1*d2) for the integer pair (u, v)
-    n1, d1, n2, d2 = params.cleared
-    bottom = 10 * d1 * d2
-    return QuadraticSurd(Rational(pair[0], bottom), Rational(pair[1], bottom))
-
-
 def _indicator_E_pair(params):
-    # 10*d1*d2 * E as the integers (u, v) of u + v*sqrt 5
+    # 5*d1*d2 * E as the residue [c0, c1] of c0 + c1*alpha in Z[alpha]
     n1, d1, n2, d2 = params.cleared
-    c0 = d1 * d2 + n1 * d2 + 2 * (d1 * n2) + 5 * (n1 * n2)  # d1*d2 (1 + b1 + 2 b2 + 5 b1 b2)
-    c1 = n1 * d2 + 3 * (d1 * n2) + 8 * (n1 * n2)            # d1*d2 (b1 + 3 b2 + 8 b1 b2)
-    # c0 + c1*alpha = ((2 c0 + c1) + c1*sqrt 5)/2
-    return 2 * c0 + c1, c1
+    return [
+        d1 * d2 + n1 * d2 + 2 * (d1 * n2) + 5 * (n1 * n2),  # d1*d2 (1 + b1 + 2 b2 + 5 b1 b2)
+        n1 * d2 + 3 * (d1 * n2) + 8 * (n1 * n2),            # d1*d2 (b1 + 3 b2 + 8 b1 b2)
+    ]
 
 
 def growth_indicator_E(params):
@@ -200,9 +177,14 @@ def growth_indicator_E(params):
     Exact element of Q(sqrt 5); its sign is the eventual sign of n(F_n).
     Nonzero for every rational (b1, b2): E = 0 would force
     b2^2 + 7 b2 + 1 = 0, whose discriminant 45 is not a perfect square.
-    Evaluated as integer surd numerators over 10*d1*d2.
+    Evaluated as an integer residue of Z[alpha] over 5*d1*d2.
     """
-    return _surd_over(params, _indicator_E_pair(params))
+    n1, d1, n2, d2 = params.cleared
+    return from_residue(_indicator_E_pair(params), 5 * d1 * d2)
+
+
+# 1, alpha^2, alpha^4, alpha^6 as residues of Z[alpha], read by E' literally
+_ALPHA_EVEN_POWERS = [t_power(2, m) for m in (0, 2, 4, 6)]
 
 
 def growth_indicator_Eprime(params, pq):
@@ -210,27 +192,23 @@ def growth_indicator_Eprime(params, pq):
 
     Evaluated literally from powers of alpha, then cross-checked against the
     reduced form (p + alpha*q)^2 * E(b1, b2); the two must agree exactly.
-    Both routes work on integer surd numerators over 10*d1*d2, in the ring
-    Z[alpha] of pairs (u + v*sqrt 5)/2.
+    Both routes work on integer residues of Z[alpha] over 5*d1*d2.
     """
     n1, d1, n2, d2 = params.cleared
-    p, q = pq
-    # d1*d2 [1 + b1 a^2 + b2 a^4 + b1 b2 a^6]; the scalar 1 is the pair (2, 0)
-    k0, k1, k2, k3 = d1 * d2, n1 * d2, d1 * n2, n1 * n2
-    bracket = (
-        2 * k0 + k1 * _ALPHA2[0] + k2 * _ALPHA4[0] + k3 * _ALPHA6[0],
-        k1 * _ALPHA2[1] + k2 * _ALPHA4[1] + k3 * _ALPHA6[1],
-    )
-    root = (2 * p + q, q)  # p + alpha*q
-    weight = _times(root, root)
-    literal = _times(weight, bracket)
-    reduced = _times(weight, _indicator_E_pair(params))
+    # d1*d2 [1 + b1 a^2 + b2 a^4 + b1 b2 a^6]
+    weights = (d1 * d2, n1 * d2, d1 * n2, n1 * n2)
+    bracket = [sum(w * a[i] for w, a in zip(weights, _ALPHA_EVEN_POWERS)) for i in (0, 1)]
+    root = list(pq)  # p + alpha*q
+    square = mul(root, root)
+    literal = mul(square, bracket)
+    reduced = mul(square, _indicator_E_pair(params))
+    bottom = 5 * d1 * d2
     if literal != reduced:
         raise ConsistencyError(
-            f"growth indicator routes disagree: {_surd_over(params, literal)} "
-            f"vs {_surd_over(params, reduced)}"
+            f"growth indicator routes disagree: {from_residue(literal, bottom)} "
+            f"vs {from_residue(reduced, bottom)}"
         )
-    return _surd_over(params, literal)
+    return from_residue(literal, bottom)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ binomials, figurate sums, and the cow-herd count.
 The recurrence sequences share one engine.  Indices with |n| <= TABLE_CAP
 come from tables filled by the recurrence (backward for negative n); larger
 ones jump there in O(log n) multiplications, by powers of t modulo the
-characteristic polynomial (the companion-matrix power held as k numbers).
+characteristic polynomial t^k - t^(k-1) - 1, taken in the residue ring of
+``surd`` (the companion-matrix power held as k numbers).
 Every cache is bounded: tables stop at the cap, and the jump states and
 gen_fib seed tables are cleared when full.  All of them are guarded
 by locks, so concurrent callers always see the same deterministic values.
@@ -15,6 +16,7 @@ import threading
 from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError
+from .surd import t_power
 
 
 class GenFibParams(NamedTuple):
@@ -28,42 +30,6 @@ TABLE_CAP = 4096  # largest |n| kept in a recurrence-filled table
 JUMP_CACHE_CAP = 16  # largest number of jump states one sequence keeps
 JUMP_STEP_LIMIT = 64  # farthest a jump state is walked by the recurrence
 GENFIB_CACHE_CAP = 4096  # largest number of (p, q) seed tables kept
-
-# Residues modulo chi(t) = t^k - t^(k-1) - 1, the characteristic polynomial of
-# x_n = x_{n-1} + x_{n-k}, are coefficient lists [c_0, ..., c_{k-1}].  If
-# t^n = sum c_i t^i (mod chi) then x_n = sum c_i x_i for every solution, so the
-# k numbers of t^n mod chi stand for the k x k companion-matrix power C_k^n.
-
-
-def _reduce(poly, k):
-    # fold degrees >= k down with t^d = t^(d-1) + t^(d-k) (mod chi)
-    for d in range(len(poly) - 1, k - 1, -1):
-        top = poly[d]
-        poly[d - 1] += top
-        poly[d - k] += top
-    return poly[:k]
-
-
-def _square(c):
-    k = len(c)
-    poly = [0] * (2 * k - 1)
-    for i, ci in enumerate(c):
-        poly[2 * i] += ci * ci
-        for j in range(i + 1, k):
-            poly[i + j] += (ci * c[j]) << 1
-    return _reduce(poly, k)
-
-
-def _times_t(c):
-    return _reduce([0, *c], len(c))
-
-
-def _over_t(c):
-    # c/t, with 1/t = t^(k-1) - t^(k-2) (mod chi)
-    low = c[0]
-    out = [*c[1:], low]
-    out[-2] -= low
-    return out
 
 
 class _Recurrence:
@@ -139,18 +105,12 @@ class _Recurrence:
     def _power(self, n):
         """(x_n, ..., x_{n+k-1}) from t^n modulo the characteristic polynomial."""
         k = self._k
-        step = _times_t if n >= 0 else _over_t
-        residue = [1] + [0] * (k - 1)
-        for bit in bin(abs(n))[2:]:
-            residue = _square(residue)
-            if bit == "1":
-                residue = step(residue)
-        seeds = self._fwd[:k]
-        state = []
-        for _ in range(k):
-            state.append(sum(c * x for c, x in zip(residue, seeds)))
-            residue = _times_t(residue)
-        return tuple(state)
+        residue = t_power(k, n)
+        xs = self._fwd[:k]
+        for _ in range(k - 1):  # extend the seeds to x_0, ..., x_{2k-2}
+            xs.append(xs[-1] + xs[-k])
+        # t^(n+j) = sum c_i t^(i+j), so x_{n+j} = sum c_i x_{i+j}
+        return tuple(sum(c * x for c, x in zip(residue, xs[j:])) for j in range(k))
 
 
 _fib = _Recurrence(0, 1)

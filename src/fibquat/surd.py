@@ -1,107 +1,163 @@
-"""Exact elements r + s*sqrt(5) of the quadratic field Q(sqrt 5).
+"""Exact integer residues modulo chi_k(t) = t^k - t^(k-1) - 1, and the field
+Q(sqrt 5) built on them.
 
-Carries the golden ratio alpha = (1 + sqrt 5)/2 and the growth indicators
-built from it.  The sign of a surd is decided exactly by case analysis on
-the signs of r and s, comparing r^2 against 5 s^2 when they differ; no
-floating point is involved.
+A residue is a coefficient list [c_0, ..., c_{k-1}] standing for
+c_0 + c_1 t + ... + c_{k-1} t^(k-1) modulo chi_k, for k = 2 and 3.  chi_2 =
+t^2 - t - 1 has the golden ratio alpha = (1 + sqrt 5)/2 as a root, so its
+residues are the ring Z[alpha]; chi_3 = t^3 - t^2 - 1 is the Narayana
+polynomial.  chi_k is also the characteristic polynomial of
+x_n = x_{n-1} + x_{n-k}, so t^n modulo chi_k stands for the k x k
+companion-matrix power in k numbers (see ``sequences``).  ``mul`` is the one
+residue product and ``power`` the one binary power; ``t_power`` gives t^n for
+any signed n.
+
+A QuadraticSurd r + s*sqrt(5) is a k = 2 residue over one positive
+denominator, (c0 + c1*alpha)/den with gcd(c0, c1, den) == 1, so two surds
+are equal exactly when these integers are; r and s are Rational views.  The
+sign is decided exactly on the integers; no floating point is involved.
 """
+
+from math import gcd, lcm
 
 from ._kernel import Rational
 from .algebra import as_rational
 from .errors import ConsistencyError
 
 
-class QuadraticSurd:
-    """r + s*sqrt(5) with rational r, s; equality is componentwise."""
+def _reduce(poly, k):
+    # fold degrees >= k down with t^d = t^(d-1) + t^(d-k) (mod chi_k)
+    for d in range(len(poly) - 1, k - 1, -1):
+        top = poly[d]
+        poly[d - 1] += top
+        poly[d - k] += top
+    return poly[:k]
 
-    __slots__ = ("r", "s")
+
+def mul(a, b):
+    """a*b modulo chi_k for residues of one length k.  A square (b is a)
+    takes k(k+1)/2 big multiplications instead of k^2."""
+    k = len(a)
+    poly = [0] * (2 * k - 1)
+    if b is a:
+        for i, ai in enumerate(a):
+            poly[2 * i] += ai * ai
+            for j in range(i + 1, k):
+                poly[i + j] += (ai * a[j]) << 1
+    else:
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                poly[i + j] += ai * bj
+    return _reduce(poly, k)
+
+
+def power(base, n):
+    """base^n modulo chi_k for n >= 0, by left-to-right binary exponentiation."""
+    out = [1] + [0] * (len(base) - 1)
+    for bit in bin(n)[2:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, base)
+    return out
+
+
+def t_power(k, n):
+    """t^n modulo chi_k for any signed n, with 1/t = t^(k-1) - t^(k-2)."""
+    base = [0, 1] + [0] * (k - 2) if n >= 0 else [0] * (k - 2) + [-1, 1]
+    return power(base, abs(n))
+
+
+def _coerced(method):
+    # a QuadraticSurd binary method; int and Rational operands are coerced first
+    def binary(self, other):
+        if isinstance(other, (int, Rational)):
+            other = as_rational(other)
+            other = from_residue((other.numerator, 0), other.denominator)
+        elif not isinstance(other, QuadraticSurd):
+            return NotImplemented
+        return method(self, other)
+    return binary
+
+
+class QuadraticSurd:
+    """r + s*sqrt(5) with rational r, s, held as (c0 + c1*alpha)/den."""
+
+    __slots__ = ("c0", "c1", "den")
 
     def __init__(self, r, s=0):
-        self.r = as_rational(r)
-        self.s = as_rational(s)
+        r = as_rational(r)
+        s = as_rational(s)
+        den = lcm(r.denominator, s.denominator)
+        top = s.numerator * (den // s.denominator)
+        # r + s*sqrt 5 = (r - s) + 2s*alpha, in lowest terms by from_residue
+        x = from_residue((r.numerator * (den // r.denominator) - top, 2 * top), den)
+        self.c0, self.c1, self.den = x.c0, x.c1, x.den
 
+    @property
+    def r(self):
+        return Rational(2 * self.c0 + self.c1, 2 * self.den)
+
+    @property
+    def s(self):
+        return Rational(self.c1, 2 * self.den)
+
+    @_coerced
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return QuadraticSurd(self.r + other.r, self.s + other.s)
+        da, db = self.den, other.den
+        return from_residue((self.c0 * db + other.c0 * da, self.c1 * db + other.c1 * da), da * db)
 
     __radd__ = __add__
 
+    @_coerced
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return QuadraticSurd(self.r - other.r, self.s - other.s)
+        return self + -other
 
+    @_coerced
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return QuadraticSurd(other.r - self.r, other.s - self.s)
+        return other + -self
 
+    @_coerced
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        # (a + b√5)(c + d√5) = ac + 5bd + (ad + bc)√5
-        return QuadraticSurd(
-            self.r * other.r + 5 * (self.s * other.s),
-            self.r * other.s + self.s * other.r,
-        )
+        return from_residue(mul([self.c0, self.c1], [other.c0, other.c1]), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("surd powers take non-negative integer exponents")
-        out = QuadraticSurd(1, 0)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return from_residue(power([self.c0, self.c1], exponent), self.den ** exponent)
 
     def __neg__(self):
-        return QuadraticSurd(-self.r, -self.s)
+        return from_residue((-self.c0, -self.c1), self.den)
 
+    @_coerced
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.r == other.r and self.s == other.s
+        return self.c0 == other.c0 and self.c1 == other.c1 and self.den == other.den
 
     def __hash__(self):
-        return hash((self.r, self.s))
+        # a rational value hashes as its Rational, which it equals
+        return hash((self.c0, self.c1, self.den)) if self.c1 else hash(self.r)
 
     def __bool__(self):
-        return bool(self.r or self.s)
+        return bool(self.c0 or self.c1)
 
     def is_zero(self):
         return not self
 
     def sign(self):
         """Exact sign of the real value r + s*sqrt(5): -1, 0 or +1."""
-        sr = self.r.sign()
-        ss = self.s.sign()
-        if ss == 0:
-            return sr
-        if sr == 0:
-            return ss
-        if sr == ss:
-            return sr
-        # opposite signs: |r| vs |s|*sqrt(5), i.e. r^2 vs 5 s^2
-        r2 = self.r * self.r
-        s25 = 5 * (self.s * self.s)
-        if r2 == s25:
-            # would make sqrt(5) rational
-            raise ConsistencyError(f"irrationality violated for {self!r}")
-        if r2 > s25:
-            return sr
-        return ss
+        # 2*den times the value is u + v*sqrt 5, with u = 2 c0 + c1 and v = c1
+        u = 2 * self.c0 + self.c1
+        v = self.c1
+        if u * v >= 0:  # no cancellation
+            w = u + v
+        else:
+            # opposite signs: |u| vs |v|*sqrt(5), i.e. u^2 vs 5 v^2
+            gap = u * u - 5 * (v * v)
+            if gap == 0:
+                # would make sqrt(5) rational
+                raise ConsistencyError(f"irrationality violated for {self!r}")
+            w = u if gap > 0 else v
+        return (w > 0) - (w < 0)
 
     def __float__(self):
         return float(self.r) + float(self.s) * 5 ** 0.5
@@ -113,13 +169,14 @@ class QuadraticSurd:
         return f"QuadraticSurd({self.r!r}, {self.s!r})"
 
 
-def _coerce(x):
-    if isinstance(x, QuadraticSurd):
-        return x
-    if isinstance(x, (int, Rational)):
-        return QuadraticSurd(x, 0)
-    return None
+def from_residue(residue, den):
+    """(c0 + c1*alpha)/den in lowest terms, for a chi_2 residue [c0, c1] and den > 0."""
+    c0, c1 = residue
+    g = gcd(c0, c1, den)
+    x = object.__new__(QuadraticSurd)
+    x.c0, x.c1, x.den = c0 // g, c1 // g, den // g
+    return x
 
 
 #: The golden ratio (1 + sqrt 5)/2, the dominant root of t^2 - t - 1.
-ALPHA = QuadraticSurd(Rational(1, 2), Rational(1, 2))
+ALPHA = from_residue((0, 1), 1)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -124,6 +125,20 @@ class TestNorm:
         assert document["direct"] == "510"
         assert document["formula"] == "510"
         assert document["match"] is True
+
+    @pytest.mark.parametrize("method, skipped, argv", [
+        ("direct", "norm_fib_formula", ["--kind", "fib"]),
+        ("formula", "fib_quat", ["--kind", "fib"]),
+        ("direct", "norm_genfib_formula", ["--kind", "genfib", "--p", "2", "--q", "1"]),
+        ("formula", "gen_fib_quat", ["--kind", "genfib", "--p", "2", "--q", "1"]),
+    ])
+    def test_only_the_requested_route_runs(self, capsys, method, skipped, argv):
+        with mock.patch.object(cli, skipped) as stub:
+            code, out, _ = invoke(capsys, "norm", *argv, "--n", "3", "--method", method)
+        stub.assert_not_called()
+        assert code == 0
+        expected = "510" if "genfib" in argv else "102"
+        assert out.strip() == expected
 
     def test_zero_norm_is_reportable(self, capsys):
         code, out, _ = invoke(

@@ -88,12 +88,14 @@ def test_gen_fib_matches_loop(p, q, n):
     assert gen_fib((p, q), n + 1) == loop_ref((p, q), n + 1)
 
 
-@pytest.mark.parametrize("n", [BIG, -BIG])
+@pytest.mark.parametrize("n", [BIG, -BIG, TABLE_CAP + 1, -TABLE_CAP - 1, 3 * TABLE_CAP + 7,
+                               -3 * TABLE_CAP - 7])
 def test_gen_fib_far_matches_loop(n):
     assert gen_fib((3, -7), n) == loop_ref((3, -7), n)
 
 
-@pytest.mark.parametrize("seeds", [(0, 1), (5, -7), (0, 1, 1), (2, 3, 4), (-4, 0, 9)])
+@pytest.mark.parametrize("seeds", [(0, 1), (5, -7), (0, 1, 1), (2, 3, 4), (-4, 0, 9),
+                                   (1, 0), (1, 0, 0), (0, 0, 1)])  # unit seeds read t^n's coefficients
 def test_jump_route_matches_table_route(seeds):
     engine = _Recurrence(*seeds)
     k = len(seeds)
