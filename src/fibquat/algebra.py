@@ -217,14 +217,18 @@ class Quaternion:
     def norm(self):
         """a1^2 + beta1*a2^2 + beta2*a3^2 + beta1*beta2*a4^2, exactly.
 
-        ``cleared_norm`` of the numerators is d1*d2*den^2 * n(a), so one
-        reduction over d1*d2*den^2 returns the Rational.
+        ``cleared_norm`` of the numerators is d1*d2*den^2 * n(a), so one gcd
+        against the positive d1*d2*den^2 gives the reduced Rational.
         """
         params = self.params
         den = self.den
         top = cleared_norm(params, self.x1, self.x2, self.x3, self.x4)
         n1, d1, n2, d2 = params.cleared
-        return Rational(top, d1 * d2 * den * den)
+        bottom = d1 * d2 * den * den
+        g = gcd(top, bottom)
+        if g != 1:
+            return Rational._raw(top // g, bottom // g)
+        return Rational._raw(top, bottom)
 
     def square(self):
         return self * self

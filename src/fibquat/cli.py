@@ -306,8 +306,6 @@ def _cmd_norm(args, parser):
     params = AlgebraParams(args.beta1, args.beta2)
     pq = _seeds(args, parser)
     if pq is not None:
-        if args.n < 1:
-            parser.error("the genfib closed form needs --n >= 1")
         routes = {"direct": lambda: gen_fib_quat(params, pq, args.n).norm(),
                   "formula": lambda: norm_genfib_formula(params, pq, args.n)}
     else:

@@ -8,11 +8,12 @@ its re-verification decide sign and zeroness on plain integers, and the
 public closed forms reduce one integer numerator over d1*d2.
 
 The closed forms evaluate h-values through h_{n+1} = p*f_n + q*f_{n+1},
-with the betas' numerators and denominators folded into integer seeds: the
-route independent of the integer recurrence and the quadratic form used by
-the direct norms.  They are written once, over an index range: the public
-single-index forms pass one index, the threshold re-verification a whole
-scan fed by one list of f-values.  The growth indicators are likewise
+with the betas' numerators and denominators folded into one integer
+coefficient per f-value or product of f-values: the route independent of
+the integer recurrence and the quadratic form used by the direct norms.
+They are written once, over an index range: the public single-index forms
+pass the f-values of one index, the threshold re-verification one list of
+f-values for a whole scan.  The growth indicators are likewise
 integer residues c0 + c1*alpha of Z[alpha] over 5*d1*d2, multiplied by the
 residue ring of ``surd``, and returned as QuadraticSurds.
 """
@@ -20,7 +21,7 @@ residue ring of ``surd``, and returned as QuadraticSurds.
 from dataclasses import dataclass
 
 from ._kernel import Rational
-from .algebra import AlgebraParams, cleared_norm
+from .algebra import AlgebraParams
 from .errors import (
     ConsistencyError,
     DomainError,
@@ -31,53 +32,46 @@ from .sequences import GenFibParams, fib, fib_values, gen_fib_values
 from .surd import from_residue, mul, t_power
 
 
-def _h(p, q, m):
-    # h_m for seeds p, q, via h_m = p*f_{m-1} + q*f_m
-    return p * fib(m - 1) + q * fib(m)
-
-
 def _over_d1d2(params, top):
     n1, d1, n2, d2 = params.cleared
     return Rational(top, d1 * d2)
 
 
-def _sign(x):
-    return (x > 0) - (x < 0)
+def _fib_formula_tops(params, low, high):
+    """d1*d2 * n(F_n) by the closed form, for n = s, s+1, ...
 
-
-def _fib_values(indices):
-    # f[m] = f_m for every m in indices (any sign), for one closed-form index
-    return {m: fib(m) for m in indices}
-
-
-def _fib_formula_tops(params, f, ns):
-    """d1*d2 * n(F_n) by the closed form, for each n in ns.
-
-    f[m] must be f_m for m in {n, n+1, 2n+1, 2n+2, 2n+3}: a list from f_0 for
-    a scan over n >= 0, a dict for one arbitrary index.  The constants of the
-    algebra are computed once for the whole range.
+    low[i] must be f_{s+i} and high[i] must be f_{2s+1+i}; the range ends
+    where either list does.  One index takes low = [f_s, f_{s+1}] and
+    high = [f_{2s+1}, f_{2s+2}, f_{2s+3}]; a scan from s = 0 takes one list
+    from f_0 as low and the same list from f_1 as high.  The closed form of
+    ``norm_fib_formula`` is folded to
+    a f_{2n+1} + b f_{2n+2} + c f_{2n+3} - cross f_n f_{n+1},
+    with the constants of the algebra computed once for the whole range.
     """
     n1, d1, n2, d2 = params.cleared
     p_hi = d2 + 2 * n2
-    n2_3 = 3 * n2
     b1_less_1 = n1 - d1
+    a = d1 * p_hi
+    b = 3 * (d1 * n2) + b1_less_1 * p_hi
+    c = b1_less_1 * n2
     cross = 2 * (b1_less_1 * (d2 + n2))
-    tops = []
-    for n in ns:
-        m = 2 * n
-        # d1 h^{p_hi, 3n2}_{2n+2} + (n1-d1) h^{p_hi, n2}_{2n+3} - cross f_n f_{n+1}
-        tops.append(
-            d1 * (p_hi * f[m + 1] + n2_3 * f[m + 2])
-            + b1_less_1 * (p_hi * f[m + 2] + n2 * f[m + 3])
-            - cross * (f[n] * f[n + 1])
-        )
-    return tops
+    odd = high[0::2]   # f_{2n+1}
+    even = high[1::2]  # f_{2n+2}
+    return [
+        a * x1 + b * x2 + c * x3 - cross * (y0 * y1)
+        for x1, x2, x3, y0, y1 in zip(odd, even, odd[1:], low, low[1:])
+    ]
 
 
-def _genfib_formula_tops(params, pq, f, ns):
-    """d1*d2 * n(H^{p,q}_n) by the closed form, term by term, for each n in ns.
+def _genfib_formula_tops(params, pq, low, high):
+    """d1*d2 * n(H^{p,q}_n) by the closed form, for n = s, s+1, ...
 
-    f[m] must be f_m for m in n-1..n+2 and 2n-1..2n+3 (see _fib_formula_tops).
+    low[i] must be f_{s-1+i} and high[i] must be f_{2s-1+i} (compare
+    ``_fib_formula_tops``); a scan from s = 0 takes one list from f_{-1} as
+    both.  The closed form of ``norm_genfib_formula`` is folded to five
+    coefficients of f_{2n-1}, ..., f_{2n+3} and three of the consecutive
+    products f_m f_{m+1}, m = n-1, n, n+1; each product is computed once per
+    range.
     """
     n1, d1, n2, d2 = params.cleared
     p, q = pq
@@ -87,47 +81,47 @@ def _genfib_formula_tops(params, pq, f, ns):
     p2 = p * p
     q2 = q * q
     pq2 = 2 * p * q
-    k1 = d1 * p2
-    k2 = p2 * b1_less_1
-    k3 = d1 * q2
-    k4 = q2 * b1_less_1
+    # the bracketed terms of the closed form, each times d1*d2:
+    k1 = d1 * p2                  # p^2 h^{1+2b2,3b2}_{2n}
+    k2 = p2 * b1_less_1           # p^2 (b1-1) h^{1+2b2,b2}_{2n+1}
+    k3 = d1 * q2                  # q^2 h^{1+2b2,3b2}_{2n+2}
+    k4 = q2 * b1_less_1           # q^2 (b1-1) h^{1+2b2,b2}_{2n+3}
+    k7 = pq2 * n1                 # h^{2pq b1, 2pq b1 b2}_{2n+1}
+    k8 = pq2 * (n1 * n2)          # 2pq b1 b2 (f_{2n} + f_{2n+3})
+    # folded onto f_{2n-1}, ..., f_{2n+3}
+    c0 = k1 * p_hi
+    c1 = k1 * n2_3 + k2 * p_hi + k7 * d2 + k8
+    c2 = (k2 + k7) * n2 + k3 * p_hi
+    c3 = k3 * n2_3 + k4 * p_hi
+    c4 = k4 * n2 + k8
+    # the products f_{n-1} f_n, f_n f_{n+1} and f_{n+1} f_{n+2}
     k5 = (2 * p) * (b1_less_1 * (p * n2 + (p + q) * d2))
     k6 = (2 * q2) * (b1_less_1 * (d2 + n2))
-    k7 = pq2 * n1
-    k8 = pq2 * (n1 * n2)
     k9 = pq2 * (n2 * (d1 - n1))
-    tops = []
-    for n in ns:
-        m = 2 * n
-        f0, f1, f2, f3, f4 = f[m - 1], f[m], f[m + 1], f[m + 2], f[m + 3]
-        g0, g1, g2, g3 = f[n - 1], f[n], f[n + 1], f[n + 2]
-        tops.append(
-            k1 * (p_hi * f0 + n2_3 * f1)    # p^2 d1 h^{p_hi, 3n2}_{2n}
-            + k2 * (p_hi * f1 + n2 * f2)    # p^2 (n1-d1) h^{p_hi, n2}_{2n+1}
-            + k3 * (p_hi * f2 + n2_3 * f3)  # q^2 d1 h^{p_hi, 3n2}_{2n+2}
-            + k4 * (p_hi * f3 + n2 * f4)    # q^2 (n1-d1) h^{p_hi, n2}_{2n+3}
-            - k5 * (g0 * g1)
-            - k6 * (g1 * g2)
-            + k7 * (d2 * f1 + n2 * f2)      # 2pq n1 h^{d2, n2}_{2n+1}
-            + k8 * (f1 + f4)
-            + k9 * (g2 * g3)
+    odd = high[0::2]   # f_{2n-1}
+    even = high[1::2]  # f_{2n}
+    products = [y0 * y1 for y0, y1 in zip(low, low[1:])]  # f_{n-1} f_n
+    return [
+        c0 * x0 + c1 * x1 + c2 * x2 + c3 * x3 + c4 * x4 - k5 * g0 - k6 * g1 + k9 * g2
+        for x0, x2, x4, x1, x3, g0, g1, g2 in zip(
+            odd, odd[1:], odd[2:], even, even[1:], products, products[1:], products[2:]
         )
-    return tops
+    ]
 
 
 def norm_fib_formula(params, n):
-    """Closed form of n(F_n):
+    """Closed form of n(F_n) for any signed n:
 
     h^{1+2b2, 3b2}_{2n+2} + (b1-1) h^{1+2b2, b2}_{2n+3} - 2(b1-1)(1+b2) f_n f_{n+1}
 
     evaluated as one integer numerator over d1*d2.
     """
-    f = _fib_values((n, n + 1, 2 * n + 1, 2 * n + 2, 2 * n + 3))
-    return _over_d1d2(params, _fib_formula_tops(params, f, (n,))[0])
+    tops = _fib_formula_tops(params, fib_values(n, n + 2), fib_values(2 * n + 1, 2 * n + 4))
+    return _over_d1d2(params, tops[0])
 
 
 def norm_genfib_formula(params, pq, n):
-    """Closed form of n(H^{p,q}_n) for n >= 1 (it references f_{n-1}):
+    """Closed form of n(H^{p,q}_n) for any signed n:
 
     p^2 h^{1+2b2,3b2}_{2n} + p^2(b1-1) h^{1+2b2,b2}_{2n+1}
     + q^2 h^{1+2b2,3b2}_{2n+2} + q^2(b1-1) h^{1+2b2,b2}_{2n+3}
@@ -135,10 +129,13 @@ def norm_genfib_formula(params, pq, n):
     + h^{2pq*b1, 2pq*b1*b2}_{2n+1} + 2pq*b1*b2 (f_{2n} + f_{2n+3})
     + 2pq*b2(1-b1) f_{n+1} f_{n+2}
 
-    evaluated as one integer numerator over d1*d2.
+    evaluated as one integer numerator over d1*d2.  Here h^{a,b}_m is
+    a f_{m-1} + b f_m, and f extends to negative indices.
     """
-    f = _fib_values((*range(n - 1, n + 3), *range(2 * n - 1, 2 * n + 4)))
-    return _over_d1d2(params, _genfib_formula_tops(params, pq, f, (n,))[0])
+    tops = _genfib_formula_tops(
+        params, pq, fib_values(n - 1, n + 3), fib_values(2 * n - 1, 2 * n + 4)
+    )
+    return _over_d1d2(params, tops[0])
 
 
 def swamy_norm_as_stated(pq, n):
@@ -228,13 +225,26 @@ class ThresholdReport:
     zero_norm_indices: tuple[int, ...]
 
 
+def _cleared_norm_scan(params, values):
+    """``cleared_norm`` of (x_n, x_{n+1}, x_{n+2}, x_{n+3}) for each n, given
+    the list x_0, x_1, ...
+
+    With u_m = d1*x_m^2 + n1*x_{m+1}^2 the form is d2*u_n + n2*u_{n+2}, so
+    each square and each u_m is computed once for the whole scan.
+    """
+    n1, d1, n2, d2 = params.cleared
+    squares = [x * x for x in values]
+    u = [d1 * a + n1 * b for a, b in zip(squares, squares[1:])]
+    return [d2 * a + n2 * b for a, b in zip(u, u[2:])]
+
+
 def invertibility_threshold(params, pq=None, n_max=50):
     """Scan exact norms of F_n (or H^{p,q}_n when pq is given) for n in [0, n_max].
 
     One list of the n_max + 4 sequence values f_0.. (or h_0..) feeds the
     integer form ``cleared_norm``, d1*d2 times each norm, whose sign and
-    zeroness are those of the norm itself; no Quaternion or Rational is
-    built per index.
+    zeroness are those of the norm itself, evaluated for the whole scan by
+    ``_cleared_norm_scan``; no Quaternion or Rational is built per index.
 
     Raises IndicatorDegenerateError when the applicable growth indicator is
     zero (only possible for pq == (0, 0) with rational parameters), and
@@ -254,10 +264,7 @@ def invertibility_threshold(params, pq=None, n_max=50):
             f"growth indicator vanishes for {params} with seeds {pq}"
         )
     target = indicator.sign()
-    signs = [
-        _sign(cleared_norm(params, x1, x2, x3, x4))
-        for x1, x2, x3, x4 in zip(values, values[1:], values[2:], values[3:])
-    ]
+    signs = [(top > 0) - (top < 0) for top in _cleared_norm_scan(params, values)]
     n0 = 0
     for n in range(n_max, -1, -1):
         if signs[n] != target:  # zero norm also fails this
@@ -283,10 +290,10 @@ def verify_threshold_report(report):
 
     The second scan evaluates d1*d2 times each norm through the closed-form
     route instead of the quadratic form on recurrence values: one list of
-    f-values f_0..f_{2N+3} feeds the closed forms for the whole range
-    n in [0, N].  It rechecks every invariant: the tail is uniformly nonzero
-    with sign sign_of_E, empirical_n0 is minimal, and zero_norm_indices lists
-    exactly the zero norms below it.  Raises ConsistencyError on any
+    f-values f_0..f_{2N+3} (from f_{-1} for H^{p,q}_n) feeds the closed forms
+    for the whole range n in [0, N].  It rechecks every invariant: the tail
+    is uniformly nonzero with sign sign_of_E, empirical_n0 is minimal, and
+    zero_norm_indices lists exactly the zero norms below it.  Raises ConsistencyError on any
     disagreement.
     """
     params = report.params
@@ -299,13 +306,13 @@ def verify_threshold_report(report):
     if indicator.sign() != report.sign_of_E:
         raise ConsistencyError("sign_of_E does not match the growth indicator")
     n_max = report.scanned_up_to
-    f = fib_values(0, 2 * n_max + 4)
     if pq is None:
-        tops = _fib_formula_tops(params, f, range(n_max + 1))
+        f = fib_values(0, 2 * n_max + 4)
+        tops = _fib_formula_tops(params, f, f[1:])
     else:
-        tops = [_genfib_start_top(params, pq)]
-        tops += _genfib_formula_tops(params, pq, f, range(1, n_max + 1))
-    signs = [_sign(top) for top in tops]
+        f = fib_values(-1, 2 * n_max + 4)
+        tops = _genfib_formula_tops(params, pq, f, f)
+    signs = [(top > 0) - (top < 0) for top in tops]
     for n in range(report.empirical_n0, n_max + 1):
         if signs[n] != report.sign_of_E:
             raise ConsistencyError(f"tail condition fails at n = {n}")
@@ -316,10 +323,3 @@ def verify_threshold_report(report):
         raise ConsistencyError(
             f"zero norms disagree: {zeros} vs {report.zero_norm_indices}"
         )
-
-
-def _genfib_start_top(params, pq):
-    # d1*d2 * n(H^{p,q}_0): the closed form is stated for n >= 1, so this is
-    # the quadratic form on closed-form coefficients h_m = p f_{m-1} + q f_m
-    p, q = pq
-    return cleared_norm(params, *(_h(p, q, m) for m in range(4)))

@@ -37,21 +37,45 @@ class _Recurrence:
     from the seeds x_0, ..., x_{k-1}.
 
     Indices with |n| <= TABLE_CAP are read from lists filled by the recurrence
-    (forward, and backward by x_n = x_{n+k} - x_{n+k-1}).  Beyond the cap, the
-    value comes from a jump state, k consecutive values (x_b, ..., x_{b+k-1}):
-    one within JUMP_STEP_LIMIT of n is walked to n by the recurrence, else the
-    state at n comes from t^n modulo the characteristic polynomial, by binary
+    (forward, and backward by x_n = x_{n+k} - x_{n+k-1}); a range of them is
+    sliced from those lists.  Beyond the cap, the value comes from a jump
+    state, k consecutive values (x_b, ..., x_{b+k-1}): one within
+    JUMP_STEP_LIMIT of n is walked to n by the recurrence, else the state at
+    n comes from t^n modulo the characteristic polynomial, by binary
     exponentiation (k(k+1)/2 big multiplications per squaring).  At most
     JUMP_CACHE_CAP states are kept; they are all dropped when that many are
     held.
     """
 
     def __init__(self, *seeds):
-        self._k = len(seeds)
+        k = self._k = len(seeds)
         self._fwd = list(seeds)  # x_0, x_1, ...
-        self._bwd = [seeds[0]]   # x_0, x_-1, x_-2, ...
+        # x_0, x_-1, x_-2, ...: x_-1 .. x_-(k-1) come from the seeds alone
+        self._bwd = [seeds[0]] + [seeds[k - i] - seeds[k - i - 1] for i in range(1, k)]
         self._jumps = {}         # b -> (x_b, ..., x_{b+k-1}), |b| > TABLE_CAP
         self._lock = threading.Lock()
+
+    def _forward(self, size):
+        """The forward table, filled to at least ``size`` entries."""
+        fwd = self._fwd
+        if len(fwd) < size:
+            k = self._k
+            with self._lock:
+                append = fwd.append
+                for i in range(len(fwd), size):
+                    append(fwd[i - 1] + fwd[i - k])
+        return fwd
+
+    def _backward(self, size):
+        """The backward table, filled to at least ``size`` entries."""
+        bwd = self._bwd
+        if len(bwd) < size:
+            k = self._k
+            with self._lock:
+                append = bwd.append
+                for i in range(len(bwd), size):  # x_-i = x_{-i+k} - x_{-i+k-1}
+                    append(bwd[i - k] - bwd[i - k + 1])
+        return bwd
 
     def value(self, n):
         if n >= 0:
@@ -60,30 +84,26 @@ class _Recurrence:
                 return fwd[n]
             if n > TABLE_CAP:
                 return self._jump(n)
-            k = self._k
-            with self._lock:
-                while n >= len(self._fwd):
-                    self._fwd.append(self._fwd[-1] + self._fwd[-k])
-            return self._fwd[n]
-        m = -n
-        bwd = self._bwd
-        if m < len(bwd):
-            return bwd[m]
-        if m > TABLE_CAP:
+            return self._forward(n + 1)[n]
+        if n < -TABLE_CAP:
             return self._jump(n)
-        k = self._k
-        with self._lock:
-            while m >= len(self._bwd):
-                i = -len(self._bwd)  # next index to fill
-                self._bwd.append(self.value(i + k) - self.value(i + k - 1))
-        return self._bwd[m]
+        return self._backward(1 - n)[-n]
 
     def values(self, start, stop):
-        """[x_start, ..., x_{stop-1}]: one slice when the forward table holds them."""
+        """[x_start, ..., x_{stop-1}]: table slices when every index is within
+        TABLE_CAP, else one read per index."""
         fwd = self._fwd
         if 0 <= start and stop <= len(fwd):
             return fwd[start:stop]
-        return [self.value(m) for m in range(start, stop)]
+        if start < -TABLE_CAP or stop > TABLE_CAP + 1:
+            return [self.value(m) for m in range(start, stop)]
+        if start >= 0:
+            return self._forward(stop)[start:stop]
+        # bwd[j] = x_-j, so x_start .. x_min(stop, 0)-1 is a reversed slice
+        head = self._backward(1 - start)[max(1, 1 - stop):1 - start][::-1]
+        if stop <= 0:
+            return head
+        return head + self._forward(stop)[:stop]
 
     def _jump(self, n):
         with self._lock:
@@ -122,6 +142,9 @@ _genfib_lock = threading.Lock()
 
 def fib(n):
     """Fibonacci number f_n for any signed n (f_0 = 0, f_1 = 1)."""
+    fwd = _fib._fwd
+    if 0 <= n < len(fwd):
+        return fwd[n]
     return _fib.value(n)
 
 
@@ -162,6 +185,9 @@ def gen_fib_values(pq, start, stop):
 
 def narayana(n):
     """Fibonacci-Narayana number u_n for any signed n (u_0, u_1, u_2 = 0, 1, 1)."""
+    fwd = _narayana._fwd
+    if 0 <= n < len(fwd):
+        return fwd[n]
     return _narayana.value(n)
 
 

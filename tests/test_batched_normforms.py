@@ -39,11 +39,10 @@ N = 60
 
 def batched(params, pq):
     """d1*d2 * norm for n in [0, N] by the route verify_threshold_report takes."""
-    f = [fib(m) for m in range(2 * N + 4)]
+    f = [fib(m) for m in range(-1, 2 * N + 4)]  # f[m + 1] = f_m
     if pq is None:
-        return normforms._fib_formula_tops(params, f, range(N + 1))
-    start = normforms._genfib_start_top(params, pq)
-    return [start] + normforms._genfib_formula_tops(params, pq, f, range(1, N + 1))
+        return normforms._fib_formula_tops(params, f[1:], f[2:])
+    return normforms._genfib_formula_tops(params, pq, f, f)
 
 
 @settings(max_examples=60)
@@ -55,7 +54,7 @@ def test_batched_closed_forms_match_single_index(params, pq):
     for n in range(N + 1):
         assert Rational(fib_tops[n], d1d2) == norm_fib_formula(params, n)
         assert Rational(genfib_tops[n], d1d2) == norm_genfib_formula(params, pq, n)
-    # n = 0 takes the quadratic form on closed-form coefficients
+    # n = 0 takes the closed form too, reading f_{-1}
     assert Rational(genfib_tops[0], d1d2) == gen_fib_quat(params, pq, 0).norm()
 
 

@@ -126,6 +126,17 @@ class TestNorm:
         assert document["formula"] == "510"
         assert document["match"] is True
 
+    @pytest.mark.parametrize("n, value", [("0", "7/4"), ("-5", "8121/8")])
+    def test_check_genfib_at_non_positive_n(self, capsys, n, value):
+        # n(H_0) = 4 + 9/2 - 3/4 - 6 for (h_0, .., h_3) = (2, -3, -1, -4)
+        code, out, _ = invoke(
+            capsys, "norm", "--kind", "genfib", f"--n={n}", "--p", "2", "--q=-3",
+            "--beta1", "1/2", "--beta2=-3/4", "--check", "--format", "json",
+        )
+        assert code == 0
+        document = json.loads(out)
+        assert (document["direct"], document["formula"], document["match"]) == (value, value, True)
+
     @pytest.mark.parametrize("method, skipped, argv", [
         ("direct", "norm_fib_formula", ["--kind", "fib"]),
         ("formula", "fib_quat", ["--kind", "fib"]),

@@ -188,6 +188,23 @@ def test_value_ranges_match_single_reads(start, stop):
     assert fresh.values(start, stop) == [fresh.value(m) for m in range(start, stop)]
 
 
+@settings(max_examples=80)
+@given(
+    seeds=st.lists(st.integers(-50, 50), min_size=2, max_size=3),
+    start=st.sampled_from([-TABLE_CAP - 3, -TABLE_CAP + 2, -40, -3, 0, 5, TABLE_CAP - 6])
+    | st.integers(-TABLE_CAP - 4, TABLE_CAP + 4),
+    length=st.integers(0, 12),
+)
+def test_fresh_engine_ranges_match_single_reads(seeds, start, length):
+    # the range read comes first, so it fills the tables itself
+    stop = start + length
+    by_range = _Recurrence(*seeds).values(start, stop)
+    by_index = _Recurrence(*seeds)
+    assert by_range == [by_index.value(m) for m in range(start, stop)]
+    if abs(start) < 100:
+        assert by_range == loop_run(seeds, start, length)
+
+
 def test_value_ranges_are_copies():
     values = fib_values(0, 10)
     values[3] = -1
