@@ -6,7 +6,6 @@ doubles stay within the documented tolerances; every exactness-critical
 statement lives in the exact modules instead.
 """
 
-import threading
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError, PrecisionGuardError, SeriesMismatchError
@@ -34,24 +33,14 @@ class CubicRoots:
     residual_bound: float
 
 
-_roots_lock = threading.Lock()
-_roots_cache = None
-
-
 def cubic_roots():
     """Roots of t^3 - t^2 - 1 = 0, refined until the residual bound holds.
 
     The real root comes from bracketed Newton iteration on [1, 2]; the
     complex pair from deflation and the quadratic formula.  Deterministic,
-    computed once.
+    computed once at import.
     """
-    global _roots_cache
-    if _roots_cache is not None:
-        return _roots_cache
-    with _roots_lock:
-        if _roots_cache is None:
-            _roots_cache = _solve_cubic()
-    return _roots_cache
+    return _CUBIC_ROOTS
 
 
 def _solve_cubic():
@@ -88,6 +77,9 @@ def _solve_cubic():
     if worst > _RESIDUAL_BOUND:
         raise ConsistencyError(f"cubic root residual {worst} exceeds bound")
     return CubicRoots(alpha=alpha, beta=beta, gamma=gamma, residual_bound=_RESIDUAL_BOUND)
+
+
+_CUBIC_ROOTS = _solve_cubic()
 
 
 def binet_fib(n):

@@ -392,9 +392,14 @@ def _cmd_audit(args, parser):
                        lambda: _report_lines(report), 0 if report.failures == 0 else 1)
     if not getattr(args, "all", False):
         parser.error("audit needs one of --id, --all or --list")
-    reports = audit_all(args.provenance, seed=args.seed, n_max=args.n_max)
-    ok = aggregate_ok(reports)
+    # adjudicate over every entry, so an as-stated entry is judged against its
+    # corrected variant even when --provenance hides that variant
+    reports = audit_all(None, seed=args.seed, n_max=args.n_max)
     verdicts = adjudicate(reports)
+    if args.provenance is not None:
+        reports = [r for r in reports if r.provenance == args.provenance]
+        verdicts = {r.id: verdicts[r.id] for r in reports}
+    ok = aggregate_ok(reports)
     documents = [_report_document(r, with_timing) for r in reports]
     return _Result(
         {"seed": args.seed, "ok": ok, "reports": documents, "verdicts": verdicts},

@@ -2,13 +2,14 @@
 binomials, figurate sums, and the cow-herd count.
 
 The recurrence sequences share one engine.  Indices with |n| <= TABLE_CAP
-come from tables filled by the recurrence (backward for negative n); larger
-ones jump there in O(log n) multiplications, by powers of t modulo the
-characteristic polynomial t^k - t^(k-1) - 1, taken in the residue ring of
-``surd`` (the companion-matrix power held as k numbers).
-Every cache is bounded: tables stop at the cap, and the jump states and
-gen_fib seed tables are cleared when full.  All of them are guarded
-by locks, so concurrent callers always see the same deterministic values.
+come from tables filled by the recurrence (backward for negative n); a larger
+one comes from one power of t modulo the characteristic polynomial
+t^k - t^(k-1) - 1 (O(log n) multiplications in the residue ring of ``surd``,
+the companion-matrix power held as k numbers), and a range past the tables
+from one such power at its start, then the recurrence forward.
+Every cache is bounded: tables stop at the cap, and the gen_fib seed tables
+are cleared when full.  All of them are guarded by locks, so concurrent
+callers always see the same deterministic values.
 """
 
 import math
@@ -27,8 +28,6 @@ class GenFibParams(NamedTuple):
 
 
 TABLE_CAP = 4096  # largest |n| kept in a recurrence-filled table
-JUMP_CACHE_CAP = 16  # largest number of jump states one sequence keeps
-JUMP_STEP_LIMIT = 64  # farthest a jump state is walked by the recurrence
 GENFIB_CACHE_CAP = 4096  # largest number of (p, q) seed tables kept
 
 
@@ -38,13 +37,11 @@ class _Recurrence:
 
     Indices with |n| <= TABLE_CAP are read from lists filled by the recurrence
     (forward, and backward by x_n = x_{n+k} - x_{n+k-1}); a range of them is
-    sliced from those lists.  Beyond the cap, the value comes from a jump
-    state, k consecutive values (x_b, ..., x_{b+k-1}): one within
-    JUMP_STEP_LIMIT of n is walked to n by the recurrence, else the state at
-    n comes from t^n modulo the characteristic polynomial, by binary
-    exponentiation (k(k+1)/2 big multiplications per squaring).  At most
-    JUMP_CACHE_CAP states are kept; they are all dropped when that many are
-    held.
+    sliced from those lists.  Beyond the cap, x_n comes from t^n modulo the
+    characteristic polynomial, by binary exponentiation (k(k+1)/2 big
+    multiplications per squaring), and nothing is kept; a range that leaves
+    the tables takes one such power at its start and runs the recurrence
+    forward from there.
     """
 
     def __init__(self, *seeds):
@@ -52,7 +49,6 @@ class _Recurrence:
         self._fwd = list(seeds)  # x_0, x_1, ...
         # x_0, x_-1, x_-2, ...: x_-1 .. x_-(k-1) come from the seeds alone
         self._bwd = [seeds[0]] + [seeds[k - i] - seeds[k - i - 1] for i in range(1, k)]
-        self._jumps = {}         # b -> (x_b, ..., x_{b+k-1}), |b| > TABLE_CAP
         self._lock = threading.Lock()
 
     def _forward(self, size):
@@ -83,20 +79,24 @@ class _Recurrence:
             if n < len(fwd):
                 return fwd[n]
             if n > TABLE_CAP:
-                return self._jump(n)
+                return self._power(n)[0]
             return self._forward(n + 1)[n]
         if n < -TABLE_CAP:
-            return self._jump(n)
+            return self._power(n)[0]
         return self._backward(1 - n)[-n]
 
     def values(self, start, stop):
         """[x_start, ..., x_{stop-1}]: table slices when every index is within
-        TABLE_CAP, else one read per index."""
+        TABLE_CAP, else the state at start by one power, then the recurrence."""
         fwd = self._fwd
         if 0 <= start and stop <= len(fwd):
             return fwd[start:stop]
         if start < -TABLE_CAP or stop > TABLE_CAP + 1:
-            return [self.value(m) for m in range(start, stop)]
+            k = self._k
+            run = list(self._power(start))
+            for _ in range(stop - start - k):
+                run.append(run[-1] + run[-k])
+            return run[:max(0, stop - start)]
         if start >= 0:
             return self._forward(stop)[start:stop]
         # bwd[j] = x_-j, so x_start .. x_min(stop, 0)-1 is a reversed slice
@@ -104,23 +104,6 @@ class _Recurrence:
         if stop <= 0:
             return head
         return head + self._forward(stop)[:stop]
-
-    def _jump(self, n):
-        with self._lock:
-            jumps = self._jumps
-            base = min(jumps, key=lambda b: abs(n - b), default=None)
-            if base is None or abs(n - base) > JUMP_STEP_LIMIT:
-                state = self._power(n)
-            else:
-                state = jumps.pop(base)
-                for _ in range(base, n):
-                    state = state[1:] + (state[-1] + state[0],)
-                for _ in range(n, base):
-                    state = (state[-1] - state[-2],) + state[:-1]
-            if len(jumps) >= JUMP_CACHE_CAP:
-                jumps.clear()
-            jumps[n] = state
-        return state[0]
 
     def _power(self, n):
         """(x_n, ..., x_{n+k-1}) from t^n modulo the characteristic polynomial."""
@@ -141,7 +124,11 @@ _genfib_lock = threading.Lock()
 
 
 def fib(n):
-    """Fibonacci number f_n for any signed n (f_0 = 0, f_1 = 1)."""
+    """Fibonacci number f_n for any signed n (f_0 = 0, f_1 = 1).
+
+    Past TABLE_CAP each call takes one power; runs of indices go through
+    fib_values.
+    """
     fwd = _fib._fwd
     if 0 <= n < len(fwd):
         return fwd[n]
@@ -173,7 +160,8 @@ def gen_fib(pq, n):
     Computed from its own seeds (by the recurrence or by powers of t modulo
     its characteristic polynomial, never through fib), so it can be checked independently
     against h_{n+1} = p*f_n + q*f_{n+1}.  At most GENFIB_CACHE_CAP seed
-    tables are kept; the set is cleared when full.
+    tables are kept; the set is cleared when full.  Past TABLE_CAP each call
+    takes one power; runs of indices go through gen_fib_values.
     """
     return _genfib_engine(pq).value(n)
 
@@ -184,7 +172,11 @@ def gen_fib_values(pq, start, stop):
 
 
 def narayana(n):
-    """Fibonacci-Narayana number u_n for any signed n (u_0, u_1, u_2 = 0, 1, 1)."""
+    """Fibonacci-Narayana number u_n for any signed n (u_0, u_1, u_2 = 0, 1, 1).
+
+    Past TABLE_CAP each call takes one power; runs of indices go through
+    narayana_values.
+    """
     fwd = _narayana._fwd
     if 0 <= n < len(fwd):
         return fwd[n]

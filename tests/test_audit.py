@@ -2,6 +2,7 @@
 instances of the registered identities."""
 
 import importlib
+from dataclasses import fields
 
 import pytest
 
@@ -12,6 +13,7 @@ from fibquat import (
     AlgebraParams,
     Counterexample,
     DomainError,
+    IdentityCheck,
     Quaternion,
     UnknownIdentityError,
     adjudicate,
@@ -24,7 +26,7 @@ from fibquat import (
     list_identities,
     narayana_quat,
 )
-from fibquat.audit import _REGISTRY
+from fibquat.audit import _CORRECTED_BY, _REGISTRY, _identity
 
 H11 = AlgebraParams(1, 1)
 
@@ -62,21 +64,25 @@ class TestRegistry:
         assert modes["EQ_2_9"] == "numeric(1e-09)"
         assert modes["THM_3_3_BINET"] == "numeric(1e-09)"
 
-    def test_corrected_variants_reference_existing_siblings(self):
+    def test_pairing_is_declared_once(self):
+        assert not {f.name for f in fields(IdentityCheck)} & {
+            "provenance", "expect_failures", "mode"}
+        repaired = sorted(c.corrects for c in _REGISTRY.values() if c.corrects)
+        assert expected_failure_ids() == repaired
         for check in _REGISTRY.values():
-            if check.provenance == CORRECTED:
-                assert check.corrects in _REGISTRY
-                assert _REGISTRY[check.corrects].provenance == AS_STATED
-            else:
-                assert check.provenance == AS_STATED
-                assert check.corrects is None
+            assert check.provenance == (CORRECTED if check.corrects else AS_STATED)
 
-    def test_every_expected_failure_has_a_corrected_sibling(self):
-        corrected_targets = {
-            c.corrects for c in _REGISTRY.values() if c.provenance == CORRECTED
-        }
-        for identity_id in expected_failure_ids():
-            assert identity_id in corrected_targets
+    @pytest.mark.parametrize("target", [
+        "NO_SUCH_IDENTITY",  # unknown
+        "SWAMY_CORRECTED",  # itself a corrected variant
+        "SWAMY_AS_STATED",  # already corrected
+    ])
+    def test_corrects_must_name_an_unrepaired_as_stated_entry(self, target):
+        register = _identity("NEW_VARIANT", paper_ref="", domain="", corrects=target)
+        with pytest.raises(ValueError, match="corrects"):
+            register(lambda rng, n_max: iter(()))
+        assert "NEW_VARIANT" not in _REGISTRY
+        assert "NEW_VARIANT" not in _CORRECTED_BY.values()
 
     def test_unknown_id(self):
         with pytest.raises(UnknownIdentityError):

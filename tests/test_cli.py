@@ -252,6 +252,17 @@ class TestAudit:
         assert all(r["provenance"] == "corrected-variant" for r in document["reports"])
         assert all(r["failures"] == 0 for r in document["reports"])
 
+    @pytest.mark.parametrize("provenance", ["as-stated", "corrected-variant"])
+    def test_filtered_verdicts_equal_full_run(self, capsys, provenance):
+        args = ("audit", "--all", "--n-max", "5", "--format", "json", "--no-timing")
+        _, full, _ = invoke(capsys, *args)
+        code, shown, _ = invoke(capsys, *args, "--provenance", provenance)
+        full, shown = json.loads(full), json.loads(shown)
+        ids = [r["id"] for r in shown["reports"]]
+        assert code == 0 and shown["ok"] is True
+        assert ids == [r["id"] for r in full["reports"] if r["provenance"] == provenance]
+        assert shown["verdicts"] == {i: full["verdicts"][i] for i in ids}
+
     def test_zero_instances_is_a_usage_error(self, capsys):
         code, out, err = invoke(capsys, "audit", "--id", "THM_2_4", "--n-max", "-1")
         assert code == 2

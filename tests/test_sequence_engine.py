@@ -1,11 +1,10 @@
 """The recurrence engine behind fib, gen_fib and narayana.
 
 Indices past TABLE_CAP take the jump route (powers of t modulo the
-characteristic polynomial, then short walks by the recurrence from a kept
-state).  Both routes are held
-against each other and against references kept here: fast doubling for
-f_n, and plain recurrence loops for u_n and h_n.  The bounded-memory tests
-check that no table or cache grows past its cap.
+characteristic polynomial; a range takes one power at its start, then the
+recurrence).  Both routes are held against each other and against references
+kept here: fast doubling for f_n, and plain recurrence loops for u_n and h_n.
+The bounded-memory tests check that no table or cache grows past its cap.
 """
 
 import pytest
@@ -14,13 +13,7 @@ from hypothesis import given, settings, strategies as st
 from fibquat import fib, gen_fib, narayana
 from fibquat import sequences
 from fibquat.sequences import fib_values, gen_fib_values, narayana_values
-from fibquat.sequences import (
-    GENFIB_CACHE_CAP,
-    JUMP_CACHE_CAP,
-    JUMP_STEP_LIMIT,
-    TABLE_CAP,
-    _Recurrence,
-)
+from fibquat.sequences import GENFIB_CACHE_CAP, TABLE_CAP, _Recurrence
 
 BIG = 10**5
 
@@ -60,7 +53,7 @@ def loop_ref(seeds, n):
 
 
 STRADDLE = [s * (TABLE_CAP + d) for s in (1, -1) for d in (-3, -1, 0, 1, 2, 5)]
-FAR = [BIG, BIG + 1, BIG + 3, BIG + JUMP_STEP_LIMIT + 1, BIG - 2, 2 * BIG + 3]
+FAR = [BIG, BIG + 1, BIG + 3, BIG + 65, BIG - 2, 2 * BIG + 3]
 FAR += [-n for n in FAR]
 
 
@@ -72,10 +65,8 @@ def test_fib_matches_fast_doubling(n):
 def test_narayana_matches_loop():
     for n in STRADDLE:
         assert narayana(n) == loop_ref((0, 1, 1), n)
-    # +-BIG come from powers, their neighbours from walks off the kept state
-    ahead = loop_run((0, 1, 1), BIG, JUMP_STEP_LIMIT + 2)
-    assert [narayana(BIG + i) for i in (0, 2, JUMP_STEP_LIMIT + 1, 1)] == [
-        ahead[i] for i in (0, 2, JUMP_STEP_LIMIT + 1, 1)]
+    ahead = loop_run((0, 1, 1), BIG, 66)
+    assert [narayana(BIG + i) for i in (0, 2, 65, 1)] == [ahead[i] for i in (0, 2, 65, 1)]
     behind = loop_run((0, 1, 1), -BIG - 5, 7)
     assert [narayana(-BIG + i) for i in (0, -5, 1)] == [behind[5 + i] for i in (0, -5, 1)]
 
@@ -103,21 +94,9 @@ def test_jump_route_matches_table_route(seeds):
         assert engine._power(n) == tuple(engine.value(n + i) for i in range(k))
 
 
-def test_walk_from_kept_state_matches_power():
-    engine = _Recurrence(0, 1, 1)
-    powers = []
-    power = engine._power
-    engine._power = lambda n: powers.append(n) or power(n)
-    base = 3 * TABLE_CAP
-    for n in (base, base + 1, base - 7, base + JUMP_STEP_LIMIT - 8, base):
-        assert engine.value(n) == power(n)[0] == loop_ref((0, 1, 1), n)
-    assert powers == [base]  # every later read walked from the kept state
-
-
 def table_sizes_bounded(engine):
     k = engine._k
-    return (len(engine._fwd) <= TABLE_CAP + k and len(engine._bwd) <= TABLE_CAP + k
-            and len(engine._jumps) <= JUMP_CACHE_CAP)
+    return len(engine._fwd) <= TABLE_CAP + k and len(engine._bwd) <= TABLE_CAP + k
 
 
 def test_bounded_memory_after_large_indices():
@@ -128,15 +107,6 @@ def test_bounded_memory_after_large_indices():
     engines += list(sequences._genfib_caches.values())
     assert all(table_sizes_bounded(engine) for engine in engines)
     assert len(sequences._genfib_caches) <= GENFIB_CACHE_CAP
-
-
-def test_jump_cache_cleared_when_full():
-    engine = _Recurrence(0, 1)
-    for i in range(3 * JUMP_CACHE_CAP):
-        n = (TABLE_CAP + 1 + 1000 * i) * (-1) ** i
-        assert engine.value(n) == fib_ref(n)
-        assert len(engine._jumps) <= JUMP_CACHE_CAP
-    assert table_sizes_bounded(engine)
 
 
 def test_genfib_seed_tables_cleared_when_full(monkeypatch):
@@ -151,9 +121,10 @@ def test_jump_states_shared_by_threads():
     import sys
     import threading
 
+    # the tables of a fresh engine are the only state the threads share; the
+    # far reads take powers in between
     engine = _Recurrence(0, 1, 1)
-    base = 5 * TABLE_CAP
-    indices = [base + d for d in (0, 3, -9, 40, 1, -30, 17)] * 3
+    indices = [TABLE_CAP, -TABLE_CAP, 3, 2000, -9, 5 * TABLE_CAP, 40, -2500, 1, -5 * TABLE_CAP]
     expected = [loop_ref((0, 1, 1), n) for n in indices]
     results = {}
 
@@ -179,6 +150,7 @@ def test_jump_states_shared_by_threads():
 @pytest.mark.parametrize("start, stop", [
     (0, 0), (0, 54), (-6, 5), (-30, -20), (TABLE_CAP - 3, TABLE_CAP + 4),
     (-TABLE_CAP - 2, -TABLE_CAP + 2), (BIG, BIG + 4), (-BIG - 3, -BIG + 1),
+    (BIG, BIG + 200), (-TABLE_CAP - 5, TABLE_CAP + 5),
 ])
 def test_value_ranges_match_single_reads(start, stop):
     assert fib_values(start, stop) == [fib_ref(m) for m in range(start, stop)]
