@@ -7,6 +7,7 @@ from fibquat import (
     AlgebraParams,
     DomainError,
     PrecisionGuardError,
+    SeriesMismatchError,
     binet_fib,
     binet_narayana,
     binet_narayana_quat,
@@ -16,6 +17,7 @@ from fibquat import (
     narayana,
     narayana_quat,
 )
+from fibquat import sequences
 from fibquat.analytic import FIB_INDEX_GUARD, NARAYANA_INDEX_GUARD
 
 H11 = AlgebraParams(1, 1)
@@ -161,3 +163,26 @@ class TestGfCheck:
         u2 = narayana_quat(H11, 2)
         u3 = narayana_quat(H11, 3)
         assert u3 - u2 - u0 == Quaternion.zero(H11)
+
+    @pytest.mark.parametrize("index, degree, coefficient", [
+        (0, 3, (-1, 0, 0, 0)),
+        (1, 3, (0, -1, 0, 0)),
+        (2, 3, (-1, 0, -1, 0)),
+        (3, 3, (1, -1, 0, -1)),
+        (10, 7, (0, 0, 0, 1)),
+        (303, 300, (0, 0, 0, 1)),
+    ])
+    def test_corrupted_value_is_caught(self, index, degree, coefficient):
+        # one Narayana table entry off by one: the first nonzero coefficient
+        # of the product names the degree where the recurrence breaks
+        sequences.narayana_values(0, 400)  # fill the table past every index read
+        table = sequences._narayana._fwd
+        table[index] += 1
+        try:
+            with pytest.raises(SeriesMismatchError) as caught:
+                gf_check(300)
+        finally:
+            table[index] -= 1
+        assert caught.value.degree == degree
+        assert caught.value.coefficient == coefficient
+        assert gf_check(300).max_abs_residual_coefficient == (0, 0, 0, 0)
