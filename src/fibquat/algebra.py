@@ -21,7 +21,6 @@ All values are immutable and every operation is a pure function, so
 everything here is safe to share between threads.
 """
 
-from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from ._kernel import Rational
@@ -37,27 +36,44 @@ def as_rational(x):
     return Rational(x)
 
 
-@dataclass(frozen=True)
 class AlgebraParams:
     """The pair (beta1, beta2) fixing one algebra.  Any rationals are allowed.
 
+    A frozen value type: equality, hashing and repr read (beta1, beta2) only.
     ``cleared`` is (n1, d1, n2, d2) with beta_i = n_i/d_i and d_i > 0, the
     integers every cleared product and norm reads; it is derived from the
-    betas, so it takes no part in equality, hashing or repr.
+    betas, so copies and pickles rebuild it from them.
     """
 
-    beta1: Rational
-    beta2: Rational
-    cleared: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("beta1", "beta2", "cleared")
 
-    def __post_init__(self):
-        b1 = as_rational(self.beta1)
-        b2 = as_rational(self.beta2)
-        object.__setattr__(self, "beta1", b1)
-        object.__setattr__(self, "beta2", b2)
-        object.__setattr__(
-            self, "cleared", (b1.numerator, b1.denominator, b2.numerator, b2.denominator)
-        )
+    def __init__(self, beta1, beta2):
+        b1 = as_rational(beta1)
+        b2 = as_rational(beta2)
+        init = object.__setattr__
+        init(self, "beta1", b1)
+        init(self, "beta2", b2)
+        init(self, "cleared", (b1.numerator, b1.denominator, b2.numerator, b2.denominator))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of AlgebraParams")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of AlgebraParams")
+
+    def __reduce__(self):
+        return self.__class__, (self.beta1, self.beta2)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.beta1 == other.beta1 and self.beta2 == other.beta2
+
+    def __hash__(self):
+        return hash((self.beta1, self.beta2))
+
+    def __repr__(self):
+        return f"AlgebraParams(beta1={self.beta1!r}, beta2={self.beta2!r})"
 
     def __str__(self):
         return f"H({self.beta1}, {self.beta2})"

@@ -6,10 +6,10 @@ doubles stay within the documented tolerances; every exactness-critical
 statement lives in the exact modules instead.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError, PrecisionGuardError, SeriesMismatchError
-from .sequences import narayana
+from .sequences import narayana_values
 
 _SQRT5 = 5 ** 0.5
 _PHI = (1 + _SQRT5) / 2
@@ -23,8 +23,7 @@ _RESIDUAL_BOUND = 1e-14
 _IMAG_RESIDUE_BOUND = 1e-10
 
 
-@dataclass(frozen=True)
-class CubicRoots:
+class CubicRoots(NamedTuple):
     """The three roots of t^3 - t^2 - 1: one real > 1, one conjugate pair."""
 
     alpha: float
@@ -147,8 +146,7 @@ def binet_narayana_quat(params, n):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SeriesCheck:
+class SeriesCheck(NamedTuple):
     """Result of the generating-function check; all residuals must be zero."""
 
     degree_checked: int
@@ -161,35 +159,31 @@ def gf_check(max_degree):
     The product's coefficients are integer quaternion quadruples; degrees 0-2
     must equal U_0, U_1 - U_0, U_2 - U_1 and every later coefficient through
     max_degree must vanish, which is precisely the three-term recurrence.
+
+    U_n has components u_n..u_{n+3}, so component k of the coefficient at
+    degree d >= 3 is the residual r_{d+k} = u_{d+k} - u_{d+k-1} - u_{d+k-3}.
+    One slice u_0..u_{max_degree+3} gives every residual once, in one linear
+    pass; the first degree whose four residuals are not all zero is reported
+    with its coefficient.
     """
     if max_degree < 3:
         raise DomainError(f"gf_check requires max_degree >= 3, got {max_degree}")
-    series = [
-        (narayana(n), narayana(n + 1), narayana(n + 2), narayana(n + 3))
-        for n in range(max_degree + 1)
-    ]
-    # (1 - t - t^3): term list of (shift, scalar)
-    multiplier = ((0, 1), (1, -1), (3, -1))
-    expected_head = [
-        series[0],
-        _sub(series[1], series[0]),
-        _sub(series[2], series[1]),
-    ]
-    worst = (0, 0, 0, 0)
-    for degree in range(max_degree + 1):
-        coeff = (0, 0, 0, 0)
-        for shift, scalar in multiplier:
-            i = degree - shift
-            if i >= 0:
-                coeff = tuple(c + scalar * s for c, s in zip(coeff, series[i]))
-        if degree < 3:
-            if coeff != expected_head[degree]:
-                raise SeriesMismatchError(degree, coeff)
-        else:
-            worst = tuple(max(w, abs(c)) for w, c in zip(worst, coeff))
-            if any(coeff):
-                raise SeriesMismatchError(degree, coeff)
-    return SeriesCheck(degree_checked=max_degree, max_abs_residual_coefficient=worst)
+    u = narayana_values(0, max_degree + 4)
+    quats = [tuple(u[n:n + 4]) for n in range(3)]  # U_0, U_1, U_2
+    # below degree 3 the product has no t^3 term yet
+    for degree, expected in enumerate(
+        (quats[0], _sub(quats[1], quats[0]), _sub(quats[2], quats[1]))
+    ):
+        coeff = tuple(u[degree + k] - (u[degree + k - 1] if degree else 0) for k in range(4))
+        if coeff != expected:
+            raise SeriesMismatchError(degree, coeff)
+    residuals = [a - b - c for a, b, c in zip(u[3:], u[2:], u)]  # r_3 .. r_{max_degree+3}
+    if any(residuals):
+        first = next(m for m, r in enumerate(residuals, 3) if r)
+        degree = max(3, first - 3)  # the least degree d with d <= first <= d + 3
+        raise SeriesMismatchError(degree, tuple(residuals[degree - 3:degree + 1]))
+    # every residual is zero, so is the largest of each component
+    return SeriesCheck(degree_checked=max_degree, max_abs_residual_coefficient=(0, 0, 0, 0))
 
 
 def _sub(x, y):

@@ -18,9 +18,8 @@ seeded generator, so reports are deterministic and embed their seed.
 
 import random
 import time
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from ._kernel import Rational
 from .algebra import AlgebraParams, Quaternion, basis, combine
@@ -60,8 +59,7 @@ NUMERIC_TOLERANCE = 1e-9  # relative error allowed to every Binet (numeric) entr
 _H11 = AlgebraParams(Rational(1), Rational(1))
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     """First failing instance, with exact values sufficient to recheck by hand."""
 
     inputs: dict
@@ -69,8 +67,7 @@ class Counterexample:
     rhs: str
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class _AuditReportFields(NamedTuple):
     id: str
     paper_ref: str
     mode: str
@@ -82,15 +79,27 @@ class AuditReport:
     first_counterexample: Optional[Counterexample]
     elapsed: float
 
-    def __post_init__(self):
+
+class AuditReport(_AuditReportFields):
+    """One entry's audit outcome; its counts are checked on every construction,
+    ``_replace`` and unpickling included."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.passes + self.failures != self.instances_run:
             raise ValueError("passes + failures must equal instances_run")
         if (self.failures > 0) != (self.first_counterexample is not None):
             raise ValueError("counterexample present iff failures > 0")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     id: str
     paper_ref: str
     tolerance: Optional[float]  # set for numeric entries, None for exact ones

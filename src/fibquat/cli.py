@@ -15,12 +15,10 @@ drop the elapsed_ms field, the only run-dependent output).
 """
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
-from dataclasses import asdict
 from typing import Callable, Iterable, NamedTuple
 
 from ._kernel import Rational
@@ -238,6 +236,8 @@ def _render(result, fmt):
     if fmt == "json":
         body = _json_text(result.document)
     elif fmt == "csv":
+        import csv  # only this format needs it; every other command starts without
+
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(result.header)
@@ -334,7 +334,7 @@ _REPORT_HEADER = [
 def _report_document(report, with_timing):
     document = {key: getattr(report, key) for key in _REPORT_HEADER[:-1]}
     if report.first_counterexample is not None:
-        document["first_counterexample"] = asdict(report.first_counterexample)
+        document["first_counterexample"] = report.first_counterexample._asdict()
     if with_timing:
         document["elapsed_ms"] = round(report.elapsed * 1000.0, 3)
     return document

@@ -18,7 +18,7 @@ integer residues c0 + c1*alpha of Z[alpha] over 5*d1*d2, multiplied by the
 residue ring of ``surd``, and returned as QuadraticSurds.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._kernel import Rational
 from .algebra import AlgebraParams
@@ -208,8 +208,7 @@ def growth_indicator_Eprime(params, pq):
     return from_residue(literal, bottom)
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(NamedTuple):
     """Outcome of an invertibility scan over n in [0, scanned_up_to].
 
     empirical_n0 is the least index from which every scanned norm is nonzero

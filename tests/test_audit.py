@@ -2,7 +2,6 @@
 instances of the registered identities."""
 
 import importlib
-from dataclasses import fields
 
 import pytest
 
@@ -65,7 +64,7 @@ class TestRegistry:
         assert modes["THM_3_3_BINET"] == "numeric(1e-09)"
 
     def test_pairing_is_declared_once(self):
-        assert not {f.name for f in fields(IdentityCheck)} & {
+        assert not set(IdentityCheck._fields) & {
             "provenance", "expect_failures", "mode"}
         repaired = sorted(c.corrects for c in _REGISTRY.values() if c.corrects)
         assert expected_failure_ids() == repaired
@@ -209,11 +208,8 @@ class TestAuditAll:
         assert all(r.failures == 0 for r in corrected)
 
     def test_aggregate_fails_on_unexpected_failure(self, reports):
-        from dataclasses import replace
-
         sabotaged = [
-            replace(
-                r,
+            r._replace(
                 failures=r.instances_run,
                 passes=0,
                 first_counterexample=Counterexample({}, "0", "1"),
@@ -225,10 +221,8 @@ class TestAuditAll:
         assert not aggregate_ok(sabotaged)
 
     def test_vanished_anomaly_is_flagged(self, reports):
-        from dataclasses import replace
-
         vanished = [
-            replace(r, failures=0, passes=r.instances_run, first_counterexample=None)
+            r._replace(failures=0, passes=r.instances_run, first_counterexample=None)
             if r.id == "SWAMY_AS_STATED"
             else r
             for r in reports

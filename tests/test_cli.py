@@ -277,15 +277,13 @@ class TestAudit:
             assert err.startswith("error:")
 
     def test_vanished_anomaly_fails_and_is_named(self, capsys, monkeypatch):
-        from dataclasses import replace
-
         import fibquat.cli
 
         real = fibquat.cli.audit_all
 
         def vanished(*args, **kwargs):
             return [
-                replace(r, failures=0, passes=r.instances_run, first_counterexample=None)
+                r._replace(failures=0, passes=r.instances_run, first_counterexample=None)
                 if r.id == "SWAMY_AS_STATED"
                 else r
                 for r in real(*args, **kwargs)

@@ -188,17 +188,15 @@ class TestThreshold:
             invertibility_threshold(SPLIT, None, 0)
 
     def test_verify_rejects_tampered_report(self):
-        from dataclasses import replace
-
         report = invertibility_threshold(SPLIT, None, 50)
         with pytest.raises(ConsistencyError):
-            verify_threshold_report(replace(report, empirical_n0=0))
+            verify_threshold_report(report._replace(empirical_n0=0))
         with pytest.raises(ConsistencyError):
-            verify_threshold_report(replace(report, empirical_n0=5))
+            verify_threshold_report(report._replace(empirical_n0=5))
         with pytest.raises(ConsistencyError):
-            verify_threshold_report(replace(report, sign_of_E=-1))
+            verify_threshold_report(report._replace(sign_of_E=-1))
         with pytest.raises(ConsistencyError):
-            verify_threshold_report(replace(report, zero_norm_indices=()))
+            verify_threshold_report(report._replace(zero_norm_indices=()))
 
     def test_reports_deterministic(self):
         a = invertibility_threshold(SPLIT, None, 50)

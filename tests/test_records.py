@@ -136,3 +136,12 @@ def test_audit_report_checks_its_counts():
         _report(first_counterexample=cex)  # a counterexample without failures
     with pytest.raises(ValueError):
         _report(passes=2, failures=1)  # failures without a counterexample
+
+
+def test_audit_report_replace_checks_its_counts():
+    report = RECORDS["AuditReport-fail"]
+    assert report._replace(seed=2).seed == 2
+    with pytest.raises(ValueError):
+        report._replace(failures=0, passes=report.instances_run)  # keeps its counterexample
+    with pytest.raises(ValueError):
+        report._replace(instances_run=report.instances_run + 1)
