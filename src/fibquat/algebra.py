@@ -22,6 +22,7 @@ everything here is safe to share between threads.
 """
 
 from math import gcd, lcm
+from operator import itemgetter
 
 from ._kernel import Rational
 from .errors import AlgebraMismatchError, NotInvertibleError
@@ -90,35 +91,61 @@ def cleared_norm(params, x1, x2, x3, x4):
     return d2 * (d1 * (x1 * x1) + n1 * (x2 * x2)) + n2 * (d1 * (x3 * x3) + n1 * (x4 * x4))
 
 
-class Quaternion:
+class _FieldTuple(tuple):
+    """A value held as the tuple of its canonical (lowest-terms) fields: equal
+    only to a value of its own type with the same fields, hashed as the tuple,
+    not ordered, and copied or pickled field for field."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def _unordered(self, other):
+        raise TypeError(f"{self.__class__.__name__} values are not ordered")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+    def __reduce__(self):
+        return tuple.__new__, (self.__class__, tuple(self))
+
+
+class Quaternion(_FieldTuple):
     """a1*1 + a2*e2 + a3*e3 + a4*e4 with exact rational coefficients.
 
-    Stored as (x1, x2, x3, x4, den): a_i = x_i/den with integer x_i, and the
-    invariant den > 0 and gcd(x1, x2, x3, x4, den) == 1, so two quaternions
-    of one algebra are equal exactly when these tuples are.  ``a1``..``a4``,
+    Stored as the tuple (x1, x2, x3, x4, den, params): a_i = x_i/den with
+    integer x_i, and the invariant den > 0 and gcd(x1, x2, x3, x4, den) == 1,
+    so two quaternions are equal exactly when these tuples are.  ``a1``..``a4``,
     ``coefficients`` and ``scalar_part`` are Rational views of them.
 
     Instances remember their algebra; mixing algebras in an operation is a
-    hard error, never a silent coercion.  Treat instances as immutable.
+    hard error, never a silent coercion.  A quaternion is immutable.
     """
 
-    __slots__ = ("x1", "x2", "x3", "x4", "den", "params")
+    __slots__ = ()
 
-    def __init__(self, a1, a2, a3, a4, params):
+    def __new__(cls, a1, a2, a3, a4, params):
         """Coefficients may be ints or Rationals.  Four ints are stored as
         they are, over den = 1; otherwise the numerators are put over the
         least common denominator, which leaves no common factor."""
         if type(a1) is int and type(a2) is int and type(a3) is int and type(a4) is int:
-            self.x1, self.x2, self.x3, self.x4 = a1, a2, a3, a4
-            self.den = 1
-        else:
-            coefficients = [as_rational(a) for a in (a1, a2, a3, a4)]
-            den = lcm(*(c.denominator for c in coefficients))
-            self.x1, self.x2, self.x3, self.x4 = (
-                c.numerator * (den // c.denominator) for c in coefficients
-            )
-            self.den = den
-        self.params = params
+            return _new(a1, a2, a3, a4, 1, params)
+        coefficients = [as_rational(a) for a in (a1, a2, a3, a4)]
+        den = lcm(*(c.denominator for c in coefficients))
+        x1, x2, x3, x4 = (c.numerator * (den // c.denominator) for c in coefficients)
+        return _new(x1, x2, x3, x4, den, params)
+
+    x1 = property(itemgetter(0))
+    x2 = property(itemgetter(1))
+    x3 = property(itemgetter(2))
+    x4 = property(itemgetter(3))
+    den = property(itemgetter(4))
+    params = property(itemgetter(5))
 
     @classmethod
     def zero(cls, params):
@@ -162,36 +189,27 @@ class Quaternion:
     def is_scalar(self):
         return not (self.x2 or self.x3 or self.x4)
 
-    def _require_same_algebra(self, other):
-        if self.params is not other.params and self.params != other.params:
-            raise AlgebraMismatchError(
-                f"cannot combine elements of {self.params} and {other.params}"
-            )
-
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, Quaternion):
             return NotImplemented
-        self._require_same_algebra(other)
         return _linear(self, 1, 1, other, 1, 1)
 
     def __sub__(self, other):
         if not isinstance(other, Quaternion):
             return NotImplemented
-        self._require_same_algebra(other)
         return _linear(self, 1, 1, other, -1, 1)
 
     def __neg__(self):
-        return _new(-self.x1, -self.x2, -self.x3, -self.x4, self.den, self.params)
+        x1, x2, x3, x4, den, params = self
+        return _new(-x1, -x2, -x3, -x4, den, params)
 
     def scale(self, k):
         k = as_rational(k)
         top = k.numerator
-        return _reduced(
-            top * self.x1, top * self.x2, top * self.x3, top * self.x4,
-            k.denominator * self.den, self.params,
-        )
+        x1, x2, x3, x4, den, params = self
+        return _reduced(top * x1, top * x2, top * x3, top * x4, k.denominator * den, params)
 
     def __mul__(self, other):
         """The product table with the betas cleared: numerators over
@@ -200,10 +218,10 @@ class Quaternion:
             return self.scale(other)
         if not isinstance(other, Quaternion):
             return NotImplemented
-        self._require_same_algebra(other)
-        n1, d1, n2, d2 = self.params.cleared
-        x1, x2, x3, x4 = self.x1, self.x2, self.x3, self.x4
-        y1, y2, y3, y4 = other.x1, other.x2, other.x3, other.x4
+        x1, x2, x3, x4, den_a, params = self
+        y1, y2, y3, y4, den_b, other_params = other
+        _require_same_algebra(params, other_params)
+        n1, d1, n2, d2 = params.cleared
         # times d1*d2, the factors 1, beta1, beta2, beta1*beta2 of the table
         # become the integers d1*d2, n1*d2, d1*n2, n1*n2
         dd = d1 * d2
@@ -212,8 +230,8 @@ class Quaternion:
             dd * (x1 * y2 + x2 * y1) + d1 * n2 * (x3 * y4 - x4 * y3),
             dd * (x1 * y3 + x3 * y1) + n1 * d2 * (x4 * y2 - x2 * y4),
             dd * (x1 * y4 + x4 * y1 + x2 * y3 - x3 * y2),
-            dd * self.den * other.den,
-            self.params,
+            dd * den_a * den_b,
+            params,
         )
 
     def __rmul__(self, other):
@@ -224,7 +242,8 @@ class Quaternion:
     # -- involution, trace, norm ------------------------------------------
 
     def conj(self):
-        return _new(self.x1, -self.x2, -self.x3, -self.x4, self.den, self.params)
+        x1, x2, x3, x4, den, params = self
+        return _new(x1, -x2, -x3, -x4, den, params)
 
     def trace(self):
         """2*a1, so that a + conj(a) == trace(a)*1 exactly."""
@@ -236,9 +255,8 @@ class Quaternion:
         ``cleared_norm`` of the numerators is d1*d2*den^2 * n(a), so one gcd
         against the positive d1*d2*den^2 gives the reduced Rational.
         """
-        params = self.params
-        den = self.den
-        top = cleared_norm(params, self.x1, self.x2, self.x3, self.x4)
+        x1, x2, x3, x4, den, params = self
+        top = cleared_norm(params, x1, x2, x3, x4)
         n1, d1, n2, d2 = params.cleared
         bottom = d1 * d2 * den * den
         g = gcd(top, bottom)
@@ -258,27 +276,10 @@ class Quaternion:
         bottom = n.denominator
         if top < 0:
             top, bottom = -top, -bottom
+        x1, x2, x3, x4, den, params = self
         return _reduced(
-            bottom * self.x1, -bottom * self.x2, -bottom * self.x3, -bottom * self.x4,
-            top * self.den, self.params,
+            bottom * x1, -bottom * x2, -bottom * x3, -bottom * x4, top * den, params
         )
-
-    # -- comparisons -------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, Quaternion):
-            return NotImplemented
-        return (
-            self.x1 == other.x1
-            and self.x2 == other.x2
-            and self.x3 == other.x3
-            and self.x4 == other.x4
-            and self.den == other.den
-            and self.params == other.params
-        )
-
-    def __hash__(self):
-        return hash((self.x1, self.x2, self.x3, self.x4, self.den, self.params))
 
     def __bool__(self):
         return bool(self.x1 or self.x2 or self.x3 or self.x4)
@@ -296,35 +297,36 @@ class Quaternion:
 
 def _new(x1, x2, x3, x4, den, params):
     # internal: (x1, x2, x3, x4, den) is already canonical
-    q = object.__new__(Quaternion)
-    q.x1 = x1
-    q.x2 = x2
-    q.x3 = x3
-    q.x4 = x4
-    q.den = den
-    q.params = params
-    return q
+    return tuple.__new__(Quaternion, (x1, x2, x3, x4, den, params))
 
 
 def _reduced(x1, x2, x3, x4, den, params):
     # internal: den > 0; divides out the one common factor
     g = gcd(x1, x2, x3, x4, den)
     if g != 1:
-        return _new(x1 // g, x2 // g, x3 // g, x4 // g, den // g, params)
-    return _new(x1, x2, x3, x4, den, params)
+        x1, x2, x3, x4, den = x1 // g, x2 // g, x3 // g, x4 // g, den // g
+    return tuple.__new__(Quaternion, (x1, x2, x3, x4, den, params))
+
+
+def _require_same_algebra(p, q):
+    if p is not q and p != q:
+        raise AlgebraMismatchError(f"cannot combine elements of {p} and {q}")
 
 
 def _linear(a, lam_top, lam_bottom, b, mu_top, mu_bottom):
     # (lam_top/lam_bottom)*a + (mu_top/mu_bottom)*b, bottoms positive
-    s = lam_top * mu_bottom * b.den
-    t = mu_top * lam_bottom * a.den
+    x1, x2, x3, x4, den_a, params = a
+    y1, y2, y3, y4, den_b, other_params = b
+    _require_same_algebra(params, other_params)
+    s = lam_top * mu_bottom * den_b
+    t = mu_top * lam_bottom * den_a
     return _reduced(
-        s * a.x1 + t * b.x1,
-        s * a.x2 + t * b.x2,
-        s * a.x3 + t * b.x3,
-        s * a.x4 + t * b.x4,
-        lam_bottom * mu_bottom * a.den * b.den,
-        a.params,
+        s * x1 + t * y1,
+        s * x2 + t * y2,
+        s * x3 + t * y3,
+        s * x4 + t * y4,
+        lam_bottom * mu_bottom * den_a * den_b,
+        params,
     )
 
 
@@ -340,10 +342,6 @@ def basis(params):
 
 def combine(a, b, lam, mu):
     """lam*a + mu*b, the linear structure of the algebra."""
-    if a.params is not b.params and a.params != b.params:
-        raise AlgebraMismatchError(
-            f"cannot combine elements of {a.params} and {b.params}"
-        )
     lam = as_rational(lam)
     mu = as_rational(mu)
     return _linear(a, lam.numerator, lam.denominator, b, mu.numerator, mu.denominator)

@@ -156,9 +156,10 @@ class SeriesCheck(NamedTuple):
 def gf_check(max_degree):
     """Multiply the truncated series sum U_n t^n by (1 - t - t^3) exactly.
 
-    The product's coefficients are integer quaternion quadruples; degrees 0-2
-    must equal U_0, U_1 - U_0, U_2 - U_1 and every later coefficient through
-    max_degree must vanish, which is precisely the three-term recurrence.
+    The product's coefficients are integer quaternion quadruples.  Degrees 0-2
+    are U_0, U_1 - U_0, U_2 - U_1 by construction; every later coefficient
+    through max_degree must vanish, which is precisely the three-term
+    recurrence, so a wrong U_0..U_2 shows up in the residuals of degree 3.
 
     U_n has components u_n..u_{n+3}, so component k of the coefficient at
     degree d >= 3 is the residual r_{d+k} = u_{d+k} - u_{d+k-1} - u_{d+k-3}.
@@ -169,14 +170,6 @@ def gf_check(max_degree):
     if max_degree < 3:
         raise DomainError(f"gf_check requires max_degree >= 3, got {max_degree}")
     u = narayana_values(0, max_degree + 4)
-    quats = [tuple(u[n:n + 4]) for n in range(3)]  # U_0, U_1, U_2
-    # below degree 3 the product has no t^3 term yet
-    for degree, expected in enumerate(
-        (quats[0], _sub(quats[1], quats[0]), _sub(quats[2], quats[1]))
-    ):
-        coeff = tuple(u[degree + k] - (u[degree + k - 1] if degree else 0) for k in range(4))
-        if coeff != expected:
-            raise SeriesMismatchError(degree, coeff)
     residuals = [a - b - c for a, b, c in zip(u[3:], u[2:], u)]  # r_3 .. r_{max_degree+3}
     if any(residuals):
         first = next(m for m, r in enumerate(residuals, 3) if r)
@@ -184,7 +177,3 @@ def gf_check(max_degree):
         raise SeriesMismatchError(degree, tuple(residuals[degree - 3:degree + 1]))
     # every residual is zero, so is the largest of each component
     return SeriesCheck(degree_checked=max_degree, max_abs_residual_coefficient=(0, 0, 0, 0))
-
-
-def _sub(x, y):
-    return tuple(a - b for a, b in zip(x, y))

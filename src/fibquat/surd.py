@@ -12,15 +12,17 @@ residue product and ``power`` the one binary power; ``t_power`` gives t^n for
 any signed n.
 
 A QuadraticSurd r + s*sqrt(5) is a k = 2 residue over one positive
-denominator, (c0 + c1*alpha)/den with gcd(c0, c1, den) == 1, so two surds
-are equal exactly when these integers are; r and s are Rational views.  The
-sign is decided exactly on the integers; no floating point is involved.
+denominator, (c0 + c1*alpha)/den with gcd(c0, c1, den) == 1, and is
+immutable: the tuple (c0, c1, den).  Two surds are equal exactly when these
+integers are; r and s are Rational views.  The sign is decided exactly on
+the integers; no floating point is involved.
 """
 
 from math import gcd, lcm
+from operator import itemgetter
 
 from ._kernel import Rational
-from .algebra import as_rational
+from .algebra import _FieldTuple, as_rational
 from .errors import ConsistencyError
 
 
@@ -78,19 +80,22 @@ def _coerced(method):
     return binary
 
 
-class QuadraticSurd:
+class QuadraticSurd(_FieldTuple):
     """r + s*sqrt(5) with rational r, s, held as (c0 + c1*alpha)/den."""
 
-    __slots__ = ("c0", "c1", "den")
+    __slots__ = ()
 
-    def __init__(self, r, s=0):
+    def __new__(cls, r, s=0):
         r = as_rational(r)
         s = as_rational(s)
         den = lcm(r.denominator, s.denominator)
         top = s.numerator * (den // s.denominator)
         # r + s*sqrt 5 = (r - s) + 2s*alpha, in lowest terms by from_residue
-        x = from_residue((r.numerator * (den // r.denominator) - top, 2 * top), den)
-        self.c0, self.c1, self.den = x.c0, x.c1, x.den
+        return from_residue((r.numerator * (den // r.denominator) - top, 2 * top), den)
+
+    c0 = property(itemgetter(0))
+    c1 = property(itemgetter(1))
+    den = property(itemgetter(2))
 
     @property
     def r(self):
@@ -129,13 +134,14 @@ class QuadraticSurd:
     def __neg__(self):
         return from_residue((-self.c0, -self.c1), self.den)
 
-    @_coerced
     def __eq__(self, other):
-        return self.c0 == other.c0 and self.c1 == other.c1 and self.den == other.den
+        if isinstance(other, (int, Rational)):
+            other = QuadraticSurd(other)
+        return _FieldTuple.__eq__(self, other)
 
     def __hash__(self):
         # a rational value hashes as its Rational, which it equals
-        return hash((self.c0, self.c1, self.den)) if self.c1 else hash(self.r)
+        return tuple.__hash__(self) if self.c1 else hash(self.r)
 
     def __bool__(self):
         return bool(self.c0 or self.c1)
@@ -146,8 +152,8 @@ class QuadraticSurd:
     def sign(self):
         """Exact sign of the real value r + s*sqrt(5): -1, 0 or +1."""
         # 2*den times the value is u + v*sqrt 5, with u = 2 c0 + c1 and v = c1
-        u = 2 * self.c0 + self.c1
-        v = self.c1
+        c0, v, _ = self
+        u = 2 * c0 + v
         if u * v >= 0:  # no cancellation
             w = u + v
         else:
@@ -173,9 +179,7 @@ def from_residue(residue, den):
     """(c0 + c1*alpha)/den in lowest terms, for a chi_2 residue [c0, c1] and den > 0."""
     c0, c1 = residue
     g = gcd(c0, c1, den)
-    x = object.__new__(QuadraticSurd)
-    x.c0, x.c1, x.den = c0 // g, c1 // g, den // g
-    return x
+    return tuple.__new__(QuadraticSurd, (c0 // g, c1 // g, den // g))
 
 
 #: The golden ratio (1 + sqrt 5)/2, the dominant root of t^2 - t - 1.

@@ -17,6 +17,7 @@ from fibquat import (
     fib_quat,
     gen_fib_quat,
 )
+from fibquat import algebra
 
 H11 = AlgebraParams(1, 1)
 H23 = AlgebraParams(2, 3)
@@ -93,6 +94,12 @@ class TestConjTraceNorm:
         assert e2.norm() == H23.beta1
         assert fib_quat(SPLIT, 0).norm() == 0  # zero divisor in a split algebra
 
+    def test_is_scalar_reads_every_vector_part(self):
+        assert Quaternion.scalar(Rational(2, 3), H23).is_scalar()
+        one = Quaternion.one(H23)
+        for e in basis(H23)[1:]:
+            assert not (one + e).is_scalar()
+
     def test_mul_conj_is_pure_scalar_norm(self):
         rng = random.Random(3)
         for _ in range(200):
@@ -100,6 +107,17 @@ class TestConjTraceNorm:
             product = a * a.conj()
             assert product.is_scalar()
             assert product == Quaternion.scalar(a.norm(), a.params)
+
+
+def test_function_forms_match_the_methods():
+    rng = random.Random(7)
+    a, b = rand_quat(rng, H23), rand_quat(rng, H23)
+    assert algebra.mul(a, b) == a * b
+    assert algebra.conj(a) == a.conj()
+    assert algebra.trace(a) == a.trace()
+    assert algebra.norm(a) == a.norm()
+    assert algebra.square(a) == a * a
+    assert algebra.inverse(a) == a.inverse()
 
 
 class TestSquare:

@@ -135,6 +135,20 @@ class TestBinetNarayanaQuat:
             binet_narayana_quat(H11, NARAYANA_INDEX_GUARD + 1)
 
 
+@pytest.mark.parametrize("binet, last", [
+    (binet_fib, 70),
+    (binet_narayana, 90),
+    (lambda n: binet_narayana_quat(H11, n), 90),
+], ids=["fib", "narayana", "narayana_quat"])
+def test_guard_bounds_are_pinned(binet, last):
+    # the bounds written out, so a change to either guard constant fails here
+    for n in (last, -last):
+        binet(n)
+    for n in (last + 1, -last - 1):
+        with pytest.raises(PrecisionGuardError):
+            binet(n)
+
+
 class TestGfCheck:
     def test_full_run(self):
         check = gf_check(300)

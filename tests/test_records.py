@@ -1,8 +1,10 @@
-"""The value semantics of the result records, AlgebraParams and Quaternion.
+"""The value semantics of the result records, AlgebraParams, Quaternion and
+QuadraticSurd.
 
 Each is immutable, survives pickle, copy and deepcopy as an equal value,
 and hashes equal when equal; AlgebraParams keeps its derived ``cleared``
-integers and its repr text.
+integers and its repr text.  Quaternion and QuadraticSurd are tuples of
+their canonical fields that equal no plain tuple and are not ordered.
 """
 
 import copy
@@ -11,14 +13,17 @@ import pickle
 import pytest
 
 from fibquat import (
+    ALPHA,
     AlgebraParams,
     AuditReport,
     Counterexample,
     GenFibParams,
+    QuadraticSurd,
     Quaternion,
     Rational,
     audit,
     cubic_roots,
+    fib_quat,
     get_check,
     gf_check,
     invertibility_threshold,
@@ -32,6 +37,7 @@ def _records():
     return {
         "AlgebraParams": HALF_THREE,
         "Quaternion": Quaternion(1, Rational(1, 2), 0, -3, HALF_THREE),
+        "QuadraticSurd": QuadraticSurd(Rational(1, 2), Rational(-3, 4)),
         "CubicRoots": cubic_roots(),
         "SeriesCheck": gf_check(10),
         "ThresholdReport": invertibility_threshold(AlgebraParams(1, 1), GenFibParams(2, 1)),
@@ -67,10 +73,11 @@ def test_algebra_params_keeps_cleared(how):
     assert ROUND_TRIPS[how](q).norm() == q.norm()
 
 
-@pytest.mark.parametrize("name", sorted(set(RECORDS) - {"Quaternion"}))
+@pytest.mark.parametrize("name", sorted(RECORDS))
 def test_assignment_raises(name):
     value = RECORDS[name]
-    for attribute in ("id", "beta1", "alpha", "degree_checked", "empirical_n0", "lhs"):
+    for attribute in ("id", "beta1", "x1", "c0", "alpha", "degree_checked", "empirical_n0",
+                      "lhs"):
         if hasattr(value, attribute):
             with pytest.raises(AttributeError):
                 setattr(value, attribute, 0)
@@ -89,6 +96,57 @@ def test_algebra_params_fields_are_read_only():
 def test_quaternion_takes_no_new_attributes():
     with pytest.raises(AttributeError):
         RECORDS["Quaternion"].extra = 1
+
+
+FIELDS = {
+    "Quaternion": ("x1", "x2", "x3", "x4", "den", "params"),
+    "QuadraticSurd": ("c0", "c1", "den"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_fields_cannot_be_assigned_or_deleted(name):
+    value = RECORDS[name]
+    before = tuple(value)
+    for field in FIELDS[name]:
+        with pytest.raises(AttributeError):
+            setattr(value, field, 5)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert tuple(value) == before
+
+
+def test_golden_ratio_cannot_be_changed():
+    with pytest.raises(AttributeError):
+        ALPHA.c1 = 2
+    assert ALPHA == QuadraticSurd(Rational(1, 2), Rational(1, 2))
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_equal_to_no_plain_tuple_and_not_ordered(name):
+    value = RECORDS[name]
+    plain = tuple(value)
+    assert not value == plain and value != plain
+    assert not plain == value and plain != value
+    for other in (value, plain):
+        with pytest.raises(TypeError):
+            value < other
+        with pytest.raises(TypeError):
+            other > value
+
+
+def test_surd_inequality_agrees_with_equality():
+    three = QuadraticSurd(3)
+    for other in (3, Rational(3), QuadraticSurd(Rational(6, 2))):
+        assert three == other and not three != other
+        assert other == three and not other != three
+    assert three != 4 and three != ALPHA
+
+
+def test_quaternion_dict_key_is_found():
+    table = {fib_quat(AlgebraParams(1, 1), 3): 1}
+    assert table[fib_quat(AlgebraParams(1, 1), 3)] == 1
+    assert fib_quat(AlgebraParams(2, 1), 3) not in table
 
 
 @pytest.mark.parametrize("name", sorted(set(RECORDS) - {"Counterexample", "AuditReport-fail"}))

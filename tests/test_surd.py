@@ -6,6 +6,7 @@ from decimal import Decimal, getcontext
 import pytest
 
 from fibquat import ALPHA, QuadraticSurd, Rational
+from fibquat.surd import t_power
 
 
 def test_alpha_satisfies_golden_equation():
@@ -33,6 +34,14 @@ def test_powers():
         ALPHA**-1
 
 
+def test_residue_powers_follow_the_recurrence():
+    # t^n = t^(n-1) + t^(n-k) modulo chi_k, for both k and any signed n
+    for k in (2, 3):
+        for n in range(-20, 30):
+            step = [a + b for a, b in zip(t_power(k, n - 1), t_power(k, n - k))]
+            assert t_power(k, n) == step
+
+
 def test_equality_and_zero():
     assert QuadraticSurd(3, 0) == 3
     assert QuadraticSurd(0, 0).is_zero()
@@ -47,6 +56,9 @@ def test_sign_case_analysis():
     assert QuadraticSurd(0, -1).sign() == -1
     assert QuadraticSurd(1, 1).sign() == 1
     assert QuadraticSurd(-1, -1).sign() == -1
+    # alpha - 1 = (sqrt 5 - 1)/2 = 1/alpha: mixed signs with |u| = |v| = 1
+    assert (ALPHA - 1).sign() == 1
+    assert (1 - ALPHA).sign() == -1
     # mixed signs decided by r^2 vs 5 s^2
     assert QuadraticSurd(3, -1).sign() == 1   # 9 > 5
     assert QuadraticSurd(2, -1).sign() == -1  # 4 < 5
