@@ -94,7 +94,9 @@ def cleared_norm(params, x1, x2, x3, x4):
 class _FieldTuple(tuple):
     """A value held as the tuple of its canonical (lowest-terms) fields: equal
     only to a value of its own type with the same fields, hashed as the tuple,
-    not ordered, and copied or pickled field for field."""
+    not ordered, and copied or pickled field for field.  It is still a tuple:
+    len, indexing, ``in`` and iteration see the fields, and ``(1,) + value``
+    concatenates into a plain tuple."""
 
     __slots__ = ()
 
@@ -124,7 +126,8 @@ class Quaternion(_FieldTuple):
     ``coefficients`` and ``scalar_part`` are Rational views of them.
 
     Instances remember their algebra; mixing algebras in an operation is a
-    hard error, never a silent coercion.  A quaternion is immutable.
+    hard error, never a silent coercion.  A quaternion is immutable, and as
+    a tuple it is also the sequence of those six fields.
     """
 
     __slots__ = ()

@@ -441,14 +441,15 @@ def _cmd_cows(args, parser):
 
 
 def _cmd_gf(args, parser):
-    # gf_check raises SeriesMismatchError (exit 1) on any nonzero residual, so
-    # a check that returns has the zero residual and is ok: both are constants
-    degree = gf_check(args.degree).degree_checked
+    # a nonzero residual raises SeriesMismatchError (exit 1), so a return is ok
+    check = gf_check(args.degree)
+    residual = list(check.max_abs_residual_coefficient)
     return _Result(
-        {"degree_checked": degree, "max_abs_residual_coefficient": [0, 0, 0, 0], "ok": True},
+        {"degree_checked": check.degree_checked,
+         "max_abs_residual_coefficient": residual, "ok": True},
         ["degree_checked", "max_abs_residual_coefficient", "ok"],
-        [(degree, "0 0 0 0", "true")],
-        lambda: [f"degrees 0..{degree}: all residual coefficients zero"],
+        [(check.degree_checked, " ".join(map(str, residual)), "true")],
+        lambda: [f"degrees 0..{check.degree_checked}: all residual coefficients zero"],
     )
 
 

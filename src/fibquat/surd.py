@@ -68,20 +68,25 @@ def t_power(k, n):
     return power(base, abs(n))
 
 
+def _as_surd(other):
+    # an int or Rational as a QuadraticSurd; any other operand is returned as it is
+    if isinstance(other, (int, Rational)):
+        other = as_rational(other)
+        return from_residue((other.numerator, 0), other.denominator)
+    return other
+
+
 def _coerced(method):
     # a QuadraticSurd binary method; int and Rational operands are coerced first
     def binary(self, other):
-        if isinstance(other, (int, Rational)):
-            other = as_rational(other)
-            other = from_residue((other.numerator, 0), other.denominator)
-        elif not isinstance(other, QuadraticSurd):
-            return NotImplemented
-        return method(self, other)
+        other = _as_surd(other)
+        return method(self, other) if isinstance(other, QuadraticSurd) else NotImplemented
     return binary
 
 
 class QuadraticSurd(_FieldTuple):
-    """r + s*sqrt(5) with rational r, s, held as (c0 + c1*alpha)/den."""
+    """r + s*sqrt(5) with rational r, s, held as (c0 + c1*alpha)/den; immutable,
+    and as a tuple also the sequence (c0, c1, den)."""
 
     __slots__ = ()
 
@@ -135,9 +140,7 @@ class QuadraticSurd(_FieldTuple):
         return from_residue((-self.c0, -self.c1), self.den)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Rational)):
-            other = QuadraticSurd(other)
-        return _FieldTuple.__eq__(self, other)
+        return _FieldTuple.__eq__(self, _as_surd(other))
 
     def __hash__(self):
         # a rational value hashes as its Rational, which it equals

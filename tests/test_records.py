@@ -135,6 +135,20 @@ def test_equal_to_no_plain_tuple_and_not_ordered(name):
             other > value
 
 
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_sequence_behaviour_is_the_tuple_of_fields(name):
+    # the tuple base is part of the type: a value is the sequence of its
+    # fields, and a plain tuple on the left concatenates into a plain tuple
+    value = RECORDS[name]
+    fields = tuple(getattr(value, field) for field in FIELDS[name])
+    assert tuple(value) == fields and list(value) == list(fields)
+    assert len(value) == len(fields) and value[0] == fields[0] and fields[-1] in value
+    joined = (1,) + value
+    assert type(joined) is tuple and joined == (1, *fields)
+    with pytest.raises(TypeError):
+        value + (1,)
+
+
 def test_surd_inequality_agrees_with_equality():
     three = QuadraticSurd(3)
     for other in (3, Rational(3), QuadraticSurd(Rational(6, 2))):

@@ -36,6 +36,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# seconds allowed for the unmutated test run, a guard against a hung suite;
+# each mutant then gets max(60, 10 x the time that run took)
+BASELINE_TIMEOUT = 600.0
+
 # each operator and the one it is swapped for; ``not x`` becomes ``not not x``
 _SWAPS = {
     ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add, ast.FloorDiv: ast.Mult,
@@ -98,7 +102,7 @@ def run_tests(src, tests, timeout):
     return done.returncode == 0
 
 
-def sample(module, count, seed, tests, timeout):
+def sample(module, count, seed, tests):
     """Mutate ``count`` seeded sites of ``fibquat.<module>``; returns the record."""
     path = ROOT / "src" / "fibquat" / f"{module}.py"
     source = path.read_text()
@@ -111,7 +115,7 @@ def sample(module, count, seed, tests, timeout):
         target = src / "fibquat" / f"{module}.py"
         target.write_text(ast.unparse(ast.parse(source)))
         start = time.perf_counter()
-        if not run_tests(src, tests, timeout):
+        if not run_tests(src, tests, BASELINE_TIMEOUT):
             raise SystemExit(f"the tests fail on the unmutated copy of {module}")
         limit = max(60.0, 10 * (time.perf_counter() - start))
         survivors = []
@@ -138,12 +142,10 @@ def main(argv=None):
     parser.add_argument("--module", required=True, help="a module of src/fibquat, e.g. algebra")
     parser.add_argument("--sites", type=int, default=30, help="mutants to sample (default 30)")
     parser.add_argument("--seed", type=int, default=0, help="site-sample seed (default 0)")
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds allowed for the unmutated test run (default 600)")
     parser.add_argument("--out", type=Path, help="JSON file that keeps one record per module")
     parser.add_argument("tests", nargs="+", help="test files or node ids to run")
     args = parser.parse_args(argv)
-    record = sample(args.module, args.sites, args.seed, args.tests, args.timeout)
+    record = sample(args.module, args.sites, args.seed, args.tests)
     print(json.dumps(record, indent=2))
     if args.out:
         records = json.loads(args.out.read_text()) if args.out.exists() else []
