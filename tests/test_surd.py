@@ -46,6 +46,8 @@ def test_equality_and_zero():
     assert QuadraticSurd(3, 0) == 3
     assert QuadraticSurd(0, 0).is_zero()
     assert not QuadraticSurd(0, Rational(1, 7)).is_zero()
+    # one residue coefficient zero: (3 + 0*alpha)/1 and (0 + 1*alpha)/1
+    assert not QuadraticSurd(3).is_zero() and not ALPHA.is_zero()
 
 
 def test_sign_case_analysis():
