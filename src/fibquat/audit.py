@@ -23,7 +23,14 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from ._kernel import Rational
 from .algebra import AlgebraParams, Quaternion, basis, combine
-from .analytic import binet_fib, binet_narayana, binet_narayana_quat, gf_check
+from .analytic import (
+    FIB_INDEX_GUARD,
+    NARAYANA_INDEX_GUARD,
+    binet_fib,
+    binet_narayana,
+    binet_narayana_quat,
+    gf_check,
+)
 from .errors import (
     ConsistencyError,
     DomainError,
@@ -870,7 +877,7 @@ _identity(
     tolerance=NUMERIC_TOLERANCE,
 )
 def _eq_2_9(rng, n_max):
-    hi = min(_span(n_max, 70), 70)
+    hi = min(_span(n_max, 70), FIB_INDEX_GUARD)
     for n in range(-hi, hi + 1):
         yield _close({"n": n}, binet_fib(n), fib(n))
 
@@ -883,7 +890,7 @@ def _eq_2_9(rng, n_max):
     tolerance=NUMERIC_TOLERANCE,
 )
 def _thm_3_3(rng, n_max):
-    hi = min(_span(n_max, 90), 90)
+    hi = min(_span(n_max, 90), NARAYANA_INDEX_GUARD)
     for n in range(-20, hi + 1):
         yield _close({"n": n}, binet_narayana(n), narayana(n))
 
@@ -896,7 +903,8 @@ def _thm_3_3(rng, n_max):
     tolerance=NUMERIC_TOLERANCE,
 )
 def _thm_3_4(rng, n_max):
-    hi = min(_span(n_max, 60), 87)
+    # the components reach index n + 3
+    hi = min(_span(n_max, 60), NARAYANA_INDEX_GUARD - 3)
     for n in range(0, hi + 1):
         approx = binet_narayana_quat(_H11, n)
         exact_values = tuple(narayana_values(n, n + 4))
@@ -962,14 +970,13 @@ def audit(identity_id, *, seed=DEFAULT_SEED, n_max=None):
     )
 
 
-def audit_all(provenance=None, *, seed=DEFAULT_SEED, n_max=None):
-    """Run every registered identity (optionally one provenance), sorted by id."""
-    reports = []
-    for identity_id in sorted(_REGISTRY):
-        if provenance is not None and _REGISTRY[identity_id].provenance != provenance:
-            continue
-        reports.append(audit(identity_id, seed=seed, n_max=n_max))
-    return reports
+def audit_all(*, seed=DEFAULT_SEED, n_max=None):
+    """Run every registered identity, sorted by id.
+
+    ``adjudicate`` needs every report, so a caller that shows one provenance
+    filters this full run.
+    """
+    return [audit(identity_id, seed=seed, n_max=n_max) for identity_id in sorted(_REGISTRY)]
 
 
 def expected_failure_ids():

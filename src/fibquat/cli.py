@@ -394,7 +394,7 @@ def _cmd_audit(args, parser):
         parser.error("audit needs one of --id, --all or --list")
     # adjudicate over every entry, so an as-stated entry is judged against its
     # corrected variant even when --provenance hides that variant
-    reports = audit_all(None, seed=args.seed, n_max=args.n_max)
+    reports = audit_all(seed=args.seed, n_max=args.n_max)
     verdicts = adjudicate(reports)
     if args.provenance is not None:
         reports = [r for r in reports if r.provenance == args.provenance]

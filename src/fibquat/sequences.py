@@ -1,17 +1,21 @@
 """Exact integer sequences: Fibonacci, generalized Fibonacci, Fibonacci-Narayana,
 binomials, figurate sums, and the cow-herd count.
 
-The recurrence sequences share one engine.  Indices with |n| <= TABLE_CAP
-come from tables filled by the recurrence (backward for negative n); a larger
-one comes from one power of t modulo the characteristic polynomial
-t^k - t^(k-1) - 1 (O(log n) multiplications in the residue ring of ``surd``,
-the companion-matrix power held as k numbers), and a range past the tables
-from one such power at its start, then the recurrence forward.
-Every cache is bounded: tables stop at the cap, and the gen_fib seed tables
-are cleared when full.  All of them are guarded by locks, so concurrent
-callers always see the same deterministic values.
+The recurrence sequences share one engine, with one table per recurrence; the
+cow-herd count is the Narayana sequence shifted by three and is read from its
+table.  Indices with |n| <= TABLE_CAP come from tables filled by the
+recurrence (backward for negative n); a larger one comes from one power of t
+modulo the characteristic polynomial t^k - t^(k-1) - 1 (O(log n)
+multiplications in the residue ring of ``surd``, the companion-matrix power
+held as k numbers), and a range past the tables from one such power at its
+start, then the recurrence forward.
+Every cache is bounded: tables stop at the cap, and at most GENFIB_CACHE_CAP
+gen_fib seed engines are kept, the least recently used dropped first.  Tables
+fill under a lock per engine, so concurrent callers always see the same
+deterministic values.
 """
 
+import functools
 import math
 import threading
 from typing import NamedTuple
@@ -74,16 +78,7 @@ class _Recurrence:
         return bwd
 
     def value(self, n):
-        if n >= 0:
-            fwd = self._fwd
-            if n < len(fwd):
-                return fwd[n]
-            if n > TABLE_CAP:
-                return self._power(n)[0]
-            return self._forward(n + 1)[n]
-        if n < -TABLE_CAP:
-            return self._power(n)[0]
-        return self._backward(1 - n)[-n]
+        return self.values(n, n + 1)[0]
 
     def values(self, start, stop):
         """[x_start, ..., x_{stop-1}]: table slices when every index is within
@@ -99,11 +94,11 @@ class _Recurrence:
             return run[:max(0, stop - start)]
         if start >= 0:
             return self._forward(stop)[start:stop]
-        # bwd[j] = x_-j, so x_start .. x_min(stop, 0)-1 is a reversed slice
-        head = self._backward(1 - start)[max(1, 1 - stop):1 - start][::-1]
+        # bwd[j] = x_-j, so x_start .. x_min(stop, 0)-1 is a slice stepping down
+        bwd = self._backward(1 - start)
         if stop <= 0:
-            return head
-        return head + self._forward(stop)[:stop]
+            return bwd[-start:-stop:-1]
+        return bwd[-start:0:-1] + self._forward(stop)[:stop]
 
     def _power(self, n):
         """(x_n, ..., x_{n+k-1}) from t^n modulo the characteristic polynomial."""
@@ -118,9 +113,9 @@ class _Recurrence:
 
 _fib = _Recurrence(0, 1)
 _narayana = _Recurrence(0, 1, 1)
-
-_genfib_caches = {}
-_genfib_lock = threading.Lock()
+# one engine per (p, q) seed pair; two threads racing on a fresh seed may each
+# build one, and both fill it identically
+_genfib_engine = functools.lru_cache(maxsize=GENFIB_CACHE_CAP)(_Recurrence)
 
 
 def fib(n):
@@ -140,35 +135,23 @@ def fib_values(start, stop):
     return _fib.values(start, stop)
 
 
-def _genfib_engine(pq):
-    p, q = pq
-    key = (p, q)
-    engine = _genfib_caches.get(key)
-    if engine is None:
-        with _genfib_lock:
-            engine = _genfib_caches.get(key)
-            if engine is None:
-                if len(_genfib_caches) >= GENFIB_CACHE_CAP:
-                    _genfib_caches.clear()
-                engine = _genfib_caches[key] = _Recurrence(p, q)
-    return engine
-
-
 def gen_fib(pq, n):
     """Generalized Fibonacci number h_n with seeds h_0 = p, h_1 = q.
 
     Computed from its own seeds (by the recurrence or by powers of t modulo
     its characteristic polynomial, never through fib), so it can be checked independently
     against h_{n+1} = p*f_n + q*f_{n+1}.  At most GENFIB_CACHE_CAP seed
-    tables are kept; the set is cleared when full.  Past TABLE_CAP each call
-    takes one power; runs of indices go through gen_fib_values.
+    tables are kept, the least recently used dropped first.  Past TABLE_CAP
+    each call takes one power; runs of indices go through gen_fib_values.
     """
-    return _genfib_engine(pq).value(n)
+    p, q = pq  # a seed tuple of any other length raises here
+    return _genfib_engine(p, q).value(n)
 
 
 def gen_fib_values(pq, start, stop):
     """[h_start, ..., h_{stop-1}] for seeds (p, q), computed as gen_fib does."""
-    return _genfib_engine(pq).values(start, stop)
+    p, q = pq
+    return _genfib_engine(p, q).values(start, stop)
 
 
 def narayana(n):
@@ -198,32 +181,29 @@ def binom(n, k):
 
 
 def figurate(n, m):
-    """Figurate sum S_n^(m) = n(n+1)...(n+m) / (m+1)!.
+    """Figurate sum S_n^(m) = n(n+1)...(n+m) / (m+1)! = C(n+m, m+1).
 
-    Equals the m-fold iterated prefix sum of 1..n; the quotient is always
-    an integer.
+    Equals the m-fold iterated prefix sum of 1..n.
     """
     if n < 1:
         raise DomainError(f"figurate requires n >= 1, got {n}")
     if m < 0:
         raise DomainError(f"figurate requires m >= 0, got {m}")
-    num = 1
-    for i in range(n, n + m + 1):
-        num *= i
-    return num // math.factorial(m + 1)
+    return math.comb(n + m, m + 1)
 
 
 def herd_total(years):
     """Herd size after the given number of years.
 
     Starts at 2 head (a cow and her heifer); grows by x_n = x_{n-1} + x_{n-3}
-    with x_1, x_2, x_3 = 2, 3, 4.  The same count is recomputed through the
-    figurate expansion 1 + Y + sum_{j>=1, Y-3j>=1} S^(j)_{Y-3j}; the two
-    routes must agree.
+    with x_1, x_2, x_3 = 2, 3, 4 = u_4, u_5, u_6, so x_Y = u_{Y+3} is read from
+    the Narayana table (one power past it).  The same count is recomputed
+    through the figurate expansion 1 + Y + sum_{j>=1, Y-3j>=1} S^(j)_{Y-3j};
+    the two routes must agree.
     """
     if years < 1:
         raise DomainError(f"herd_total requires years >= 1, got {years}")
-    by_recurrence = _herd_recurrence(years)
+    by_recurrence = narayana(years + 3)
     by_figurate = _herd_figurate(years)
     if by_recurrence != by_figurate:
         raise ConsistencyError(
@@ -248,10 +228,3 @@ def _herd_figurate(years):
             (years - 2 * j) * (years - 2 * j - 1) * (j + 2)
         )
     return total
-
-
-_herd = _Recurrence(2, 3, 4)  # indexed from year 1 at position 0
-
-
-def _herd_recurrence(years):
-    return _herd.value(years - 1)

@@ -1,6 +1,9 @@
 """Cubic roots, Binet evaluations against the exact sequences, and the
 exact generating-function convolution."""
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from fibquat import (
@@ -32,6 +35,13 @@ class TestCubicRoots:
         roots = cubic_roots()
         assert abs(roots.alpha - 1.465571231876768) < 1e-12
         assert roots.alpha > 1
+
+    def test_real_root_within_one_ulp(self):
+        # exact rationals: t^3 - t^2 - 1 changes sign between the doubles
+        # next to alpha, so the true root is less than one ulp away
+        alpha = cubic_roots().alpha
+        below, above = (Fraction(math.nextafter(alpha, bound)) for bound in (1.0, 2.0))
+        assert below**3 - below**2 - 1 < 0 < above**3 - above**2 - 1
 
     def test_residuals(self):
         roots = cubic_roots()

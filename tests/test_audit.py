@@ -202,7 +202,7 @@ class TestAuditAll:
                 assert verdicts[report.id] == "pass"
 
     def test_provenance_filter(self):
-        corrected = audit_all(CORRECTED, n_max=5)
+        corrected = [r for r in audit_all(n_max=5) if r.provenance == CORRECTED]
         assert corrected
         assert all(r.provenance == CORRECTED for r in corrected)
         assert all(r.failures == 0 for r in corrected)

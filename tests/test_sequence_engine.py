@@ -10,10 +10,10 @@ The bounded-memory tests check that no table or cache grows past its cap.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fibquat import fib, gen_fib, narayana
+from fibquat import fib, gen_fib, herd_total, narayana
 from fibquat import sequences
 from fibquat.sequences import fib_values, gen_fib_values, narayana_values
-from fibquat.sequences import GENFIB_CACHE_CAP, TABLE_CAP, _Recurrence
+from fibquat.sequences import GENFIB_CACHE_CAP, TABLE_CAP, _Recurrence, _herd_figurate
 
 BIG = 10**5
 
@@ -99,22 +99,58 @@ def table_sizes_bounded(engine):
     return len(engine._fwd) <= TABLE_CAP + k and len(engine._bwd) <= TABLE_CAP + k
 
 
+def test_indices_within_cap_are_tabled():
+    # |n| <= TABLE_CAP is read from the tables, which then end at that index;
+    # one step past the cap takes a power and keeps nothing
+    engine = _Recurrence(0, 1, 1)
+    for edge in (TABLE_CAP, TABLE_CAP + 1):
+        assert [engine.value(edge), engine.value(-edge)] == [
+            loop_ref((0, 1, 1), edge), loop_ref((0, 1, 1), -edge)]
+        assert len(engine._fwd) == len(engine._bwd) == TABLE_CAP + 1
+
+
 def test_bounded_memory_after_large_indices():
     fib(10**6)
     narayana(-BIG)
-    gen_fib((3, -7), BIG)
-    engines = [sequences._fib, sequences._narayana, sequences._herd]
-    engines += list(sequences._genfib_caches.values())
+    assert gen_fib((3, -7), BIG) == loop_ref((3, -7), BIG)
+    engines = [sequences._fib, sequences._narayana, sequences._genfib_engine(3, -7)]
     assert all(table_sizes_bounded(engine) for engine in engines)
-    assert len(sequences._genfib_caches) <= GENFIB_CACHE_CAP
+    info = sequences._genfib_engine.cache_info()
+    assert info.maxsize == GENFIB_CACHE_CAP and info.currsize <= GENFIB_CACHE_CAP
 
 
-def test_genfib_seed_tables_cleared_when_full(monkeypatch):
-    monkeypatch.setattr(sequences, "_genfib_caches", {})
-    monkeypatch.setattr(sequences, "GENFIB_CACHE_CAP", 8)
-    for p in range(20):
+def test_genfib_seed_engines_bounded():
+    sequences._genfib_engine.cache_clear()
+    for p in range(GENFIB_CACHE_CAP + 10):
         assert gen_fib((p, 1), 10) == loop_ref((p, 1), 10)
-        assert len(sequences._genfib_caches) <= 8
+    info = sequences._genfib_engine.cache_info()
+    assert info.currsize == info.maxsize == GENFIB_CACHE_CAP
+    assert info.misses == GENFIB_CACHE_CAP + 10
+
+
+def test_reread_seed_keeps_its_engine():
+    # the least recently used engine goes first, so a seed read between the
+    # fills of GENFIB_CACHE_CAP + 10 others is never dropped
+    sequences._genfib_engine.cache_clear()
+    kept = sequences._genfib_engine(7, -3)
+    for p in range(GENFIB_CACHE_CAP + 10):
+        assert gen_fib((p, 1), 3) == loop_ref((p, 1), 3)
+        assert gen_fib((7, -3), 5) == loop_ref((7, -3), 5)
+    assert sequences._genfib_engine(7, -3) is kept
+
+
+@pytest.mark.parametrize("seeds", [(1,), (1, 2, 3)])
+def test_gen_fib_takes_exactly_two_seeds(seeds):
+    with pytest.raises(ValueError):
+        gen_fib(seeds, 5)
+    with pytest.raises(ValueError):
+        gen_fib_values(seeds, 0, 3)
+
+
+def test_herd_reads_shifted_narayana_across_cap():
+    herd = loop_run((2, 3, 4), 0, TABLE_CAP + 5)  # x_1, x_2, ... from position 0
+    for year in list(range(1, 301)) + list(range(TABLE_CAP - 5, TABLE_CAP + 6)):
+        assert herd_total(year) == narayana(year + 3) == _herd_figurate(year) == herd[year - 1]
 
 
 def test_jump_states_shared_by_threads():

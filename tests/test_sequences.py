@@ -1,6 +1,8 @@
 """Integer sequences: pinned values, recurrences both ways, closed-form
 relations, divisibility patterns, and the herd computation."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -187,6 +189,14 @@ class TestFigurate:
         for n in range(1, 41):
             for m in range(0, 9):
                 assert figurate(n, m) == prefix_sum_oracle(n, m)
+
+    def test_matches_product_formula(self):
+        for n in range(1, 41):
+            for m in range(9):
+                product = 1
+                for i in range(n, n + m + 1):
+                    product *= i
+                assert figurate(n, m) == product // math.factorial(m + 1)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
