@@ -39,14 +39,6 @@ class Rational:
         self._den = den
 
     @classmethod
-    def _raw(cls, num, den):
-        # caller guarantees den > 0 and gcd == 1
-        self = object.__new__(cls)
-        self._num = num
-        self._den = den
-        return self
-
-    @classmethod
     def from_str(cls, text):
         """Parse "a" or "a/b" with arbitrary-precision integer parts."""
         text = text.strip()
@@ -80,31 +72,31 @@ class Rational:
             na, da = self._num, self._den
             nb, db = other._num, other._den
         elif isinstance(other, int):
-            return Rational._raw(self._num + other * self._den, self._den)
+            return _raw(self._num + other * self._den, self._den)
         else:
             return NotImplemented
         g = gcd(da, db)
         if g == 1:
-            return Rational._raw(na * db + nb * da, da * db)
+            return _raw(na * db + nb * da, da * db)
         s = da // g
         t = na * (db // g) + nb * s
         g2 = gcd(t, g)
         if g2 == 1:
-            return Rational._raw(t, s * db)
-        return Rational._raw(t // g2, s * (db // g2))
+            return _raw(t, s * db)
+        return _raw(t // g2, s * (db // g2))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Rational):
-            return self.__add__(Rational._raw(-other._num, other._den))
+            return self.__add__(_raw(-other._num, other._den))
         if isinstance(other, int):
-            return Rational._raw(self._num - other * self._den, self._den)
+            return _raw(self._num - other * self._den, self._den)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, int):
-            return Rational._raw(other * self._den - self._num, self._den)
+            return _raw(other * self._den - self._num, self._den)
         return NotImplemented
 
     def __mul__(self, other):
@@ -124,7 +116,7 @@ class Rational:
         if g2 > 1:
             nb //= g2
             da //= g2
-        return Rational._raw(na * nb, da * db)
+        return _raw(na * nb, da * db)
 
     __rmul__ = __mul__
 
@@ -140,7 +132,7 @@ class Rational:
         if nb < 0:
             nb, db = -nb, -db
         # reciprocal of a reduced fraction is reduced, so _raw is safe
-        return self.__mul__(Rational._raw(db, nb))
+        return self.__mul__(_raw(db, nb))
 
     def __rtruediv__(self, other):
         if not isinstance(other, int):
@@ -155,19 +147,19 @@ class Rational:
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent >= 0:
-            return Rational._raw(self._num**exponent, self._den**exponent)
+            return _raw(self._num**exponent, self._den**exponent)
         if self._num == 0:
             raise ZeroDivisionError("zero to a negative power")
         return Rational(self._den ** (-exponent), self._num ** (-exponent))
 
     def __neg__(self):
-        return Rational._raw(-self._num, self._den)
+        return _raw(-self._num, self._den)
 
     def __pos__(self):
         return self
 
     def __abs__(self):
-        return Rational._raw(abs(self._num), self._den)
+        return _raw(abs(self._num), self._den)
 
     # -- comparisons -----------------------------------------------------
 
@@ -230,3 +222,15 @@ class Rational:
 
     def __repr__(self):
         return f"Rational({self._num}, {self._den})"
+
+
+_object_new = object.__new__
+
+
+def _raw(num, den):
+    """The Rational num/den, built without checks: the caller guarantees
+    den > 0 and gcd(num, den) == 1."""
+    self = _object_new(Rational)
+    self._num = num
+    self._den = den
+    return self

@@ -24,7 +24,7 @@ everything here is safe to share between threads.
 from math import gcd, lcm
 from operator import itemgetter
 
-from ._kernel import Rational
+from ._kernel import Rational, _raw
 from .errors import AlgebraMismatchError, NotInvertibleError
 
 
@@ -33,7 +33,7 @@ def as_rational(x):
     if isinstance(x, Rational):
         return x
     if isinstance(x, int):  # n/1 is already reduced
-        return Rational._raw(x, 1)
+        return _raw(x, 1)
     return Rational(x)
 
 
@@ -78,17 +78,6 @@ class AlgebraParams:
 
     def __str__(self):
         return f"H({self.beta1}, {self.beta2})"
-
-
-def cleared_norm(params, x1, x2, x3, x4):
-    """d1*d2 * n(x1 + x2*e2 + x3*e3 + x4*e4) for integer x1..x4, as an int.
-
-    With beta1 = n1/d1 and beta2 = n2/d2 this is the integer quadratic form
-    d2*(d1*x1^2 + n1*x2^2) + n2*(d1*x3^2 + n1*x4^2).  Denominators are
-    positive, so it has the sign of the norm and vanishes exactly with it.
-    """
-    n1, d1, n2, d2 = params.cleared
-    return d2 * (d1 * (x1 * x1) + n1 * (x2 * x2)) + n2 * (d1 * (x3 * x3) + n1 * (x4 * x4))
 
 
 class _FieldTuple(tuple):
@@ -255,17 +244,24 @@ class Quaternion(_FieldTuple):
     def norm(self):
         """a1^2 + beta1*a2^2 + beta2*a3^2 + beta1*beta2*a4^2, exactly.
 
-        ``cleared_norm`` of the numerators is d1*d2*den^2 * n(a), so one gcd
-        against the positive d1*d2*den^2 gives the reduced Rational.
+        With beta1 = n1/d1 and beta2 = n2/d2, the integer quadratic form
+        d2*(d1*x1^2 + n1*x2^2) + n2*(d1*x3^2 + n1*x4^2) of the numerators is
+        d1*d2*den^2 * n(a).  Denominators are positive, so it has the sign of
+        the norm and vanishes exactly with it, and one gcd against
+        d1*d2*den^2 gives the reduced Rational.
         """
         x1, x2, x3, x4, den, params = self
-        top = cleared_norm(params, x1, x2, x3, x4)
         n1, d1, n2, d2 = params.cleared
-        bottom = d1 * d2 * den * den
+        top = d2 * (d1 * (x1 * x1) + n1 * (x2 * x2)) + n2 * (d1 * (x3 * x3) + n1 * (x4 * x4))
+        bottom = d1 * d2
+        if den != 1:
+            bottom *= den * den
+        if bottom == 1:
+            return _raw(top, 1)
         g = gcd(top, bottom)
         if g != 1:
-            return Rational._raw(top // g, bottom // g)
-        return Rational._raw(top, bottom)
+            return _raw(top // g, bottom // g)
+        return _raw(top, bottom)
 
     def square(self):
         return self * self
@@ -298,9 +294,12 @@ class Quaternion(_FieldTuple):
         )
 
 
+_tuple_new = tuple.__new__
+
+
 def _new(x1, x2, x3, x4, den, params):
     # internal: (x1, x2, x3, x4, den) is already canonical
-    return tuple.__new__(Quaternion, (x1, x2, x3, x4, den, params))
+    return _tuple_new(Quaternion, (x1, x2, x3, x4, den, params))
 
 
 def _reduced(x1, x2, x3, x4, den, params):
@@ -308,7 +307,7 @@ def _reduced(x1, x2, x3, x4, den, params):
     g = gcd(x1, x2, x3, x4, den)
     if g != 1:
         x1, x2, x3, x4, den = x1 // g, x2 // g, x3 // g, x4 // g, den // g
-    return tuple.__new__(Quaternion, (x1, x2, x3, x4, den, params))
+    return _tuple_new(Quaternion, (x1, x2, x3, x4, den, params))
 
 
 def _require_same_algebra(p, q):

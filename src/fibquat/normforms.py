@@ -225,8 +225,9 @@ class ThresholdReport(NamedTuple):
 
 
 def _cleared_norm_scan(params, values):
-    """``cleared_norm`` of (x_n, x_{n+1}, x_{n+2}, x_{n+3}) for each n, given
-    the list x_0, x_1, ...
+    """d1*d2 times the norm of x_n + x_{n+1}*e2 + x_{n+2}*e3 + x_{n+3}*e4 for
+    each n, given the list x_0, x_1, ...: the integer quadratic form of
+    ``Quaternion.norm``, d2*(d1*x1^2 + n1*x2^2) + n2*(d1*x3^2 + n1*x4^2).
 
     With u_m = d1*x_m^2 + n1*x_{m+1}^2 the form is d2*u_n + n2*u_{n+2}, so
     each square and each u_m is computed once for the whole scan.
@@ -241,9 +242,10 @@ def invertibility_threshold(params, pq=None, n_max=50):
     """Scan exact norms of F_n (or H^{p,q}_n when pq is given) for n in [0, n_max].
 
     One list of the n_max + 4 sequence values f_0.. (or h_0..) feeds the
-    integer form ``cleared_norm``, d1*d2 times each norm, whose sign and
-    zeroness are those of the norm itself, evaluated for the whole scan by
-    ``_cleared_norm_scan``; no Quaternion or Rational is built per index.
+    integer quadratic form of ``Quaternion.norm``, d1*d2 times each norm,
+    whose sign and zeroness are those of the norm itself, evaluated for the
+    whole scan by ``_cleared_norm_scan``; no Quaternion or Rational is built
+    per index.
 
     Raises IndicatorDegenerateError when the applicable growth indicator is
     zero (only possible for pq == (0, 0) with rational parameters), and

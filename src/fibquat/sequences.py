@@ -3,16 +3,19 @@ binomials, figurate sums, and the cow-herd count.
 
 The recurrence sequences share one engine, with one table per recurrence; the
 cow-herd count is the Narayana sequence shifted by three and is read from its
-table.  Indices with |n| <= TABLE_CAP come from tables filled by the
-recurrence (backward for negative n); a larger one comes from one power of t
-modulo the characteristic polynomial t^k - t^(k-1) - 1 (O(log n)
+table.  Indices up to an engine's cap, |n| <= TABLE_CAP for f_n and u_n and
+|n| <= GENFIB_TABLE_CAP for each (p, q) seed pair, come from tables filled by
+the recurrence (backward for negative n); a larger one comes from one power
+of t modulo the characteristic polynomial t^k - t^(k-1) - 1 (O(log n)
 multiplications in the residue ring of ``surd``, the companion-matrix power
 held as k numbers), and a range past the tables from one such power at its
-start, then the recurrence forward.
-Every cache is bounded: tables stop at the cap, and at most GENFIB_CACHE_CAP
-gen_fib seed engines are kept, the least recently used dropped first.  Tables
-fill under a lock per engine, so concurrent callers always see the same
-deterministic values.
+start, then the recurrence forward.  Every route gives the same values.
+Every cache is bounded, in memory as well as in count: tables stop at their
+engine's cap, and at most GENFIB_CACHE_CAP gen_fib seed engines are kept, the
+least recently used dropped first.  ``fib``, ``narayana`` and the builders
+in ``quatseq`` read a filled forward table directly.  Tables fill under a
+lock per engine, so concurrent callers always see the same deterministic
+values.
 """
 
 import functools
@@ -31,15 +34,18 @@ class GenFibParams(NamedTuple):
     q: int
 
 
-TABLE_CAP = 4096  # largest |n| kept in a recurrence-filled table
-GENFIB_CACHE_CAP = 4096  # largest number of (p, q) seed tables kept
+TABLE_CAP = 4096  # largest |n| kept in the f_n and u_n tables
+# largest |n| kept in one (p, q) seed table: it bounds each seed engine to
+# about 0.06 MB, while every index the audit reads (h up to 201) stays tabled
+GENFIB_TABLE_CAP = 512
+GENFIB_CACHE_CAP = 4096  # largest number of (p, q) seed engines kept
 
 
 class _Recurrence:
     """x_n = x_{n-1} + x_{n-k} for k = len(seeds), 2 or 3, extended both ways
     from the seeds x_0, ..., x_{k-1}.
 
-    Indices with |n| <= TABLE_CAP are read from lists filled by the recurrence
+    Indices with |n| <= cap are read from lists filled by the recurrence
     (forward, and backward by x_n = x_{n+k} - x_{n+k-1}); a range of them is
     sliced from those lists.  Beyond the cap, x_n comes from t^n modulo the
     characteristic polynomial, by binary exponentiation (k(k+1)/2 big
@@ -48,8 +54,9 @@ class _Recurrence:
     forward from there.
     """
 
-    def __init__(self, *seeds):
+    def __init__(self, *seeds, cap=TABLE_CAP):
         k = self._k = len(seeds)
+        self._cap = cap
         self._fwd = list(seeds)  # x_0, x_1, ...
         # x_0, x_-1, x_-2, ...: x_-1 .. x_-(k-1) come from the seeds alone
         self._bwd = [seeds[0]] + [seeds[k - i] - seeds[k - i - 1] for i in range(1, k)]
@@ -82,11 +89,12 @@ class _Recurrence:
 
     def values(self, start, stop):
         """[x_start, ..., x_{stop-1}]: table slices when every index is within
-        TABLE_CAP, else the state at start by one power, then the recurrence."""
+        the cap, else the state at start by one power, then the recurrence."""
         fwd = self._fwd
         if 0 <= start and stop <= len(fwd):
             return fwd[start:stop]
-        if start < -TABLE_CAP or stop > TABLE_CAP + 1:
+        cap = self._cap
+        if start < -cap or stop > cap + 1:
             k = self._k
             run = list(self._power(start))
             for _ in range(stop - start - k):
@@ -113,9 +121,14 @@ class _Recurrence:
 
 _fib = _Recurrence(0, 1)
 _narayana = _Recurrence(0, 1, 1)
-# one engine per (p, q) seed pair; two threads racing on a fresh seed may each
-# build one, and both fill it identically
-_genfib_engine = functools.lru_cache(maxsize=GENFIB_CACHE_CAP)(_Recurrence)
+
+
+@functools.lru_cache(maxsize=GENFIB_CACHE_CAP)
+def _genfib_engine(p, q):
+    """The engine of one (p, q) seed pair, its tables bounded by
+    GENFIB_TABLE_CAP.  Two threads racing on a fresh seed may each build one,
+    and both fill it identically."""
+    return _Recurrence(p, q, cap=GENFIB_TABLE_CAP)
 
 
 def fib(n):
@@ -141,8 +154,9 @@ def gen_fib(pq, n):
     Computed from its own seeds (by the recurrence or by powers of t modulo
     its characteristic polynomial, never through fib), so it can be checked independently
     against h_{n+1} = p*f_n + q*f_{n+1}.  At most GENFIB_CACHE_CAP seed
-    tables are kept, the least recently used dropped first.  Past TABLE_CAP
-    each call takes one power; runs of indices go through gen_fib_values.
+    engines are kept, the least recently used dropped first, each tabling
+    |n| <= GENFIB_TABLE_CAP.  Past that bound each call takes one power;
+    runs of indices go through gen_fib_values.
     """
     p, q = pq  # a seed tuple of any other length raises here
     return _genfib_engine(p, q).value(n)

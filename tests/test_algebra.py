@@ -199,6 +199,25 @@ class TestLinearStructure:
         with pytest.raises(AlgebraMismatchError):
             combine(a, b, 1, 1)
 
+    def test_equal_params_built_apart_combine(self):
+        # an algebra is its pair of betas, not one AlgebraParams object
+        a = Quaternion(1, 2, 0, 0, AlgebraParams(2, 3))
+        b = Quaternion(0, 1, 1, 0, AlgebraParams(2, 3))
+        assert a.params is not b.params
+        assert a * b == Quaternion(-4, 1, 1, 2, H23)
+        assert a + b == Quaternion(1, 3, 1, 0, H23)
+        assert combine(a, b, 2, -1) == Quaternion(2, 3, -1, 0, H23)
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_one_rational_among_int_coefficients(self, position):
+        coefficients = [3, -1, 4, 2]
+        coefficients[position] = Rational(1, 2)
+        q = Quaternion(*coefficients, H23)
+        numerators = [2 * c for c in (3, -1, 4, 2)]
+        numerators[position] = 1
+        assert (q.x1, q.x2, q.x3, q.x4, q.den) == (*numerators, 2)
+        assert all(type(x) is int for x in q[:5])
+
     def test_equality_across_algebras_is_false_not_an_error(self):
         assert Quaternion(1, 0, 0, 0, H11) != Quaternion(1, 0, 0, 0, H23)
 

@@ -3,7 +3,8 @@
 Each fast path is held against the general route it bypasses:
 
 * the quaternion builders against the ``Quaternion`` constructor;
-* the shared-square threshold scan against ``cleared_norm`` per index;
+* the shared-square threshold scan against ``cleared_norm``, the norm's
+  integer quadratic form kept here, per index;
 * the folded closed-form numerators against a literal Rational
   transcription of the docstring formulas, kept here;
 * ``Quaternion.norm`` against ``Rational(cleared_norm(...), d1*d2*den^2)``.
@@ -24,12 +25,18 @@ from fibquat import (
     narayana_quat,
 )
 from fibquat import normforms
-from fibquat.algebra import cleared_norm
 from fibquat.sequences import TABLE_CAP, fib_values, gen_fib_values
 
 rationals = st.builds(Rational, st.integers(-40, 40), st.integers(1, 12))
 algebras = st.builds(AlgebraParams, rationals, rationals)
 seeds = st.builds(GenFibParams, st.integers(-20, 20), st.integers(-20, 20))
+
+
+def cleared_norm(params, x1, x2, x3, x4):
+    """d1*d2 * n(x1 + x2*e2 + x3*e3 + x4*e4) for integers x1..x4, with
+    beta_i = n_i/d_i: the form d2*(d1*x1^2 + n1*x2^2) + n2*(d1*x3^2 + n1*x4^2)."""
+    n1, d1, n2, d2 = params.cleared
+    return d2 * (d1 * x1**2 + n1 * x2**2) + n2 * (d1 * x3**2 + n1 * x4**2)
 
 
 def parts(q):
@@ -102,13 +109,30 @@ def test_folded_tops_match_the_docstring_formulas(params, pq, s, count):
         assert Rational(genfib_top, d1d2) == literal_genfib_norm(b1, b2, pq.p, pq.q, n)
 
 
+def assert_norm_is_the_reduced_cleared_norm(q):
+    n1, d1, n2, d2 = q.params.cleared
+    expected = Rational(cleared_norm(q.params, q.x1, q.x2, q.x3, q.x4), d1 * d2 * q.den**2)
+    value = q.norm()
+    assert type(value) is Rational
+    assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+
+
 @settings(max_examples=200)
 @given(params=algebras, coefficients=st.lists(rationals, min_size=4, max_size=4))
 def test_norm_is_the_reduced_cleared_norm(params, coefficients):
     q = Quaternion(*coefficients, params)
     assume(q.den > 1)
-    n1, d1, n2, d2 = params.cleared
-    expected = Rational(cleared_norm(params, q.x1, q.x2, q.x3, q.x4), d1 * d2 * q.den**2)
-    value = q.norm()
-    assert type(value) is Rational
-    assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+    assert_norm_is_the_reduced_cleared_norm(q)
+
+
+integer_algebras = st.builds(AlgebraParams, st.integers(-40, 40), st.integers(-40, 40))
+
+
+@settings(max_examples=200)
+@given(params=algebras | integer_algebras,
+       coefficients=st.lists(st.integers(-10**6, 10**6), min_size=4, max_size=4))
+def test_integer_quaternion_norm_is_the_reduced_cleared_norm(params, coefficients):
+    # den == 1, and with integer betas the bottom d1*d2*den^2 is 1 too
+    q = Quaternion(*coefficients, params)
+    assert q.den == 1
+    assert_norm_is_the_reduced_cleared_norm(q)

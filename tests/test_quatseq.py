@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from fibquat import (
     AlgebraParams,
     GenFibParams,
@@ -14,6 +16,15 @@ from fibquat import (
     gen_fib_quat,
     narayana,
     narayana_quat,
+)
+from fibquat import quatseq
+from fibquat.sequences import (
+    GENFIB_TABLE_CAP,
+    TABLE_CAP,
+    _Recurrence,
+    fib_values,
+    gen_fib_values,
+    narayana_values,
 )
 
 H11 = AlgebraParams(1, 1)
@@ -77,3 +88,52 @@ def test_coefficients_independent_of_params():
     for n in range(-10, 21):
         assert fib_quat(H11, n).coefficients == fib_quat(H23, n).coefficients
         assert narayana_quat(H11, n).coefficients == narayana_quat(H23, n).coefficients
+
+
+# -- the table-hit fast path against the range route, at every table edge -----
+
+PQ = GenFibParams(3, -7)
+H_EDGE = AlgebraParams(Rational(-3, 2), Rational(5, 7))
+KINDS = {
+    "fib": ("_fib", (0, 1), TABLE_CAP, lambda n: fib_quat(H_EDGE, n),
+            lambda n: fib_values(n, n + 4)),
+    "genfib": ("_genfib_engine", PQ, GENFIB_TABLE_CAP, lambda n: gen_fib_quat(H_EDGE, PQ, n),
+               lambda n: gen_fib_values(PQ, n, n + 4)),
+    "narayana": ("_narayana", (0, 1, 1), TABLE_CAP, lambda n: narayana_quat(H_EDGE, n),
+                 lambda n: narayana_values(n, n + 4)),
+}
+# cold: only the seeds; warm: filled to index 63; full: filled to the cap
+FILLED_TO = {"cold": None, "warm": 63, "full": "cap"}
+
+
+def engine_in_state(seeds, cap, state):
+    engine = _Recurrence(*seeds, cap=cap)
+    last = FILLED_TO[state]
+    if last is not None:
+        engine.values(0, (cap if last == "cap" else last) + 1)
+    return engine
+
+
+@pytest.mark.parametrize("state", FILLED_TO)
+@pytest.mark.parametrize("kind", KINDS)
+def test_builders_match_value_ranges_across_table_edges(monkeypatch, kind, state):
+    name, seeds, cap, build, reference = KINDS[kind]
+    filled = len(engine_in_state(seeds, cap, state)._fwd)
+    windows = {-5, -1, 0, filled - 4, filled - 3, filled + 1}
+    windows |= {s * c + d for s in (1, -1) for c in (TABLE_CAP, GENFIB_TABLE_CAP) for d in (-4, 4)}
+    for n in sorted(windows):
+        engine = engine_in_state(seeds, cap, state)
+        if kind == "genfib":  # the builder must look its own seeds up
+            monkeypatch.setattr(quatseq, name, lambda p, q, e={tuple(seeds): engine}: e[p, q])
+        else:
+            monkeypatch.setattr(quatseq, name, engine)
+        # a window the table already holds is read in place, any other by
+        # exactly one range read
+        in_table = 0 <= n and n + 4 <= len(engine._fwd)
+        reads = []
+        engine.values = lambda start, stop, read=engine.values: reads.append(start) or read(start, stop)
+        built = build(n)
+        assert type(built) is Quaternion and built.params is H_EDGE
+        assert built[:5] == (*reference(n), 1), (kind, state, n)
+        assert reads == ([] if in_table else [n]), (kind, state, n)
+        assert len(engine._fwd) <= cap + len(seeds)

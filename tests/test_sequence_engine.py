@@ -4,8 +4,11 @@ Indices past TABLE_CAP take the jump route (powers of t modulo the
 characteristic polynomial; a range takes one power at its start, then the
 recurrence).  Both routes are held against each other and against references
 kept here: fast doubling for f_n, and plain recurrence loops for u_n and h_n.
-The bounded-memory tests check that no table or cache grows past its cap.
+The bounded-memory tests check that no table or cache grows past its cap,
+and that a gen_fib seed engine stays small.
 """
+
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +16,13 @@ from hypothesis import given, settings, strategies as st
 from fibquat import fib, gen_fib, herd_total, narayana
 from fibquat import sequences
 from fibquat.sequences import fib_values, gen_fib_values, narayana_values
-from fibquat.sequences import GENFIB_CACHE_CAP, TABLE_CAP, _Recurrence, _herd_figurate
+from fibquat.sequences import (
+    GENFIB_CACHE_CAP,
+    GENFIB_TABLE_CAP,
+    TABLE_CAP,
+    _Recurrence,
+    _herd_figurate,
+)
 
 BIG = 10**5
 
@@ -95,8 +104,8 @@ def test_jump_route_matches_table_route(seeds):
 
 
 def table_sizes_bounded(engine):
-    k = engine._k
-    return len(engine._fwd) <= TABLE_CAP + k and len(engine._bwd) <= TABLE_CAP + k
+    bound = engine._cap + engine._k
+    return len(engine._fwd) <= bound and len(engine._bwd) <= bound
 
 
 def test_indices_within_cap_are_tabled():
@@ -117,6 +126,38 @@ def test_bounded_memory_after_large_indices():
     assert all(table_sizes_bounded(engine) for engine in engines)
     info = sequences._genfib_engine.cache_info()
     assert info.maxsize == GENFIB_CACHE_CAP and info.currsize <= GENFIB_CACHE_CAP
+
+
+def test_genfib_seed_tables_end_at_their_cap():
+    # a seed engine tables |n| <= GENFIB_TABLE_CAP; reads past it, as far as
+    # TABLE_CAP and beyond, take a power and keep nothing
+    sequences._genfib_engine.cache_clear()
+    engine = sequences._genfib_engine(5, -2)
+    assert engine._cap == GENFIB_TABLE_CAP < TABLE_CAP
+    for n in (GENFIB_TABLE_CAP, GENFIB_TABLE_CAP + 1, TABLE_CAP, TABLE_CAP + 1, 3 * TABLE_CAP + 7):
+        assert [gen_fib((5, -2), n), gen_fib((5, -2), -n)] == [
+            loop_ref((5, -2), n), loop_ref((5, -2), -n)]
+        assert len(engine._fwd) == len(engine._bwd) == GENFIB_TABLE_CAP + 1
+    assert gen_fib_values((5, -2), GENFIB_TABLE_CAP - 2, GENFIB_TABLE_CAP + 3) == loop_run(
+        (5, -2), GENFIB_TABLE_CAP - 2, 5)
+    assert len(engine._fwd) == GENFIB_TABLE_CAP + 1
+
+
+def test_genfib_seed_engine_memory():
+    # 20 seed engines, each read at +-TABLE_CAP and filled to +-GENFIB_TABLE_CAP,
+    # hold at most 0.1 MB apiece
+    sequences._genfib_engine.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for p in range(20):
+            for n in (TABLE_CAP, -TABLE_CAP, GENFIB_TABLE_CAP, -GENFIB_TABLE_CAP):
+                gen_fib((p, 1), n)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sequences._genfib_engine.cache_info().currsize == 20
+    assert held / 20 <= 0.1 * 2**20
 
 
 def test_genfib_seed_engines_bounded():
