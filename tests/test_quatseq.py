@@ -102,19 +102,18 @@ KINDS = {
     "narayana": ("_narayana", (0, 1, 1), TABLE_CAP, lambda n: narayana_quat(H_EDGE, n),
                  lambda n: narayana_values(n, n + 4)),
 }
-# cold: only the seeds; warm: filled to index 63; full: filled to the cap
-FILLED_TO = {"cold": None, "warm": 63, "full": "cap"}
+STATES = ("cold", "warm", "full")
 
 
 def engine_in_state(seeds, cap, state):
+    """A fresh engine whose forward table holds only the seeds (cold), the
+    first 64 entries (warm) or every entry up to its cap (full)."""
     engine = _Recurrence(*seeds, cap=cap)
-    last = FILLED_TO[state]
-    if last is not None:
-        engine.values(0, (cap if last == "cap" else last) + 1)
+    engine.values(0, {"cold": 0, "warm": 64, "full": cap + 1}[state])
     return engine
 
 
-@pytest.mark.parametrize("state", FILLED_TO)
+@pytest.mark.parametrize("state", STATES)
 @pytest.mark.parametrize("kind", KINDS)
 def test_builders_match_value_ranges_across_table_edges(monkeypatch, kind, state):
     name, seeds, cap, build, reference = KINDS[kind]
