@@ -6,6 +6,7 @@ doubles stay within the documented tolerances; every exactness-critical
 statement lives in the exact modules instead.
 """
 
+import math
 from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError, PrecisionGuardError, SeriesMismatchError
@@ -35,11 +36,21 @@ class CubicRoots(NamedTuple):
 def cubic_roots():
     """Roots of t^3 - t^2 - 1 = 0, refined until the residual bound holds.
 
-    The real root comes from bracketed Newton iteration on [1, 2]; the
-    complex pair from deflation and the quadratic formula.  Deterministic,
+    The real root comes from bracketed Newton iteration on [1, 2] and is
+    correctly rounded: of the iterate and its two neighbouring doubles, the
+    one where t^3 - t^2 - 1, evaluated exactly, is least in absolute value.
+    The complex pair comes from deflation and the quadratic formula.  Deterministic,
     computed once at import.
     """
     return _CUBIC_ROOTS
+
+
+def _exact_cubic_residual(t):
+    # |t^3 - t^2 - 1| * 2^156 for a double t in [1, 2), on the integers of t
+    num, den = t.as_integer_ratio()  # den is a power of 2, at most 2^52
+    num *= (1 << 52) // den
+    den = 1 << 52
+    return abs(num**3 - num * num * den - den**3)
 
 
 def _solve_cubic():
@@ -58,7 +69,9 @@ def _solve_cubic():
         if nxt == t:
             break
         t = nxt
-    alpha = t
+    alpha = min(
+        (math.nextafter(t, 1.0), t, math.nextafter(t, 2.0)), key=_exact_cubic_residual
+    )
     # t^3 - t^2 - 1 = (t - alpha)(t^2 + Bt + C) with B = alpha - 1, C = 1/alpha
     b = alpha - 1.0
     c = 1.0 / alpha

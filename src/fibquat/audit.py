@@ -52,7 +52,8 @@ from .normforms import (
 )
 from .quatseq import fib_quat, gen_fib_quat, narayana_quat
 from .sequences import (
-    GenFibParams, binom, fib, figurate, gen_fib, herd_total, narayana, narayana_values,
+    GenFibParams, binom, fib, fib_values, figurate, gen_fib_values, herd_total, narayana,
+    narayana_values,
 )
 from .surd import ALPHA
 
@@ -241,14 +242,12 @@ def _iterated_prefix_sum(n, m):
 def _eq_1_1(rng, n_max):
     hi = _span(n_max, 200)
     pairs = [_rand_pq(rng) for _ in range(50)]
+    f = fib_values(0, hi + 2)  # one range read each, however far hi reaches
     for pq in pairs:
         p, q = pq
+        h = gen_fib_values(pq, 1, hi + 2)  # h[n] = h_{n+1}
         for n in range(0, hi + 1):
-            yield _exact(
-                {"p": p, "q": q, "n": n},
-                gen_fib(pq, n + 1),
-                p * fib(n) + q * fib(n + 1),
-            )
+            yield _exact({"p": p, "q": q, "n": n}, h[n], p * f[n] + q * f[n + 1])
 
 
 @_identity(

@@ -1,5 +1,5 @@
 """Closed-form norms of the quaternion sequences, the growth indicators
-E and E' in Q(sqrt 5), and empirical invertibility thresholds.
+E and E' in Q(sqrt 5), and invertibility thresholds.
 
 Every norm here is evaluated with denominators cleared.  With
 beta1 = n1/d1 and beta2 = n2/d2, d1*d2 times the norm of an integer
@@ -16,8 +16,17 @@ pass the f-values of one index, the threshold re-verification one list of
 f-values for a whole scan.  The growth indicators are likewise
 integer residues c0 + c1*alpha of Z[alpha] over 5*d1*d2, multiplied by the
 residue ring of ``surd``, and returned as QuadraticSurds.
+
+The threshold scan reports what a scan of every n in [0, n_max] reports,
+but stops early at a proven tail bound: 5*d1*d2 times the norm is
+A*alpha^(2n) + sigma(A)*alpha^(-2n) + k*(-1)^n, with A from the growth
+indicator and k fitted to three norms (the fit is the proof, checked on
+every call), so past an index N found exactly on integers every norm has
+the sign of E.  Its re-verification still checks all of [0, n_max] by the
+closed forms and never reads N.
 """
 
+import math
 from typing import NamedTuple
 
 from ._kernel import Rational
@@ -29,7 +38,7 @@ from .errors import (
     ScanExhaustedError,
 )
 from .sequences import GenFibParams, fib, fib_values, gen_fib_values
-from .surd import from_residue, mul, t_power
+from .surd import from_residue, mul, residue_sign, t_power
 
 
 def _over_d1d2(params, top):
@@ -41,25 +50,24 @@ def _fib_formula_tops(params, low, high):
     """d1*d2 * n(F_n) by the closed form, for n = s, s+1, ...
 
     low[i] must be f_{s+i} and high[i] must be f_{2s+1+i}; the range ends
-    where either list does.  One index takes low = [f_s, f_{s+1}] and
-    high = [f_{2s+1}, f_{2s+2}, f_{2s+3}]; a scan from s = 0 takes one list
-    from f_0 as low and the same list from f_1 as high.  The closed form of
-    ``norm_fib_formula`` is folded to
-    a f_{2n+1} + b f_{2n+2} + c f_{2n+3} - cross f_n f_{n+1},
-    with the constants of the algebra computed once for the whole range.
+    where either list does, the last index reading f_{2n+3}.  One index
+    takes low = [f_s, f_{s+1}] and high = [f_{2s+1}, f_{2s+2}, f_{2s+3}]; a
+    scan from s = 0 takes one list from f_0 as low and the same list from
+    f_1 as high.  The closed form of ``norm_fib_formula`` is folded to
+    a f_{2n+1} + b f_{2n+2} - cross f_n f_{n+1} (f_{2n+3} is the sum of the
+    two before it), with the constants of the algebra computed once for the
+    whole range.
     """
     n1, d1, n2, d2 = params.cleared
     p_hi = d2 + 2 * n2
     b1_less_1 = n1 - d1
-    a = d1 * p_hi
-    b = 3 * (d1 * n2) + b1_less_1 * p_hi
     c = b1_less_1 * n2
+    a = d1 * p_hi + c
+    b = 3 * (d1 * n2) + b1_less_1 * p_hi + c
     cross = 2 * (b1_less_1 * (d2 + n2))
-    odd = high[0::2]   # f_{2n+1}
-    even = high[1::2]  # f_{2n+2}
     return [
-        a * x1 + b * x2 + c * x3 - cross * (y0 * y1)
-        for x1, x2, x3, y0, y1 in zip(odd, even, odd[1:], low, low[1:])
+        a * x1 + b * x2 - cross * (y0 * y1)
+        for x1, x2, y0, y1 in zip(high[0::2], high[1:-1:2], low, low[1:])
     ]
 
 
@@ -67,11 +75,14 @@ def _genfib_formula_tops(params, pq, low, high):
     """d1*d2 * n(H^{p,q}_n) by the closed form, for n = s, s+1, ...
 
     low[i] must be f_{s-1+i} and high[i] must be f_{2s-1+i} (compare
-    ``_fib_formula_tops``); a scan from s = 0 takes one list from f_{-1} as
-    both.  The closed form of ``norm_genfib_formula`` is folded to five
-    coefficients of f_{2n-1}, ..., f_{2n+3} and three of the consecutive
-    products f_m f_{m+1}, m = n-1, n, n+1; each product is computed once per
-    range.
+    ``_fib_formula_tops``); the range ends where either list does, the last
+    index reading f_{n+2} and f_{2n+3}.  A scan from s = 0 takes one list
+    from f_{-1} as both.  The closed form of ``norm_genfib_formula`` has
+    five coefficients of f_{2n-1}, ..., f_{2n+3} and three of the consecutive
+    products f_m f_{m+1}, m = n-1, n, n+1; it is folded onto f_{2n+1},
+    f_{2n} and f_{n-1} f_n by f_{2n-1} = f_{2n+1} - f_{2n}, f_{2n+2} =
+    f_{2n+1} + f_{2n}, f_{2n+3} = 2 f_{2n+1} + f_{2n}, f_n f_{n+1} = f_{2n} -
+    f_{n-1} f_n and f_{n+1} f_{n+2} = f_{n-1} f_n + f_{2n+1}.
     """
     n1, d1, n2, d2 = params.cleared
     p, q = pq
@@ -88,24 +99,23 @@ def _genfib_formula_tops(params, pq, low, high):
     k4 = q2 * b1_less_1           # q^2 (b1-1) h^{1+2b2,b2}_{2n+3}
     k7 = pq2 * n1                 # h^{2pq b1, 2pq b1 b2}_{2n+1}
     k8 = pq2 * (n1 * n2)          # 2pq b1 b2 (f_{2n} + f_{2n+3})
-    # folded onto f_{2n-1}, ..., f_{2n+3}
+    # the coefficients of f_{2n-1}, ..., f_{2n+3}
     c0 = k1 * p_hi
     c1 = k1 * n2_3 + k2 * p_hi + k7 * d2 + k8
     c2 = (k2 + k7) * n2 + k3 * p_hi
     c3 = k3 * n2_3 + k4 * p_hi
     c4 = k4 * n2 + k8
-    # the products f_{n-1} f_n, f_n f_{n+1} and f_{n+1} f_{n+2}
+    # and of the products f_{n-1} f_n, f_n f_{n+1} and f_{n+1} f_{n+2}
     k5 = (2 * p) * (b1_less_1 * (p * n2 + (p + q) * d2))
     k6 = (2 * q2) * (b1_less_1 * (d2 + n2))
     k9 = pq2 * (n2 * (d1 - n1))
-    odd = high[0::2]   # f_{2n-1}
-    even = high[1::2]  # f_{2n}
-    products = [y0 * y1 for y0, y1 in zip(low, low[1:])]  # f_{n-1} f_n
+    # folded onto f_{2n+1}, f_{2n} and f_{n-1} f_n
+    odd_c = c0 + c2 + c3 + 2 * c4 + k9
+    even_c = c1 - c0 + c3 + c4 - k6
+    product_c = k6 + k9 - k5
     return [
-        c0 * x0 + c1 * x1 + c2 * x2 + c3 * x3 + c4 * x4 - k5 * g0 - k6 * g1 + k9 * g2
-        for x0, x2, x4, x1, x3, g0, g1, g2 in zip(
-            odd, odd[1:], odd[2:], even, even[1:], products, products[1:], products[2:]
-        )
+        odd_c * x1 + even_c * x0 + product_c * (y0 * y1)
+        for x1, x0, y0, y1 in zip(high[2:-2:2], high[1::2], low, low[1:-2])
     ]
 
 
@@ -211,9 +221,12 @@ def growth_indicator_Eprime(params, pq):
 class ThresholdReport(NamedTuple):
     """Outcome of an invertibility scan over n in [0, scanned_up_to].
 
-    empirical_n0 is the least index from which every scanned norm is nonzero
-    with sign equal to sign_of_E; it is an observation about the scanned
-    range, not a proven bound.  Zero norms below it are listed.
+    empirical_n0 is the least index from which every norm in
+    [0, scanned_up_to] is nonzero with sign equal to sign_of_E, and zero
+    norms below it are listed: the report is always that of a scan of the
+    whole range.  empirical_n0 is proven, valid for every n >= it, whenever
+    the tail bound N of ``invertibility_threshold`` is at most
+    scanned_up_to; the report does not record N.
     """
 
     params: AlgebraParams
@@ -238,36 +251,133 @@ def _cleared_norm_scan(params, values):
     return [d2 * a + n2 * b for a, b in zip(u, u[2:])]
 
 
+# alpha and log(alpha^2) as floats, for the estimate that starts the search
+# for a tail bound
+_ALPHA_FLOAT = (1 + math.sqrt(5)) / 2
+_LOG_ALPHA_SQUARED = 2 * math.log(_ALPHA_FLOAT)
+
+
+def _binet_lead(params, pq, indicator):
+    """5*d1*d2 times the coefficient of alpha^(2n) in the norm of F_n (pq is
+    None) or H^{p,q}_n, as a residue [c0, c1] of Z[alpha]: E from
+    ``_indicator_E_pair``, or E' * alpha^-2 from the growth indicator E'
+    already computed, since h_m is alpha^(m-1) (p + alpha*q)/sqrt 5 up to a
+    term in alpha^-m.
+    """
+    if pq is None:
+        return _indicator_E_pair(params)
+    n1, d1, n2, d2 = params.cleared
+    c0, c1, den = indicator
+    scale = 5 * d1 * d2 // den
+    return [(2 * c0 - c1) * scale, (c1 - c0) * scale]  # times alpha^-2 = 2 - alpha
+
+
+def _fitted_constant(lead, tops):
+    """k with 5*tops[n] = Tr(lead*alpha^(2n)) + k*(-1)^n at n = 0, 1, 2.
+
+    The norms of F_n and H^{p,q}_n satisfy one order-3 recurrence with roots
+    alpha^2, alpha^-2 and -1, so three consecutive values fix them: the fit
+    holding at n = 0, 1, 2 proves 5*d1*d2*norm_n = lead*alpha^(2n) +
+    sigma(lead)*alpha^(-2n) + k*(-1)^n for every n, sigma conjugating
+    sqrt 5.  Raises ConsistencyError when it does not hold.
+    """
+    c0, c1 = lead
+    k = 5 * tops[0] - (2 * c0 + c1)  # Tr(c0 + c1*alpha) = 2 c0 + c1
+    # alpha^2 = 1 + alpha and alpha^4 = 2 + 3 alpha
+    if 5 * tops[1] != 3 * c0 + 4 * c1 - k or 5 * tops[2] != 7 * c0 + 11 * c1 + k:
+        raise ConsistencyError(
+            f"the norms do not fit the leading coefficient {c0} + {c1}*alpha"
+        )
+    return k
+
+
+def _tail_bound(lead, k, n_max):
+    """An N <= n_max with |lead|*alpha^(2N) > |sigma(lead)| + |k|, or None.
+
+    Past such an N every norm of the fitted form has the sign of lead.  The
+    inequality is decided on integers of Z[alpha], alpha^(2n) being
+    f_{2n-1} + f_{2n}*alpha; a float estimate only picks the first index
+    tried, and a lead too large for floats gives None.
+    """
+    c0, c1 = lead
+    s0, s1 = c0 + c1, -c1  # sigma(lead)
+    sign = residue_sign(c0, c1)
+    conj_sign = residue_sign(s0, s1)
+    try:
+        # |lead| * |sigma(lead)| is |c0^2 + c0 c1 - c1^2|; take the factor
+        # whose float has no cancellation and divide the other out
+        norm = abs(c0 * c0 + c0 * c1 - c1 * c1)
+        if c0 * c1 >= 0:
+            size = abs(c0 + c1 * _ALPHA_FLOAT)
+            conj_size = norm / size
+        else:
+            conj_size = abs(c0 - c1 / _ALPHA_FLOAT)
+            size = norm / conj_size
+        ratio = (conj_size + abs(k)) / size
+        n = max(0, math.ceil(math.log(ratio) / _LOG_ALPHA_SQUARED))
+    except OverflowError:
+        return None
+    if n > n_max:
+        return None
+    g, h = fib_values(2 * n - 1, 2 * n + 1)
+    offset = conj_sign * s0 + abs(k)
+    while True:
+        # sign*lead*alpha^(2n) - |sigma(lead)| - |k| must be positive
+        gap0 = sign * (c0 * g + c1 * h) - offset
+        gap1 = sign * (c0 * h + c1 * (g + h)) - conj_sign * s1
+        if residue_sign(gap0, gap1) > 0:
+            return n
+        n += 1
+        if n > n_max:
+            return None
+        g, h = g + h, g + 2 * h  # times alpha^2 = 1 + alpha
+
+
 def invertibility_threshold(params, pq=None, n_max=50):
     """Scan exact norms of F_n (or H^{p,q}_n when pq is given) for n in [0, n_max].
 
-    One list of the n_max + 4 sequence values f_0.. (or h_0..) feeds the
-    integer quadratic form of ``Quaternion.norm``, d1*d2 times each norm,
-    whose sign and zeroness are those of the norm itself, evaluated for the
-    whole scan by ``_cleared_norm_scan``; no Quaternion or Rational is built
-    per index.
+    The report is that of a scan of the whole range [0, n_max].  A scan of
+    [0, min(max(N, 2), n_max)] gives it whenever a tail bound N <= n_max is
+    found, since every norm past N provably has sign_of_E; the report's
+    empirical_n0 is then proven for every n.  N comes from the Binet form
+    5*d1*d2*norm_n = A*alpha^(2n) + sigma(A)*alpha^(-2n) + k*(-1)^n: A is
+    5*d1*d2 times E (for F_n) or E'*alpha^-2 (for H^{p,q}_n), k is fitted
+    to the norm at n = 0, and the fit is checked at n = 1 and 2, which
+    proves the form (``_fitted_constant``, ``_tail_bound``).  Otherwise the
+    whole range is scanned.
+
+    The sequence values f_0.. (or h_0..) feed the integer quadratic form of
+    ``Quaternion.norm``, d1*d2 times each norm, whose sign and zeroness are
+    those of the norm itself, evaluated for the whole scan by
+    ``_cleared_norm_scan``; no Quaternion or Rational is built per index.
 
     Raises IndicatorDegenerateError when the applicable growth indicator is
-    zero (only possible for pq == (0, 0) with rational parameters), and
-    ScanExhaustedError when even the last scanned index breaks the sign
-    condition.
+    zero (only possible for pq == (0, 0) with rational parameters),
+    ScanExhaustedError when even the index n_max breaks the sign condition,
+    and ConsistencyError when the norms do not fit the Binet form.
     """
     if n_max < 1:
         raise DomainError(f"invertibility_threshold requires n_max >= 1, got {n_max}")
     if pq is None:
         indicator = growth_indicator_E(params)
-        values = fib_values(0, n_max + 4)
     else:
         indicator = growth_indicator_Eprime(params, pq)
-        values = gen_fib_values(pq, 0, n_max + 4)
     if indicator.is_zero():
         raise IndicatorDegenerateError(
             f"growth indicator vanishes for {params} with seeds {pq}"
         )
     target = indicator.sign()
-    signs = [(top > 0) - (top < 0) for top in _cleared_norm_scan(params, values)]
+    lead = _binet_lead(params, pq, indicator)
+    values = fib_values(0, 6) if pq is None else gen_fib_values(pq, 0, 6)
+    tops = _cleared_norm_scan(params, values)  # n = 0, 1, 2
+    bound = _tail_bound(lead, _fitted_constant(lead, tops), n_max)
+    last = n_max if bound is None else min(max(bound, 2), n_max)
+    if last > 2:
+        values = fib_values(3, last + 4) if pq is None else gen_fib_values(pq, 3, last + 4)
+        tops += _cleared_norm_scan(params, values)
+    signs = [(top > 0) - (top < 0) for top in tops]
     n0 = 0
-    for n in range(n_max, -1, -1):
+    for n in range(last, -1, -1):
         if signs[n] != target:  # zero norm also fails this
             n0 = n + 1
             break
@@ -294,8 +404,9 @@ def verify_threshold_report(report):
     f-values f_0..f_{2N+3} (from f_{-1} for H^{p,q}_n) feeds the closed forms
     for the whole range n in [0, N].  It rechecks every invariant: the tail
     is uniformly nonzero with sign sign_of_E, empirical_n0 is minimal, and
-    zero_norm_indices lists exactly the zero norms below it.  Raises ConsistencyError on any
-    disagreement.
+    zero_norm_indices lists exactly the zero norms below it, over all of
+    [0, scanned_up_to] whatever tail bound the scan stopped at.  Raises
+    ConsistencyError on any disagreement.
     """
     params = report.params
     pq = report.pq

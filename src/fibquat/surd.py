@@ -154,19 +154,7 @@ class QuadraticSurd(_FieldTuple):
 
     def sign(self):
         """Exact sign of the real value r + s*sqrt(5): -1, 0 or +1."""
-        # 2*den times the value is u + v*sqrt 5, with u = 2 c0 + c1 and v = c1
-        c0, v, _ = self
-        u = 2 * c0 + v
-        if u * v >= 0:  # no cancellation
-            w = u + v
-        else:
-            # opposite signs: |u| vs |v|*sqrt(5), i.e. u^2 vs 5 v^2
-            gap = u * u - 5 * (v * v)
-            if gap == 0:
-                # would make sqrt(5) rational
-                raise ConsistencyError(f"irrationality violated for {self!r}")
-            w = u if gap > 0 else v
-        return (w > 0) - (w < 0)
+        return residue_sign(self.c0, self.c1)
 
     def __float__(self):
         return float(self.r) + float(self.s) * 5 ** 0.5
@@ -176,6 +164,23 @@ class QuadraticSurd(_FieldTuple):
 
     def __repr__(self):
         return f"QuadraticSurd({self.r!r}, {self.s!r})"
+
+
+def residue_sign(c0, c1):
+    """Exact sign of c0 + c1*alpha for integers c0, c1: -1, 0 or +1."""
+    # twice the value is u + v*sqrt 5, with u = 2 c0 + c1 and v = c1
+    v = c1
+    u = 2 * c0 + v
+    if u * v >= 0:  # no cancellation
+        w = u + v
+    else:
+        # opposite signs: |u| vs |v|*sqrt(5), i.e. u^2 vs 5 v^2
+        gap = u * u - 5 * (v * v)
+        if gap == 0:
+            # would make sqrt(5) rational
+            raise ConsistencyError(f"irrationality violated for {c0} + {c1}*alpha")
+        w = u if gap > 0 else v
+    return (w > 0) - (w < 0)
 
 
 def from_residue(residue, den):

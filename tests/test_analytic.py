@@ -38,10 +38,17 @@ class TestCubicRoots:
 
     def test_real_root_within_one_ulp(self):
         # exact rationals: t^3 - t^2 - 1 changes sign between the doubles
-        # next to alpha, so the true root is less than one ulp away
+        # next to alpha, so the true root is less than one ulp away, and
+        # alpha is the correctly rounded root, where |t^3 - t^2 - 1| is least
         alpha = cubic_roots().alpha
-        below, above = (Fraction(math.nextafter(alpha, bound)) for bound in (1.0, 2.0))
+        assert alpha == 1.465571231876768
+        below, at, above = (
+            Fraction(t) for t in (math.nextafter(alpha, 1.0), alpha, math.nextafter(alpha, 2.0))
+        )
         assert below**3 - below**2 - 1 < 0 < above**3 - above**2 - 1
+        assert abs(at**3 - at**2 - 1) < min(
+            abs(below**3 - below**2 - 1), abs(above**3 - above**2 - 1)
+        )
 
     def test_residuals(self):
         roots = cubic_roots()

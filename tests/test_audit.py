@@ -133,6 +133,22 @@ class TestAuditRuns:
         assert audit("EQ_1_2", n_max=10).instances_run == 11
         assert audit("SH06", n_max=20).instances_run == 19
 
+    def test_eq_1_1_reads_each_seed_pair_as_one_range(self, monkeypatch):
+        # past GENFIB_TABLE_CAP a read takes one power of t: one per seed
+        # pair for the whole index range, not one per index
+        sequences = importlib.import_module("fibquat.sequences")
+        power = sequences._Recurrence._power
+        calls = []
+
+        def counted(engine, n):
+            calls.append(n)
+            return power(engine, n)
+
+        monkeypatch.setattr(sequences._Recurrence, "_power", counted)
+        report = audit("EQ_1_1", n_max=2000)
+        assert (report.instances_run, report.failures) == (50 * 2001, 0)
+        assert 0 < len(calls) <= 50
+
     def test_zero_instances_is_an_error(self):
         with pytest.raises(DomainError, match="no instances"):
             audit("THM_2_4", n_max=-1)

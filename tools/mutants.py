@@ -10,7 +10,9 @@ order: an arithmetic operator swapped (``+`` and ``-``, ``*`` to ``+``,
 ``//`` to ``*``, ...), a comparison swapped (``<`` and ``<=``, ``==`` and
 ``!=``, ``is`` and ``is not``, ...), ``and`` and ``or`` swapped, a unary
 minus made plus, ``not`` doubled, and an integer literal n made n + 1.
-``--sites`` of them are drawn with ``random.Random("<module>:<seed>")``.
+``--sites`` of them are drawn with ``random.Random("<module>:<seed>")``;
+``--every`` names top-level functions whose sites are all mutated, in
+addition to that many drawn from the rest of the module.
 For each, ``src/`` is copied to a temporary directory, the module is
 rewritten with that one mutation (by ``ast.unparse``), and the named tests
 run under ``pytest -x`` with ``PYTHONPATH`` pointing at the copy.  A mutant
@@ -102,13 +104,24 @@ def run_tests(src, tests, timeout):
     return done.returncode == 0
 
 
-def sample(module, count, seed, tests):
-    """Mutate ``count`` seeded sites of ``fibquat.<module>``; returns the record."""
+def sample(module, count, seed, tests, every=()):
+    """Mutate every site of the functions named in ``every`` and ``count``
+    seeded sites of the rest of ``fibquat.<module>``; returns the record."""
     path = ROOT / "src" / "fibquat" / f"{module}.py"
     source = path.read_text()
     lines = source.splitlines()
-    total = len(sites(ast.parse(source)))
-    chosen = sorted(random.Random(f"{module}:{seed}").sample(range(total), min(count, total)))
+    tree = ast.parse(source)
+    spans = [(node.lineno, node.end_lineno) for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name in every]
+    if len(spans) != len(set(every)):
+        raise SystemExit(f"not every function of {sorted(every)} is in {module}")
+    found = sites(tree)
+    total = len(found)
+    whole = [i for i, (node, _, _) in enumerate(found)
+             if any(a <= node.lineno <= b for a, b in spans)]
+    rest = sorted(set(range(total)) - set(whole))
+    drawn = random.Random(f"{module}:{seed}").sample(rest, min(count, len(rest)))
+    chosen = sorted(whole + drawn)
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -131,6 +144,7 @@ def sample(module, count, seed, tests):
         "seed": seed,
         "sites": len(chosen),
         "sites_available": total,
+        "every_site_of": sorted(every),
         "killed": len(chosen) - len(survivors),
         "tests": list(tests),
         "survivors": survivors,
@@ -142,10 +156,12 @@ def main(argv=None):
     parser.add_argument("--module", required=True, help="a module of src/fibquat, e.g. algebra")
     parser.add_argument("--sites", type=int, default=30, help="mutants to sample (default 30)")
     parser.add_argument("--seed", type=int, default=0, help="site-sample seed (default 0)")
+    parser.add_argument("--every", nargs="+", default=[], metavar="FUNCTION",
+                        help="top-level functions whose every site is mutated as well")
     parser.add_argument("--out", type=Path, help="JSON file that keeps one record per module")
     parser.add_argument("tests", nargs="+", help="test files or node ids to run")
     args = parser.parse_args(argv)
-    record = sample(args.module, args.sites, args.seed, args.tests)
+    record = sample(args.module, args.sites, args.seed, args.tests, args.every)
     print(json.dumps(record, indent=2))
     if args.out:
         records = json.loads(args.out.read_text()) if args.out.exists() else []
