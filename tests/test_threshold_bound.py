@@ -32,6 +32,7 @@ from fibquat import (
 )
 from fibquat import normforms
 from fibquat.sequences import fib_values, gen_fib_values
+from fibquat.surd import ALPHA, from_residue
 
 
 def _values(pq, stop):
@@ -132,12 +133,45 @@ def test_tail_bound_is_none_past_n_max():
     assert scan(params, None, 20) == reference_scan(params, None, 20)
 
 
-def test_the_fit_check_is_live(monkeypatch):
+def least_tail_bound(params, pq):
+    """The least n >= 0 with |A|*alpha^(2n) > |sigma(A)| + |k|, by
+    QuadraticSurd arithmetic."""
+    indicator = growth_indicator_E(params) if pq is None else growth_indicator_Eprime(params, pq)
+    c0, c1 = normforms._binet_lead(params, pq, indicator)
+    k = normforms._fitted_constant((c0, c1), normforms._cleared_norm_scan(params, _values(pq, 6)))
+    lead, conj = from_residue((c0, c1), 1), from_residue((c0 + c1, -c1), 1)
+    size, rest = lead * lead.sign(), conj * conj.sign() + abs(k)
+    n, power = 0, from_residue((1, 0), 1)
+    while (size * power - rest).sign() <= 0:
+        n, power = n + 1, power * ALPHA**2
+    return n
+
+
+def test_the_exact_search_decides_the_bound(monkeypatch):
+    # with the float estimate it is the least bound or one more; started at
+    # n = 0 or 1 (a huge log alpha^2), the integer search alone finds the least
+    cases = [(params, None) for params, _ in zero_divisor_family(None, 60, seed=1416)]
+    cases += [(params, GenFibParams(2, 3)) for params, _ in zero_divisor_family(GenFibParams(2, 3), 60, seed=1416)]
+    cases += _seeded_algebras(40, seed=1416)
+    least = [least_tail_bound(params, pq) for params, pq in cases]
+    for (params, pq), n in zip(cases, least):
+        assert tail_bound(params, pq) in (n, n + 1), (params, pq)
+        assert tail_bound(params, pq, n_max=n - 1) is None
+    monkeypatch.setattr(normforms, "_LOG_ALPHA_SQUARED", 1e300)
+    for (params, pq), n in zip(cases, least):
+        assert tail_bound(params, pq) == n, (params, pq)
+
+
+@pytest.mark.parametrize("offset", [(1, 0), (1, -1), (2, -1)])
+def test_the_fit_check_is_live(monkeypatch, offset):
+    # (1, -1) breaks only the fit at n = 2, (2, -1) only the fit at n = 1
     params = AlgebraParams(Rational(-3, 2), Rational(5, 4))
-    invertibility_threshold(params)
+    assert invertibility_threshold(params).scanned_up_to == 50
     invertibility_threshold(params, GenFibParams(2, -1))
     pair = normforms._indicator_E_pair
-    monkeypatch.setattr(normforms, "_indicator_E_pair", lambda p: [pair(p)[0] + 1, pair(p)[1]])
+    monkeypatch.setattr(
+        normforms, "_indicator_E_pair", lambda p: [pair(p)[0] + offset[0], pair(p)[1] + offset[1]]
+    )
     with pytest.raises(ConsistencyError, match="do not fit"):
         invertibility_threshold(params)
     monkeypatch.undo()
