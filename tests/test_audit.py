@@ -2,6 +2,7 @@
 instances of the registered identities."""
 
 import importlib
+import random
 
 import pytest
 
@@ -20,12 +21,13 @@ from fibquat import (
     audit,
     audit_all,
     expected_failure_ids,
+    fib,
     fib_quat,
     get_check,
     list_identities,
     narayana_quat,
 )
-from fibquat.audit import _CORRECTED_BY, _REGISTRY, _identity
+from fibquat.audit import _CORRECTED_BY, _REGISTRY, _identity, _trace_zero_instances
 
 H11 = AlgebraParams(1, 1)
 
@@ -148,6 +150,33 @@ class TestAuditRuns:
         report = audit("EQ_1_1", n_max=2000)
         assert (report.instances_run, report.failures) == (50 * 2001, 0)
         assert 0 < len(calls) <= 50
+
+    def test_threshold_entries_scan_their_documented_algebras(self):
+        # the fixed algebras of THM_2_6 and the split ones of REMARK_2_7, with
+        # the thresholds they report
+        rng = random.Random(DEFAULT_SEED)
+        instances = get_check("THM_2_6_THRESHOLD").run(rng, None)
+        fixed = [(str(inputs["params"]), lhs) for inputs, _, lhs, _ in instances][:5]
+        assert fixed == [
+            ("H(1, 1)", "n0=0 sign=+1 zeros=[]"),
+            ("H(-1, 1)", "n0=0 sign=-1 zeros=[]"),
+            ("H(-1, -1/3)", "n0=1 sign=+1 zeros=[0]"),
+            ("H(0, 0)", "n0=1 sign=+1 zeros=[0]"),
+            ("H(2, -1/2)", "n0=0 sign=-1 zeros=[]"),
+        ]
+        tails = [(str(i["params"]), i["n"]) for i, *_ in get_check("REMARK_2_7").run(rng, 0)]
+        assert tails == [("H(-1, -1/3)", 1), ("H(-1, 1)", 0), ("H(0, 1)", 0), ("H(2, -3)", 0)]
+
+    def test_thm_2_6_replaces_degenerate_seeds(self):
+        # seed 1 draws (p, q) = (0, 0), whose indicator E' vanishes
+        report = audit("THM_2_6_THRESHOLD", seed=1, n_max=3)
+        assert (report.instances_run, report.failures) == (18, 0)
+
+    def test_prop_2_3_trace_zero_seeds(self):
+        instances = list(_trace_zero_instances(2))
+        assert [(n, k) for n, k, _ in instances] == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
+        for n, k, pq in instances:
+            assert pq == (-k * fib(n + 1), k * fib(n))
 
     def test_zero_instances_is_an_error(self):
         with pytest.raises(DomainError, match="no instances"):

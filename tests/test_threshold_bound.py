@@ -43,11 +43,14 @@ def reference_scan(params, pq, n_max):
     """(n0, zero indices) of a full scan of [0, n_max], or "exhausted"."""
     b1, b2 = params.beta1, params.beta2
     n1, d1, n2, d2 = b1.numerator, b1.denominator, b2.numerator, b2.denominator
-    target = (growth_indicator_E(params) if pq is None else growth_indicator_Eprime(params, pq)).sign()
+    indicator = growth_indicator_E(params) if pq is None else growth_indicator_Eprime(params, pq)
+    target = indicator.sign()
     x = _values(pq, n_max + 4)
     signs = []
     for n in range(n_max + 1):
-        top = d2 * (d1 * x[n] ** 2 + n1 * x[n + 1] ** 2) + n2 * (d1 * x[n + 2] ** 2 + n1 * x[n + 3] ** 2)
+        top = d2 * (d1 * x[n] ** 2 + n1 * x[n + 1] ** 2) + n2 * (
+            d1 * x[n + 2] ** 2 + n1 * x[n + 3] ** 2
+        )
         signs.append((top > 0) - (top < 0))
     if signs[n_max] != target:
         return "exhausted"
@@ -151,7 +154,8 @@ def test_the_exact_search_decides_the_bound(monkeypatch):
     # with the float estimate it is the least bound or one more; started at
     # n = 0 or 1 (a huge log alpha^2), the integer search alone finds the least
     cases = [(params, None) for params, _ in zero_divisor_family(None, 60, seed=1416)]
-    cases += [(params, GenFibParams(2, 3)) for params, _ in zero_divisor_family(GenFibParams(2, 3), 60, seed=1416)]
+    seeds = GenFibParams(2, 3)
+    cases += [(params, seeds) for params, _ in zero_divisor_family(seeds, 60, seed=1416)]
     cases += _seeded_algebras(40, seed=1416)
     least = [least_tail_bound(params, pq) for params, pq in cases]
     for (params, pq), n in zip(cases, least):
