@@ -26,7 +26,6 @@ the sign of E.  Its re-verification still checks all of [0, n_max] by the
 closed forms and never reads N.
 """
 
-import math
 from typing import NamedTuple
 
 from ._kernel import Rational
@@ -251,24 +250,17 @@ def _cleared_norm_scan(params, values):
     return [d2 * a + n2 * b for a, b in zip(u, u[2:])]
 
 
-# alpha and log(alpha^2) as floats, for the estimate that starts the search
-# for a tail bound
-_ALPHA_FLOAT = (1 + math.sqrt(5)) / 2
-_LOG_ALPHA_SQUARED = 2 * math.log(_ALPHA_FLOAT)
-
-
 def _binet_lead(params, pq, indicator):
     """5*d1*d2 times the coefficient of alpha^(2n) in the norm of F_n (pq is
-    None) or H^{p,q}_n, as a residue [c0, c1] of Z[alpha]: E from
-    ``_indicator_E_pair``, or E' * alpha^-2 from the growth indicator E'
-    already computed, since h_m is alpha^(m-1) (p + alpha*q)/sqrt 5 up to a
-    term in alpha^-m.
+    None) or H^{p,q}_n, as a residue [c0, c1] of Z[alpha], from the growth
+    indicator the scan already computed: E itself, or E' * alpha^-2, since
+    h_m is alpha^(m-1) (p + alpha*q)/sqrt 5 up to a term in alpha^-m.
     """
-    if pq is None:
-        return _indicator_E_pair(params)
     n1, d1, n2, d2 = params.cleared
     c0, c1, den = indicator
     scale = 5 * d1 * d2 // den
+    if pq is None:
+        return [c0 * scale, c1 * scale]
     return [(2 * c0 - c1) * scale, (c1 - c0) * scale]  # times alpha^-2 = 2 - alpha
 
 
@@ -292,45 +284,26 @@ def _fitted_constant(lead, tops):
 
 
 def _tail_bound(lead, k, n_max):
-    """An N <= n_max with |lead|*alpha^(2N) > |sigma(lead)| + |k|, or None.
+    """The least N <= n_max with |lead|*alpha^(2N) > |sigma(lead)| + |k|, or None.
 
     Past such an N every norm of the fitted form has the sign of lead.  The
-    inequality is decided on integers of Z[alpha], alpha^(2n) being
-    f_{2n-1} + f_{2n}*alpha; a float estimate only picks the first index
-    tried, and a lead too large for floats gives None.
+    inequality is decided on integers of Z[alpha], stepping alpha^(2n) =
+    f_{2n-1} + f_{2n}*alpha up from n = 0.
     """
     c0, c1 = lead
     s0, s1 = c0 + c1, -c1  # sigma(lead)
     sign = residue_sign(c0, c1)
     conj_sign = residue_sign(s0, s1)
-    try:
-        # |lead| * |sigma(lead)| is |c0^2 + c0 c1 - c1^2|; take the factor
-        # whose float has no cancellation and divide the other out
-        norm = abs(c0 * c0 + c0 * c1 - c1 * c1)
-        if c0 * c1 >= 0:
-            size = abs(c0 + c1 * _ALPHA_FLOAT)
-            conj_size = norm / size
-        else:
-            conj_size = abs(c0 - c1 / _ALPHA_FLOAT)
-            size = norm / conj_size
-        ratio = (conj_size + abs(k)) / size
-        n = max(0, math.ceil(math.log(ratio) / _LOG_ALPHA_SQUARED))
-    except OverflowError:
-        return None
-    if n > n_max:
-        return None
-    g, h = fib_values(2 * n - 1, 2 * n + 1)
     offset = conj_sign * s0 + abs(k)
-    while True:
+    g, h = 1, 0  # f_{-1}, f_0
+    for n in range(n_max + 1):
         # sign*lead*alpha^(2n) - |sigma(lead)| - |k| must be positive
         gap0 = sign * (c0 * g + c1 * h) - offset
         gap1 = sign * (c0 * h + c1 * (g + h)) - conj_sign * s1
         if residue_sign(gap0, gap1) > 0:
             return n
-        n += 1
-        if n > n_max:
-            return None
         g, h = g + h, g + 2 * h  # times alpha^2 = 1 + alpha
+    return None
 
 
 def invertibility_threshold(params, pq=None, n_max=50):

@@ -150,20 +150,16 @@ def least_tail_bound(params, pq):
     return n
 
 
-def test_the_exact_search_decides_the_bound(monkeypatch):
-    # with the float estimate it is the least bound or one more; started at
-    # n = 0 or 1 (a huge log alpha^2), the integer search alone finds the least
+def test_the_exact_search_finds_the_least_bound():
     cases = [(params, None) for params, _ in zero_divisor_family(None, 60, seed=1416)]
     seeds = GenFibParams(2, 3)
     cases += [(params, seeds) for params, _ in zero_divisor_family(seeds, 60, seed=1416)]
     cases += _seeded_algebras(40, seed=1416)
-    least = [least_tail_bound(params, pq) for params, pq in cases]
-    for (params, pq), n in zip(cases, least):
-        assert tail_bound(params, pq) in (n, n + 1), (params, pq)
-        assert tail_bound(params, pq, n_max=n - 1) is None
-    monkeypatch.setattr(normforms, "_LOG_ALPHA_SQUARED", 1e300)
-    for (params, pq), n in zip(cases, least):
+    for params, pq in cases:
+        n = least_tail_bound(params, pq)
         assert tail_bound(params, pq) == n, (params, pq)
+        assert tail_bound(params, pq, n_max=n) == n
+        assert tail_bound(params, pq, n_max=n - 1) is None
 
 
 @pytest.mark.parametrize("offset", [(1, 0), (1, -1), (2, -1)])
@@ -203,3 +199,18 @@ def test_huge_betas_match_a_full_scan(pq):
         for n_max in (1, 3, 50, 130):
             assert scan(params, pq, n_max) == reference_scan(params, pq, n_max), (params, n_max)
     assert 40 in scan(cases[-1], pq, 130)[1]
+
+
+@pytest.mark.parametrize(
+    "params",
+    [AlgebraParams(1, 1), AlgebraParams(Rational(3, 2), -1), AlgebraParams(-2, Rational(-1, 3))],
+    ids=str,
+)
+def test_unit_multiple_seeds_match_a_full_scan(params):
+    # seeds (f_{j-1}, f_j) make p + q*alpha = alpha^j, so the lead is a unit
+    # multiple of alpha^(2j-2): |sigma(lead)| is below 1e-300 of it, and with
+    # beta1 = 1 or beta2 = -1 (the first two algebras) the fitted k is 0
+    for j in (1, 60, 399, 400, 560, 735, 900):
+        pq = GenFibParams(fib_values(j - 1, j + 1)[0], fib_values(j - 1, j + 1)[1])
+        for n_max in (1, 50, 130):
+            assert scan(params, pq, n_max) == reference_scan(params, pq, n_max), (j, n_max)
