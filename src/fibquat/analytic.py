@@ -6,7 +6,6 @@ doubles stay within the documented tolerances; every exactness-critical
 statement lives in the exact modules instead.
 """
 
-import math
 from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError, PrecisionGuardError, SeriesMismatchError
@@ -36,42 +35,30 @@ class CubicRoots(NamedTuple):
 def cubic_roots():
     """Roots of t^3 - t^2 - 1 = 0, refined until the residual bound holds.
 
-    The real root comes from bracketed Newton iteration on [1, 2] and is
-    correctly rounded: of the iterate and its two neighbouring doubles, the
-    one where t^3 - t^2 - 1, evaluated exactly, is least in absolute value.
-    The complex pair comes from deflation and the quadratic formula.  Deterministic,
-    computed once at import.
+    The real root is correctly rounded, with no floating point on the way:
+    the doubles m/2^52 of [1, 2] are bisected on the exact integer sign of
+    (t^3 - t^2 - 1)*2^156 = m^3 - m^2*2^52 - 2^156, and of the two adjacent
+    doubles that bracket the root, the one where that value is least in
+    absolute value is kept.  The complex pair comes from deflation and the
+    quadratic formula.  Deterministic, computed once at import.
     """
     return _CUBIC_ROOTS
 
 
-def _exact_cubic_residual(t):
-    # |t^3 - t^2 - 1| * 2^156 for a double t in [1, 2), on the integers of t
-    num, den = t.as_integer_ratio()  # den is a power of 2, at most 2^52
-    num *= (1 << 52) // den
-    den = 1 << 52
-    return abs(num**3 - num * num * den - den**3)
+def _cubic_gap(m):
+    # (t^3 - t^2 - 1) * 2^156 at the double t = m / 2^52 of [1, 2], exactly
+    return m * m * (m - (1 << 52)) - (1 << 156)
 
 
 def _solve_cubic():
-    lo, hi = 1.0, 2.0
-    t = 1.5
-    for _ in range(200):
-        f = t * t * t - t * t - 1.0
-        if f > 0:
-            hi = t
+    lo, hi = 1 << 52, 1 << 53  # t = 1 and t = 2, where the cubic is -1 and 3
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        if _cubic_gap(mid) > 0:
+            hi = mid
         else:
-            lo = t
-        step = f / (3 * t * t - 2 * t)
-        nxt = t - step
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if nxt == t:
-            break
-        t = nxt
-    alpha = min(
-        (math.nextafter(t, 1.0), t, math.nextafter(t, 2.0)), key=_exact_cubic_residual
-    )
+            lo = mid
+    alpha = min(lo, hi, key=lambda m: abs(_cubic_gap(m))) / (1 << 52)
     # t^3 - t^2 - 1 = (t - alpha)(t^2 + Bt + C) with B = alpha - 1, C = 1/alpha
     b = alpha - 1.0
     c = 1.0 / alpha

@@ -256,6 +256,8 @@ def _render(result, fmt):
 def _seeds(args, parser):
     """The (p, q) seeds of --kind genfib, None for the other kinds."""
     if args.kind != "genfib":
+        if args.p is not None or args.q is not None:
+            parser.error(f"--p and --q apply to --kind genfib only, not {args.kind}")
         return None
     if args.p is None or args.q is None:
         parser.error("--kind genfib requires --p and --q")

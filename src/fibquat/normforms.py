@@ -12,15 +12,15 @@ with the betas' numerators and denominators folded into one integer
 coefficient per f-value or product of f-values: the route independent of
 the integer recurrence and the quadratic form used by the direct norms.
 They are written once, over an index range: the public single-index forms
-pass the f-values of one index, the threshold re-verification one list of
-f-values for a whole scan.  The growth indicators are likewise
-integer residues c0 + c1*alpha of Z[alpha] over 5*d1*d2, multiplied by the
-residue ring of ``surd``, and returned as QuadraticSurds.
+read one index, the threshold re-verification windows of 256.  Each growth
+indicator is one integer residue c0 + c1*alpha of Z[alpha], 5*d1*d2 times
+E or E', which the public indicators reduce to a QuadraticSurd and the
+threshold and its re-verification read on the integers.
 
 The threshold scan reports what a scan of every n in [0, n_max] reports,
 but stops early at a proven tail bound: 5*d1*d2 times the norm is
-A*alpha^(2n) + sigma(A)*alpha^(-2n) + k*(-1)^n, with A from the growth
-indicator and k fitted to three norms (the fit is the proof, checked on
+A*alpha^(2n) + sigma(A)*alpha^(-2n) + k*(-1)^n, with A from the indicator
+residue and k fitted to three norms (the fit is the proof, checked on
 every call), so past an index N found exactly on integers every norm has
 the sign of E.  Its re-verification still checks all of [0, n_max] by the
 closed forms and never reads N.
@@ -50,12 +50,11 @@ def _fib_formula_tops(params, low, high):
 
     low[i] must be f_{s+i} and high[i] must be f_{2s+1+i}; the range ends
     where either list does, the last index reading f_{2n+3}.  One index
-    takes low = [f_s, f_{s+1}] and high = [f_{2s+1}, f_{2s+2}, f_{2s+3}]; a
-    scan from s = 0 takes one list from f_0 as low and the same list from
-    f_1 as high.  The closed form of ``norm_fib_formula`` is folded to
-    a f_{2n+1} + b f_{2n+2} - cross f_n f_{n+1} (f_{2n+3} is the sum of the
-    two before it), with the constants of the algebra computed once for the
-    whole range.
+    takes low = [f_s, f_{s+1}] and high = [f_{2s+1}, f_{2s+2}, f_{2s+3}]
+    (``_formula_tops`` reads both).  The closed form of ``norm_fib_formula``
+    is folded to a f_{2n+1} + b f_{2n+2} - cross f_n f_{n+1} (f_{2n+3} is
+    the sum of the two before it), with the constants of the algebra
+    computed once for the whole range.
     """
     n1, d1, n2, d2 = params.cleared
     p_hi = d2 + 2 * n2
@@ -75,8 +74,8 @@ def _genfib_formula_tops(params, pq, low, high):
 
     low[i] must be f_{s-1+i} and high[i] must be f_{2s-1+i} (compare
     ``_fib_formula_tops``); the range ends where either list does, the last
-    index reading f_{n+2} and f_{2n+3}.  A scan from s = 0 takes one list
-    from f_{-1} as both.  The closed form of ``norm_genfib_formula`` has
+    index reading f_{n+2} and f_{2n+3}.  ``_formula_tops`` reads the two
+    lists.  The closed form of ``norm_genfib_formula`` has
     five coefficients of f_{2n-1}, ..., f_{2n+3} and three of the consecutive
     products f_m f_{m+1}, m = n-1, n, n+1; it is folded onto f_{2n+1},
     f_{2n} and f_{n-1} f_n by f_{2n-1} = f_{2n+1} - f_{2n}, f_{2n+2} =
@@ -118,6 +117,18 @@ def _genfib_formula_tops(params, pq, low, high):
     ]
 
 
+def _formula_tops(params, pq, start, stop):
+    """d1*d2 times the closed-form norm of F_n (pq is None) or H^{p,q}_n,
+    for n in [start, stop), from two lists of f-values."""
+    if pq is None:
+        return _fib_formula_tops(
+            params, fib_values(start, stop + 1), fib_values(2 * start + 1, 2 * stop + 2)
+        )
+    return _genfib_formula_tops(
+        params, pq, fib_values(start - 1, stop + 2), fib_values(2 * start - 1, 2 * stop + 2)
+    )
+
+
 def norm_fib_formula(params, n):
     """Closed form of n(F_n) for any signed n:
 
@@ -125,8 +136,7 @@ def norm_fib_formula(params, n):
 
     evaluated as one integer numerator over d1*d2.
     """
-    tops = _fib_formula_tops(params, fib_values(n, n + 2), fib_values(2 * n + 1, 2 * n + 4))
-    return _over_d1d2(params, tops[0])
+    return _over_d1d2(params, _formula_tops(params, None, n, n + 1)[0])
 
 
 def norm_genfib_formula(params, pq, n):
@@ -141,10 +151,7 @@ def norm_genfib_formula(params, pq, n):
     evaluated as one integer numerator over d1*d2.  Here h^{a,b}_m is
     a f_{m-1} + b f_m, and f extends to negative indices.
     """
-    tops = _genfib_formula_tops(
-        params, pq, fib_values(n - 1, n + 3), fib_values(2 * n - 1, 2 * n + 4)
-    )
-    return _over_d1d2(params, tops[0])
+    return _over_d1d2(params, _formula_tops(params, pq, n, n + 1)[0])
 
 
 def swamy_norm_as_stated(pq, n):
@@ -177,29 +184,20 @@ def _indicator_E_pair(params):
     ]
 
 
-def growth_indicator_E(params):
-    """E(b1, b2) = (1/5)[1 + b1 + 2 b2 + 5 b1 b2 + alpha(b1 + 3 b2 + 8 b1 b2)].
-
-    Exact element of Q(sqrt 5); its sign is the eventual sign of n(F_n).
-    Nonzero for every rational (b1, b2): E = 0 would force
-    b2^2 + 7 b2 + 1 = 0, whose discriminant 45 is not a perfect square.
-    Evaluated as an integer residue of Z[alpha] over 5*d1*d2.
-    """
-    n1, d1, n2, d2 = params.cleared
-    return from_residue(_indicator_E_pair(params), 5 * d1 * d2)
-
-
 # 1, alpha^2, alpha^4, alpha^6 as residues of Z[alpha], read by E' literally
 _ALPHA_EVEN_POWERS = [t_power(2, m) for m in (0, 2, 4, 6)]
 
 
-def growth_indicator_Eprime(params, pq):
-    """E'(b1, b2) = (1/5)(p + alpha*q)^2 [1 + b1 a^2 + b2 a^4 + b1 b2 a^6].
+def _indicator(params, pq):
+    """5*d1*d2 times E (pq is None) or E', as an unreduced residue [c0, c1]
+    of c0 + c1*alpha in Z[alpha]; its sign is that of the indicator.
 
-    Evaluated literally from powers of alpha, then cross-checked against the
-    reduced form (p + alpha*q)^2 * E(b1, b2); the two must agree exactly.
-    Both routes work on integer residues of Z[alpha] over 5*d1*d2.
+    E' is evaluated literally from powers of alpha and cross-checked against
+    (p + alpha*q)^2 * E; ConsistencyError when the two differ.
     """
+    pair = _indicator_E_pair(params)
+    if pq is None:
+        return pair
     n1, d1, n2, d2 = params.cleared
     # d1*d2 [1 + b1 a^2 + b2 a^4 + b1 b2 a^6]
     weights = (d1 * d2, n1 * d2, d1 * n2, n1 * n2)
@@ -207,14 +205,37 @@ def growth_indicator_Eprime(params, pq):
     root = list(pq)  # p + alpha*q
     square = mul(root, root)
     literal = mul(square, bracket)
-    reduced = mul(square, _indicator_E_pair(params))
-    bottom = 5 * d1 * d2
+    reduced = mul(square, pair)
     if literal != reduced:
+        bottom = 5 * d1 * d2
         raise ConsistencyError(
             f"growth indicator routes disagree: {from_residue(literal, bottom)} "
             f"vs {from_residue(reduced, bottom)}"
         )
-    return from_residue(literal, bottom)
+    return literal
+
+
+def growth_indicator_E(params):
+    """E(b1, b2) = (1/5)[1 + b1 + 2 b2 + 5 b1 b2 + alpha(b1 + 3 b2 + 8 b1 b2)].
+
+    Exact element of Q(sqrt 5); its sign is the eventual sign of n(F_n).
+    Nonzero for every rational (b1, b2): E = 0 would force
+    b2^2 + 7 b2 + 1 = 0, whose discriminant 45 is not a perfect square.
+    The integer residue of ``_indicator`` over 5*d1*d2, reduced.
+    """
+    n1, d1, n2, d2 = params.cleared
+    return from_residue(_indicator(params, None), 5 * d1 * d2)
+
+
+def growth_indicator_Eprime(params, pq):
+    """E'(b1, b2) = (1/5)(p + alpha*q)^2 [1 + b1 a^2 + b2 a^4 + b1 b2 a^6].
+
+    Evaluated literally from powers of alpha, then cross-checked against the
+    reduced form (p + alpha*q)^2 * E(b1, b2); the two must agree exactly.
+    The integer residue of ``_indicator`` over 5*d1*d2, reduced.
+    """
+    n1, d1, n2, d2 = params.cleared
+    return from_residue(_indicator(params, pq), 5 * d1 * d2)
 
 
 class ThresholdReport(NamedTuple):
@@ -248,20 +269,6 @@ def _cleared_norm_scan(params, values):
     squares = [x * x for x in values]
     u = [d1 * a + n1 * b for a, b in zip(squares, squares[1:])]
     return [d2 * a + n2 * b for a, b in zip(u, u[2:])]
-
-
-def _binet_lead(params, pq, indicator):
-    """5*d1*d2 times the coefficient of alpha^(2n) in the norm of F_n (pq is
-    None) or H^{p,q}_n, as a residue [c0, c1] of Z[alpha], from the growth
-    indicator the scan already computed: E itself, or E' * alpha^-2, since
-    h_m is alpha^(m-1) (p + alpha*q)/sqrt 5 up to a term in alpha^-m.
-    """
-    n1, d1, n2, d2 = params.cleared
-    c0, c1, den = indicator
-    scale = 5 * d1 * d2 // den
-    if pq is None:
-        return [c0 * scale, c1 * scale]
-    return [(2 * c0 - c1) * scale, (c1 - c0) * scale]  # times alpha^-2 = 2 - alpha
 
 
 def _fitted_constant(lead, tops):
@@ -314,10 +321,11 @@ def invertibility_threshold(params, pq=None, n_max=50):
     found, since every norm past N provably has sign_of_E; the report's
     empirical_n0 is then proven for every n.  N comes from the Binet form
     5*d1*d2*norm_n = A*alpha^(2n) + sigma(A)*alpha^(-2n) + k*(-1)^n: A is
-    5*d1*d2 times E (for F_n) or E'*alpha^-2 (for H^{p,q}_n), k is fitted
-    to the norm at n = 0, and the fit is checked at n = 1 and 2, which
-    proves the form (``_fitted_constant``, ``_tail_bound``).  Otherwise the
-    whole range is scanned.
+    the residue 5*d1*d2*E of ``_indicator`` (for F_n), or its 5*d1*d2*E'
+    times alpha^-2 (for H^{p,q}_n), k is fitted to the norm at n = 0, and
+    the fit is checked at n = 1 and 2, which proves the form
+    (``_fitted_constant``, ``_tail_bound``).  Otherwise the whole range is
+    scanned.  sign_of_E is the sign of that residue.
 
     The sequence values f_0.. (or h_0..) feed the integer quadratic form of
     ``Quaternion.norm``, d1*d2 times each norm, whose sign and zeroness are
@@ -331,16 +339,15 @@ def invertibility_threshold(params, pq=None, n_max=50):
     """
     if n_max < 1:
         raise DomainError(f"invertibility_threshold requires n_max >= 1, got {n_max}")
-    if pq is None:
-        indicator = growth_indicator_E(params)
-    else:
-        indicator = growth_indicator_Eprime(params, pq)
-    if indicator.is_zero():
+    lead = _indicator(params, pq)
+    target = residue_sign(*lead)
+    if not target:
         raise IndicatorDegenerateError(
             f"growth indicator vanishes for {params} with seeds {pq}"
         )
-    target = indicator.sign()
-    lead = _binet_lead(params, pq, indicator)
+    if pq is not None:  # h_m ~ alpha^(m-1) (p + alpha*q)/sqrt 5, so E' * alpha^-2
+        c0, c1 = lead
+        lead = [2 * c0 - c1, c1 - c0]  # times alpha^-2 = 2 - alpha
     values = fib_values(0, 6) if pq is None else gen_fib_values(pq, 0, 6)
     tops = _cleared_norm_scan(params, values)  # n = 0, 1, 2
     bound = _tail_bound(lead, _fitted_constant(lead, tops), n_max)
@@ -369,13 +376,16 @@ def invertibility_threshold(params, pq=None, n_max=50):
     )
 
 
+_VERIFY_WINDOW = 256  # indices per closed-form read of the re-verification
+
+
 def verify_threshold_report(report):
     """Re-verify a ThresholdReport by an independent second scan.
 
     The second scan evaluates d1*d2 times each norm through the closed-form
-    route instead of the quadratic form on recurrence values: one list of
-    f-values f_0..f_{2N+3} (from f_{-1} for H^{p,q}_n) feeds the closed forms
-    for the whole range n in [0, N].  It rechecks every invariant: the tail
+    route instead of the quadratic form on recurrence values, read in
+    windows of _VERIFY_WINDOW indices of [0, N] whose signs alone are kept.
+    It rechecks every invariant: sign_of_E is the indicator's, the tail
     is uniformly nonzero with sign sign_of_E, empirical_n0 is minimal, and
     zero_norm_indices lists exactly the zero norms below it, over all of
     [0, scanned_up_to] whatever tail bound the scan stopped at.  Raises
@@ -383,21 +393,13 @@ def verify_threshold_report(report):
     """
     params = report.params
     pq = report.pq
-    indicator = (
-        growth_indicator_E(params)
-        if pq is None
-        else growth_indicator_Eprime(params, pq)
-    )
-    if indicator.sign() != report.sign_of_E:
+    if residue_sign(*_indicator(params, pq)) != report.sign_of_E:
         raise ConsistencyError("sign_of_E does not match the growth indicator")
     n_max = report.scanned_up_to
-    if pq is None:
-        f = fib_values(0, 2 * n_max + 4)
-        tops = _fib_formula_tops(params, f, f[1:])
-    else:
-        f = fib_values(-1, 2 * n_max + 4)
-        tops = _genfib_formula_tops(params, pq, f, f)
-    signs = [(top > 0) - (top < 0) for top in tops]
+    signs = []
+    for start in range(0, n_max + 1, _VERIFY_WINDOW):
+        tops = _formula_tops(params, pq, start, min(start + _VERIFY_WINDOW, n_max + 1))
+        signs += [(top > 0) - (top < 0) for top in tops]
     for n in range(report.empirical_n0, n_max + 1):
         if signs[n] != report.sign_of_E:
             raise ConsistencyError(f"tail condition fails at n = {n}")

@@ -55,6 +55,13 @@ class TestSeq:
         code, _, err = invoke(capsys, "seq", "--kind", "fib", "--from", "5", "--to", "1")
         assert code == 2
 
+    def test_stray_seed_is_a_usage_error(self, capsys):
+        code, out, err = invoke(
+            capsys, "seq", "--kind", "narayana", "--from", "0", "--to", "5", "--p", "5"
+        )
+        assert (code, out) == (2, "")
+        assert "--p and --q apply to --kind genfib only, not narayana" in err
+
 
 class TestQuat:
     def test_text(self, capsys):
@@ -101,7 +108,18 @@ class TestQuat:
         assert document["coefficients"] == ["-3", "2", "-1", "1"]
 
 
+    def test_stray_seeds_are_a_usage_error(self, capsys):
+        code, out, err = invoke(capsys, "quat", "--kind", "fib", "--n", "3", "--p", "5", "--q", "2")
+        assert (code, out) == (2, "")
+        assert "--p and --q apply to --kind genfib only, not fib" in err
+
+
 class TestNorm:
+    def test_stray_seed_is_a_usage_error(self, capsys):
+        code, out, err = invoke(capsys, "norm", "--kind", "fib", "--n", "3", "--q", "2")
+        assert (code, out) == (2, "")
+        assert "--p and --q apply to --kind genfib only, not fib" in err
+
     def test_direct_default(self, capsys):
         code, out, _ = invoke(capsys, "norm", "--kind", "fib", "--n", "0")
         assert code == 0

@@ -32,7 +32,7 @@ from fibquat import (
 )
 from fibquat import normforms
 from fibquat.sequences import fib_values, gen_fib_values
-from fibquat.surd import ALPHA, from_residue
+from fibquat.surd import ALPHA, from_residue, mul
 
 
 def _values(pq, stop):
@@ -82,9 +82,15 @@ def zero_divisor_family(pq, count, seed):
     return family
 
 
+def binet_lead(params, pq):
+    """5*d1*d2 times the coefficient of alpha^(2n) in the norm: the indicator
+    residue, times alpha^-2 = 2 - alpha for H^{p,q}_n."""
+    lead = normforms._indicator(params, pq)
+    return lead if pq is None else mul(lead, [2, -1])
+
+
 def tail_bound(params, pq, n_max=10**6):
-    indicator = growth_indicator_E(params) if pq is None else growth_indicator_Eprime(params, pq)
-    lead = normforms._binet_lead(params, pq, indicator)
+    lead = binet_lead(params, pq)
     tops = normforms._cleared_norm_scan(params, _values(pq, 6))
     return normforms._tail_bound(lead, normforms._fitted_constant(lead, tops), n_max)
 
@@ -139,8 +145,7 @@ def test_tail_bound_is_none_past_n_max():
 def least_tail_bound(params, pq):
     """The least n >= 0 with |A|*alpha^(2n) > |sigma(A)| + |k|, by
     QuadraticSurd arithmetic."""
-    indicator = growth_indicator_E(params) if pq is None else growth_indicator_Eprime(params, pq)
-    c0, c1 = normforms._binet_lead(params, pq, indicator)
+    c0, c1 = binet_lead(params, pq)
     k = normforms._fitted_constant((c0, c1), normforms._cleared_norm_scan(params, _values(pq, 6)))
     lead, conj = from_residue((c0, c1), 1), from_residue((c0 + c1, -c1), 1)
     size, rest = lead * lead.sign(), conj * conj.sign() + abs(k)
@@ -175,8 +180,8 @@ def test_the_fit_check_is_live(monkeypatch, offset):
     with pytest.raises(ConsistencyError, match="do not fit"):
         invertibility_threshold(params)
     monkeypatch.undo()
-    doubled = growth_indicator_Eprime(params, GenFibParams(2, -1)) * 2
-    monkeypatch.setattr(normforms, "growth_indicator_Eprime", lambda p, pq: doubled)
+    indicator = normforms._indicator
+    monkeypatch.setattr(normforms, "_indicator", lambda p, pq: [2 * c for c in indicator(p, pq)])
     with pytest.raises(ConsistencyError, match="do not fit"):
         invertibility_threshold(params, GenFibParams(2, -1))
 

@@ -13,11 +13,14 @@ minus made plus, ``not`` doubled, and an integer literal n made n + 1.
 ``--sites`` of them are drawn with ``random.Random("<module>:<seed>")``;
 ``--every`` names top-level functions whose sites are all mutated, in
 addition to that many drawn from the rest of the module.
-For each, ``src/`` is copied to a temporary directory, the module is
-rewritten with that one mutation (by ``ast.unparse``), and the named tests
-run under ``pytest -x`` with ``PYTHONPATH`` pointing at the copy.  A mutant
-is killed when the tests fail or time out.  The unmutated, unparsed copy
-must pass first.
+For each, ``src/`` and ``tests/`` are copied to a temporary tree named
+``fibquat-mutants-*``, the module is rewritten with that one mutation (by
+``ast.unparse``), and the named tests run from the copy under ``pytest -x``
+with ``PYTHONPATH`` pointing at its ``src/``; editing the checkout while a
+sample runs changes nothing.  A mutant is killed when the tests fail or time
+out.  The unmutated, unparsed copy must pass first.  pytest runs in a
+session of its own, whose process group is killed on a timeout and when
+this tool gets SIGTERM or SIGINT; the tree is removed on every exit.
 
 The record for the module (module, sites, killed and each survivor's line,
 mutation and source text) replaces any earlier record for it in ``--out``.
@@ -30,6 +33,7 @@ import json
 import os
 import random
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -89,19 +93,23 @@ def mutate(source, index):
     return ast.unparse(ast.fix_missing_locations(tree)), node.lineno, description
 
 
-def run_tests(src, tests, timeout):
-    """True when the tests pass against the package under ``src``."""
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+def run_tests(tree, tests, timeout):
+    """True when the tests under ``tree`` pass against the package in its ``src/``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     # Hypothesis's built-in ci profile: derandomized, no deadline and no example
     # database, so neither a slow run nor a replayed example counts as a kill
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                "--hypothesis-profile=ci", *tests]
+    process = subprocess.Popen(command, cwd=tree, env=env, start_new_session=True,
+                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     try:
-        done = subprocess.run(command, cwd=ROOT, env=env, timeout=timeout,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        return process.wait(timeout) == 0
     except subprocess.TimeoutExpired:
         return False
-    return done.returncode == 0
+    finally:
+        if process.poll() is None:  # timed out, or this tool is being stopped
+            os.killpg(process.pid, signal.SIGKILL)
+            process.wait()
 
 
 def sample(module, count, seed, tests, every=()):
@@ -122,20 +130,22 @@ def sample(module, count, seed, tests, every=()):
     rest = sorted(set(range(total)) - set(whole))
     drawn = random.Random(f"{module}:{seed}").sample(rest, min(count, len(rest)))
     chosen = sorted(whole + drawn)
-    with tempfile.TemporaryDirectory() as tmp:
-        src = Path(tmp) / "src"
-        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        target = src / "fibquat" / f"{module}.py"
+    with tempfile.TemporaryDirectory(prefix="fibquat-mutants-") as tmp:
+        tree = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", tree)  # the same pytest settings
+        target = tree / "src" / "fibquat" / f"{module}.py"
         target.write_text(ast.unparse(ast.parse(source)))
         start = time.perf_counter()
-        if not run_tests(src, tests, BASELINE_TIMEOUT):
+        if not run_tests(tree, tests, BASELINE_TIMEOUT):
             raise SystemExit(f"the tests fail on the unmutated copy of {module}")
         limit = max(60.0, 10 * (time.perf_counter() - start))
         survivors = []
         for index in chosen:
             text, line, description = mutate(source, index)
             target.write_text(text)
-            if run_tests(src, tests, limit):
+            if run_tests(tree, tests, limit):
                 survivors.append({"line": line, "mutation": description,
                                   "source": lines[line - 1].strip()})
                 print(f"  survived  {module}.py:{line}  {description}", file=sys.stderr)
@@ -151,6 +161,11 @@ def sample(module, count, seed, tests, every=()):
     }
 
 
+def _stop(signum, frame):
+    # unwind, so the running pytest's group is killed and the tree removed
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--module", required=True, help="a module of src/fibquat, e.g. algebra")
@@ -161,6 +176,8 @@ def main(argv=None):
     parser.add_argument("--out", type=Path, help="JSON file that keeps one record per module")
     parser.add_argument("tests", nargs="+", help="test files or node ids to run")
     args = parser.parse_args(argv)
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, _stop)
     record = sample(args.module, args.sites, args.seed, args.tests, args.every)
     print(json.dumps(record, indent=2))
     if args.out:
