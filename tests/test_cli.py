@@ -107,9 +107,10 @@ class TestQuat:
         assert document["beta1"] == "-1"
         assert document["coefficients"] == ["-3", "2", "-1", "1"]
 
-
     def test_stray_seeds_are_a_usage_error(self, capsys):
-        code, out, err = invoke(capsys, "quat", "--kind", "fib", "--n", "3", "--p", "5", "--q", "2")
+        code, out, err = invoke(
+            capsys, "quat", "--kind", "fib", "--n", "3", "--p", "5", "--q", "2"
+        )
         assert (code, out) == (2, "")
         assert "--p and --q apply to --kind genfib only, not fib" in err
 

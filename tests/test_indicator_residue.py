@@ -8,6 +8,7 @@ closed forms in windows, so its memory does not grow with the square of
 n_max; and the Narayana root is found by integer bisection on the doubles.
 """
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -20,6 +21,7 @@ from fibquat import (
     GenFibParams,
     IndicatorDegenerateError,
     Rational,
+    ScanExhaustedError,
     growth_indicator_E,
     growth_indicator_Eprime,
     invertibility_threshold,
@@ -58,8 +60,8 @@ CASES = [
 def _outcome(params, pq, n_max):
     try:
         report = invertibility_threshold(params, pq, n_max)
-    except Exception as exc:  # a ScanExhaustedError is an outcome too
-        return type(exc), str(exc)
+    except ScanExhaustedError as exc:
+        return str(exc)
     verify_threshold_report(report)
     return report
 
@@ -186,3 +188,17 @@ def test_bisection_keeps_the_nearer_bracketing_double():
         abs(analytic._cubic_gap(m - 1)), abs(analytic._cubic_gap(m + 1))
     )
     assert analytic._solve_cubic() == analytic.cubic_roots()
+
+
+def test_the_residual_guard_reads_the_normalised_residuals(monkeypatch):
+    # the guard divides each |t^3 - t^2 - 1| by max(1, |t|^3); the largest
+    # of the three passes as the bound and fails just below it
+    roots = analytic.cubic_roots()
+    worst = max(
+        abs(t**3 - t**2 - 1) / max(1.0, abs(t) ** 3) for t in (roots.alpha, roots.beta, roots.gamma)
+    )
+    monkeypatch.setattr(analytic, "_RESIDUAL_BOUND", worst)
+    assert analytic._solve_cubic().alpha == roots.alpha
+    monkeypatch.setattr(analytic, "_RESIDUAL_BOUND", math.nextafter(worst, 0.0))
+    with pytest.raises(ConsistencyError, match="exceeds bound"):
+        analytic._solve_cubic()
