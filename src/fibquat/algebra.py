@@ -15,7 +15,9 @@ denominator, (x1 + x2*e2 + x3*e3 + x4*e4)/den, reduced so that
 gcd(x1, x2, x3, x4, den) == 1.  With beta_i = n_i/d_i, every operation works
 on these integers with the betas' denominators cleared too, and reduces its
 result once by a single gcd; products, norms and inverses build no Rational
-per coefficient.  The coefficients a1..a4 are Rational views built on demand.
+per coefficient.  A result over den = 1, such as a sum of integer
+quaternions or an integer multiple of one, is reduced already and takes no
+gcd.  The coefficients a1..a4 are Rational views built on demand.
 
 All values are immutable and every operation is a pure function, so
 everything here is safe to share between threads.
@@ -198,9 +200,11 @@ class Quaternion(_FieldTuple):
         return _new(-x1, -x2, -x3, -x4, den, params)
 
     def scale(self, k):
+        x1, x2, x3, x4, den, params = self
+        if type(k) is int:  # k/1: the denominator stays den
+            return _reduced(k * x1, k * x2, k * x3, k * x4, den, params)
         k = as_rational(k)
         top = k.numerator
-        x1, x2, x3, x4, den, params = self
         return _reduced(top * x1, top * x2, top * x3, top * x4, k.denominator * den, params)
 
     def __mul__(self, other):
@@ -303,7 +307,10 @@ def _new(x1, x2, x3, x4, den, params):
 
 
 def _reduced(x1, x2, x3, x4, den, params):
-    # internal: den > 0; divides out the one common factor
+    # internal: den > 0; divides out the one common factor, which over
+    # den = 1 (every integer quaternion) is 1 without a gcd
+    if den == 1:
+        return _tuple_new(Quaternion, (x1, x2, x3, x4, den, params))
     g = gcd(x1, x2, x3, x4, den)
     if g != 1:
         x1, x2, x3, x4, den = x1 // g, x2 // g, x3 // g, x4 // g, den // g

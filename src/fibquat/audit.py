@@ -41,11 +41,11 @@ from .errors import (
     UnknownIdentityError,
 )
 from .normforms import (
+    _VERIFY_WINDOW,
+    _formula_tops,
     growth_indicator_E,
     growth_indicator_Eprime,
     invertibility_threshold,
-    norm_fib_formula,
-    norm_genfib_formula,
     swamy_norm_as_stated,
     swamy_norm_corrected,
     verify_threshold_report,
@@ -242,12 +242,15 @@ def _iterated_prefix_sum(n, m):
 def _eq_1_1(rng, n_max):
     hi = _span(n_max, 200)
     pairs = [_rand_pq(rng) for _ in range(50)]
-    f = fib_values(0, hi + 2)  # one range read each, however far hi reaches
     for pq in pairs:
         p, q = pq
-        h = gen_fib_values(pq, 1, hi + 2)  # h[n] = h_{n+1}
-        for n in range(0, hi + 1):
-            yield _exact({"p": p, "q": q, "n": n}, h[n], p * f[n] + q * f[n + 1])
+        # windows of f and h, so memory stays flat however far hi reaches
+        for start in range(0, hi + 1, _VERIFY_WINDOW):
+            stop = min(start + _VERIFY_WINDOW, hi + 1)
+            f = fib_values(start, stop + 1)
+            h = gen_fib_values(pq, start + 1, stop + 1)  # h[i] = h_{start+i+1}
+            for i in range(stop - start):
+                yield _exact({"p": p, "q": q, "n": start + i}, h[i], p * f[i] + q * f[i + 1])
 
 
 @_identity(
@@ -333,14 +336,14 @@ _identity(
 )
 def _intro_prop_5(rng, n_max):
     hi = _span(n_max, 100)
+    u = narayana_values(-2, 2 * hi + 3)  # u[j + 2] = u_j, one range read
     for n in range(1, hi + 1):
+        u1, u2, u3 = u[n + 1], u[n], u[n - 1]  # u_(n-1), u_(n-2), u_(n-3)
         for m in range(1, hi + 1):
             yield _exact(
                 {"n": n, "m": m},
-                narayana(n + m),
-                narayana(n - 1) * narayana(m + 2)
-                + narayana(n - 2) * narayana(m)
-                + narayana(n - 3) * narayana(m + 1),
+                u[n + m + 2],
+                u1 * u[m + 4] + u2 * u[m + 2] + u3 * u[m + 3],
             )
 
 
@@ -530,10 +533,13 @@ def _thm_2_2_i(rng, n_max):
         constant = Quaternion(1, 0, 1, 1, params)
         total = Quaternion.zero(params)
         sign = 1
+        previous = fib_quat(params, 0)
         for n in range(1, hi + 1):
-            total = total + fib_quat(params, n).scale(sign)
-            rhs = fib_quat(params, n - 1).scale(sign) + constant
+            current = fib_quat(params, n)
+            total = total + current.scale(sign)
+            rhs = previous.scale(sign) + constant
             yield _exact({"params": params, "n": n}, total, rhs)
+            previous = current
             sign = -sign
 
 
@@ -553,15 +559,30 @@ def _thm_2_2_ii(rng, n_max):
             constant = Quaternion(-p + q, p, q, p + q, params)
             total = Quaternion.zero(params)
             sign = 1
+            previous = gen_fib_quat(params, pq, 0)
             for n in range(1, hi + 1):
-                total = total + gen_fib_quat(params, pq, n).scale(sign)
-                rhs = gen_fib_quat(params, pq, n - 1).scale(sign) + constant
+                current = gen_fib_quat(params, pq, n)
+                total = total + current.scale(sign)
+                rhs = previous.scale(sign) + constant
                 yield _exact({"params": params, "p": p, "q": q, "n": n}, total, rhs)
+                previous = current
                 sign = -sign
 
 
 # ---------------------------------------------------------------------------
 # norm formulas
+
+def _formula_norms(params, pq, start, stop):
+    """(n, closed-form norm of F_n or H^{p,q}_n) for n in [start, stop), the
+    closed forms of ``norm_fib_formula`` and ``norm_genfib_formula`` read in
+    windows of _VERIFY_WINDOW indices."""
+    n1, d1, n2, d2 = params.cleared
+    bottom = d1 * d2
+    for low in range(start, stop, _VERIFY_WINDOW):
+        tops = _formula_tops(params, pq, low, min(low + _VERIFY_WINDOW, stop))
+        for n, top in enumerate(tops, low):
+            yield n, Rational(top, bottom)
+
 
 @_identity(
     "THM_2_4",
@@ -573,10 +594,10 @@ def _thm_2_4(rng, n_max):
     hi = _span(n_max, 60)
     for _ in range(25):
         params = _rand_params(rng)
-        for n in range(0, hi + 1):
+        for n, formula in _formula_norms(params, None, 0, hi + 1):
             yield _exact(
                 {"params": params, "n": n},
-                norm_fib_formula(params, n),
+                formula,
                 fib_quat(params, n).norm(),
             )
 
@@ -592,10 +613,10 @@ def _thm_2_5(rng, n_max):
     for _ in range(25):
         params = _rand_params(rng)
         pq = _rand_pq(rng)
-        for n in range(1, hi + 1):
+        for n, formula in _formula_norms(params, pq, 1, hi + 1):
             yield _exact(
                 {"params": params, "p": pq.p, "q": pq.q, "n": n},
-                norm_genfib_formula(params, pq, n),
+                formula,
                 gen_fib_quat(params, pq, n).norm(),
             )
 

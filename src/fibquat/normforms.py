@@ -12,7 +12,8 @@ with the betas' numerators and denominators folded into one integer
 coefficient per f-value or product of f-values: the route independent of
 the integer recurrence and the quadratic form used by the direct norms.
 They are written once, over an index range: the public single-index forms
-read one index, the threshold re-verification windows of 256.  Each growth
+read one index, the threshold re-verification and the audit's norm
+entries windows of 256.  Each growth
 indicator is one integer residue c0 + c1*alpha of Z[alpha], 5*d1*d2 times
 E or E', which the public indicators reduce to a QuadraticSurd and the
 threshold and its re-verification read on the integers.
@@ -294,22 +295,41 @@ def _tail_bound(lead, k, n_max):
     """The least N <= n_max with |lead|*alpha^(2N) > |sigma(lead)| + |k|, or None.
 
     Past such an N every norm of the fitted form has the sign of lead.  The
-    inequality is decided on integers of Z[alpha], stepping alpha^(2n) =
-    f_{2n-1} + f_{2n}*alpha up from n = 0.
+    inequality is decided on integers of Z[alpha]: stepping alpha^(2n) =
+    f_{2n-1} + f_{2n}*alpha up from n = 0 to 32, then, since its left side
+    grows with n, doubling n and bisecting, with alpha^(2n) read by
+    ``t_power``.
     """
     c0, c1 = lead
     s0, s1 = c0 + c1, -c1  # sigma(lead)
     sign = residue_sign(c0, c1)
     conj_sign = residue_sign(s0, s1)
     offset = conj_sign * s0 + abs(k)
+    slope = conj_sign * s1
+
+    def holds(x0, x1):
+        # sign*lead*alpha^(2n) - |sigma(lead)| - |k| > 0, with alpha^(2n) = x0 + x1*alpha
+        gap0 = sign * (c0 * x0 + c1 * x1) - offset
+        gap1 = sign * (c0 * x1 + c1 * (x0 + x1)) - slope
+        return residue_sign(gap0, gap1) > 0
+
     g, h = 1, 0  # f_{-1}, f_0
-    for n in range(n_max + 1):
-        # sign*lead*alpha^(2n) - |sigma(lead)| - |k| must be positive
-        gap0 = sign * (c0 * g + c1 * h) - offset
-        gap1 = sign * (c0 * h + c1 * (g + h)) - conj_sign * s1
-        if residue_sign(gap0, gap1) > 0:
+    for n in range(min(n_max, 32) + 1):
+        if holds(g, h):
             return n
         g, h = g + h, g + 2 * h  # times alpha^2 = 1 + alpha
+    low = 32  # fails; high, once found, holds
+    while low < n_max:
+        high = min(2 * low, n_max)
+        if holds(*t_power(2, 2 * high)):
+            while high - low > 1:
+                mid = (low + high) // 2
+                if holds(*t_power(2, 2 * mid)):
+                    high = mid
+                else:
+                    low = mid
+            return high
+        low = high
     return None
 
 
@@ -376,7 +396,9 @@ def invertibility_threshold(params, pq=None, n_max=50):
     )
 
 
-_VERIFY_WINDOW = 256  # indices per closed-form read of the re-verification
+# indices per closed-form read of the re-verification, and per range read of
+# the audit entries that read windows
+_VERIFY_WINDOW = 256
 
 
 def verify_threshold_report(report):

@@ -9,7 +9,9 @@ the recurrence (backward for negative n); a larger one comes from one power
 of t modulo the characteristic polynomial t^k - t^(k-1) - 1 (O(log n)
 multiplications in the residue ring of ``surd``, the companion-matrix power
 held as k numbers), and a range past the tables from one such power at its
-start, then the recurrence forward.  Every route gives the same values.
+start, then the recurrence forward; a range that starts where the engine's
+last such range ended, as consecutive windows do, continues from that
+range's last values instead.  Every route gives the same values.
 Every cache is bounded, in memory as well as in count: tables stop at their
 engine's cap, and at most GENFIB_CACHE_CAP gen_fib seed engines are kept, the
 least recently used dropped first.  ``fib``, ``narayana`` and the builders
@@ -49,9 +51,10 @@ class _Recurrence:
     (forward, and backward by x_n = x_{n+k} - x_{n+k-1}); a range of them is
     sliced from those lists.  Beyond the cap, x_n comes from t^n modulo the
     characteristic polynomial, by binary exponentiation (k(k+1)/2 big
-    multiplications per squaring), and nothing is kept; a range that leaves
-    the tables takes one such power at its start and runs the recurrence
-    forward from there.
+    multiplications per squaring); a range that leaves the tables takes one
+    such power at its start and runs the recurrence forward from there.  Of
+    such a range only the values around its end are kept, at most 2k, and the
+    next range that starts within them runs on from them without a power.
     """
 
     def __init__(self, *seeds, cap=TABLE_CAP):
@@ -60,6 +63,7 @@ class _Recurrence:
         self._fwd = list(seeds)  # x_0, x_1, ...
         # x_0, x_-1, x_-2, ...: x_-1 .. x_-(k-1) come from the seeds alone
         self._bwd = [seeds[0]] + [seeds[k - i] - seeds[k - i - 1] for i in range(1, k)]
+        self._resume = (0, ())  # (i, (x_i, x_{i+1}, ...)): the end of the last range past the cap
         self._lock = threading.Lock()
 
     def _forward(self, size):
@@ -96,10 +100,17 @@ class _Recurrence:
         cap = self._cap
         if start < -cap or stop > cap + 1:
             k = self._k
-            run = list(self._power(start))
-            for _ in range(stop - start - k):
+            length = max(0, stop - start)
+            base, tail = self._resume
+            if base <= start <= base + len(tail) - k:
+                run = list(tail[start - base:])
+            else:
+                run = list(self._power(start))
+            for _ in range(length + k - len(run)):  # through x_{stop+k-1}
                 run.append(run[-1] + run[-k])
-            return run[:max(0, stop - start)]
+            keep = max(0, length - k)
+            self._resume = (start + keep, tuple(run[keep:length + k]))
+            return run[:length]
         if start >= 0:
             return self._forward(stop)[start:stop]
         # bwd[j] = x_-j, so x_start .. x_min(stop, 0)-1 is a slice stepping down

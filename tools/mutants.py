@@ -11,8 +11,9 @@ order: an arithmetic operator swapped (``+`` and ``-``, ``*`` to ``+``,
 ``!=``, ``is`` and ``is not``, ...), ``and`` and ``or`` swapped, a unary
 minus made plus, ``not`` doubled, and an integer literal n made n + 1.
 ``--sites`` of them are drawn with ``random.Random("<module>:<seed>")``;
-``--every`` names top-level functions whose sites are all mutated, in
-addition to that many drawn from the rest of the module.
+``--every`` names top-level functions, or methods as ``Class.method``, whose
+sites are all mutated, in addition to that many drawn from the rest of the
+module.
 For each, ``src/`` and ``tests/`` are copied to a temporary tree named
 ``fibquat-mutants-*``, the module is rewritten with that one mutation (by
 ``ast.unparse``), and the named tests run from the copy under ``pytest -x``
@@ -112,6 +113,17 @@ def run_tests(tree, tests, timeout):
             process.wait()
 
 
+def _functions(tree):
+    """(name, node) of each top-level function, and of each method as ``Class.method``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
 def sample(module, count, seed, tests, every=()):
     """Mutate every site of the functions named in ``every`` and ``count``
     seeded sites of the rest of ``fibquat.<module>``; returns the record."""
@@ -119,8 +131,7 @@ def sample(module, count, seed, tests, every=()):
     source = path.read_text()
     lines = source.splitlines()
     tree = ast.parse(source)
-    spans = [(node.lineno, node.end_lineno) for node in tree.body
-             if isinstance(node, ast.FunctionDef) and node.name in every]
+    spans = [(node.lineno, node.end_lineno) for name, node in _functions(tree) if name in every]
     if len(spans) != len(set(every)):
         raise SystemExit(f"not every function of {sorted(every)} is in {module}")
     found = sites(tree)
@@ -172,7 +183,8 @@ def main(argv=None):
     parser.add_argument("--sites", type=int, default=30, help="mutants to sample (default 30)")
     parser.add_argument("--seed", type=int, default=0, help="site-sample seed (default 0)")
     parser.add_argument("--every", nargs="+", default=[], metavar="FUNCTION",
-                        help="top-level functions whose every site is mutated as well")
+                        help="top-level functions or Class.method names whose every site "
+                        "is mutated as well")
     parser.add_argument("--out", type=Path, help="JSON file that keeps one record per module")
     parser.add_argument("tests", nargs="+", help="test files or node ids to run")
     args = parser.parse_args(argv)
