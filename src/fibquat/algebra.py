@@ -309,11 +309,10 @@ def _new(x1, x2, x3, x4, den, params):
 def _reduced(x1, x2, x3, x4, den, params):
     # internal: den > 0; divides out the one common factor, which over
     # den = 1 (every integer quaternion) is 1 without a gcd
-    if den == 1:
-        return _tuple_new(Quaternion, (x1, x2, x3, x4, den, params))
-    g = gcd(x1, x2, x3, x4, den)
-    if g != 1:
-        x1, x2, x3, x4, den = x1 // g, x2 // g, x3 // g, x4 // g, den // g
+    if den != 1:
+        g = gcd(x1, x2, x3, x4, den)
+        if g != 1:
+            x1, x2, x3, x4, den = x1 // g, x2 // g, x3 // g, x4 // g, den // g
     return _tuple_new(Quaternion, (x1, x2, x3, x4, den, params))
 
 
