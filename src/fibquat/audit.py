@@ -14,15 +14,21 @@ have a corrected variant) are derived from it.  Failing as-stated entries
 are not artifact bugs; the adjudication helper separates "transcription
 issue" (corrected sibling passes) from "artifact error" (no passing sibling).  All randomness is drawn from a per-audit
 seeded generator, so reports are deterministic and embed their seed.
+
+Each entry declares the names of its inputs once, at registration, and
+yields every instance as the flat tuple (lhs, rhs, *values); ``audit``
+compares lhs with rhs by the entry's mode and builds the named inputs only
+for the first failure, the one counterexample it keeps.
 """
 
 import random
 import time
 from functools import partial
+from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from ._kernel import Rational
-from .algebra import AlgebraParams, Quaternion, basis, combine
+from .algebra import AlgebraParams, Quaternion, _linear, basis, combine
 from .analytic import (
     FIB_INDEX_GUARD,
     NARAYANA_INDEX_GUARD,
@@ -108,12 +114,17 @@ class AuditReport(_AuditReportFields):
 
 
 class IdentityCheck(NamedTuple):
+    """A registered entry.  ``run(rng, n_max)`` yields each instance as the
+    flat tuple (lhs, rhs, *values), ``values`` the inputs named by
+    ``input_names`` in order; an instance may carry fewer values than names."""
+
     id: str
     paper_ref: str
     tolerance: Optional[float]  # set for numeric entries, None for exact ones
     corrects: Optional[str]  # as-stated sibling of a corrected variant
     domain: str
     run: Callable[[random.Random, Optional[int]], Iterable[tuple]]
+    input_names: tuple[str, ...] = ()
 
     @property
     def provenance(self):
@@ -138,9 +149,11 @@ _REGISTRY: dict[str, IdentityCheck] = {}
 _CORRECTED_BY: dict[str, str] = {}  # as-stated id -> its corrected variant's id
 
 
-def _identity(identity_id, *, paper_ref, domain, tolerance=None, corrects=None):
-    """Register an entry; ``corrects`` names the as-stated entry it repairs,
-    which must already be registered, as-stated, and not yet repaired."""
+def _identity(identity_id, *, paper_ref, domain, input_names=(), tolerance=None, corrects=None):
+    """Register an entry; ``input_names`` names the values after lhs and rhs
+    in each instance it yields, and ``corrects`` names the as-stated entry it
+    repairs, which must already be registered, as-stated, and not yet
+    repaired."""
     def register(fn):
         if identity_id in _REGISTRY:
             raise ValueError(f"duplicate identity id {identity_id}")
@@ -159,6 +172,7 @@ def _identity(identity_id, *, paper_ref, domain, tolerance=None, corrects=None):
             corrects=corrects,
             domain=domain,
             run=fn,
+            input_names=input_names,
         )
         return fn
 
@@ -191,19 +205,11 @@ def _rand_quat(rng, params):
     )
 
 
-# instances yield raw inputs, lhs and rhs; audit() renders only the
-# counterexample it keeps
-
-def _exact(inputs, lhs, rhs):
-    return (inputs, lhs == rhs, lhs, rhs)
-
-
-def _near(approx, exact_value):
-    return abs(approx - exact_value) / max(1, abs(exact_value)) <= NUMERIC_TOLERANCE
-
-
-def _close(inputs, approx, exact_value):
-    return (inputs, _near(approx, exact_value), approx, exact_value)
+def _near(approx, exact_value, tolerance):
+    """Relative error within tolerance; two tuples compare componentwise."""
+    if isinstance(approx, tuple) and isinstance(exact_value, tuple):
+        return all(_near(a, e, tolerance) for a, e in zip(approx, exact_value))
+    return abs(approx - exact_value) / max(1, abs(exact_value)) <= tolerance
 
 
 def _render_inputs(inputs):
@@ -220,14 +226,9 @@ def _render_inputs(inputs):
 
 def _iterated_prefix_sum(n, m):
     # independent route to the figurate sum: m-fold prefix sums of 1..n
-    seq = list(range(1, n + 1))
+    seq = range(1, n + 1)
     for _ in range(m):
-        total = 0
-        out = []
-        for v in seq:
-            total += v
-            out.append(total)
-        seq = out
+        seq = list(accumulate(seq))
     return seq[-1]
 
 
@@ -238,6 +239,7 @@ def _iterated_prefix_sum(n, m):
     "EQ_1_1",
     paper_ref="h^{p,q}_(n+1) = p*f_n + q*f_(n+1)",
     domain="n in [0, 200] x 50 seeded integer pairs (p, q)",
+    input_names=("p", "q", "n"),
 )
 def _eq_1_1(rng, n_max):
     hi = _span(n_max, 200)
@@ -248,32 +250,34 @@ def _eq_1_1(rng, n_max):
         for start in range(0, hi + 1, _VERIFY_WINDOW):
             stop = min(start + _VERIFY_WINDOW, hi + 1)
             f = fib_values(start, stop + 1)
-            h = gen_fib_values(pq, start + 1, stop + 1)  # h[i] = h_{start+i+1}
-            for i in range(stop - start):
-                yield _exact({"p": p, "q": q, "n": start + i}, h[i], p * f[i] + q * f[i + 1])
+            h = gen_fib_values(pq, start + 1, stop + 1)  # h_{n+1} for n in [start, stop)
+            for n, h_next, f_n, f_next in zip(range(start, stop), h, f, f[1:]):
+                yield (h_next, p * f_n + q * f_next, p, q, n)
 
 
 @_identity(
     "EQ_1_2",
     paper_ref="n(F_n) = 3*f_(2n+3) in H(1,1)",
     domain="n in [0, 100]",
+    input_names=("n",),
 )
 def _eq_1_2(rng, n_max):
     for n in range(0, _span(n_max, 100) + 1):
-        yield _exact({"n": n}, fib_quat(_H11, n).norm(), 3 * fib(2 * n + 3))
+        yield (fib_quat(_H11, n).norm(), 3 * fib(2 * n + 3), n)
 
 
 @_identity(
     "EQ_2_3",
     paper_ref="sum_{m=1..n} (-1)^(m+1) f_m = (-1)^(n+1) f_(n-1) + 1",
     domain="n in [1, 200]",
+    input_names=("n",),
 )
 def _eq_2_3(rng, n_max):
     total = 0
     sign = 1
     for n in range(1, _span(n_max, 200) + 1):
         total += sign * fib(n)
-        yield _exact({"n": n}, total, sign * fib(n - 1) + 1)
+        yield (total, sign * fib(n - 1) + 1, n)
         sign = -sign
 
 
@@ -281,22 +285,22 @@ def _eq_2_3(rng, n_max):
     "EQ_2_5",
     paper_ref="f_n^2 + f_(n-1)^2 = f_(2n-1)",
     domain="n in [1, 200]",
+    input_names=("n",),
 )
 def _eq_2_5(rng, n_max):
     for n in range(1, _span(n_max, 200) + 1):
-        yield _exact({"n": n}, fib(n) ** 2 + fib(n - 1) ** 2, fib(2 * n - 1))
+        yield (fib(n) ** 2 + fib(n - 1) ** 2, fib(2 * n - 1), n)
 
 
 @_identity(
     "EQ_2_6",
     paper_ref="f_(2n) = f_n^2 + 2*f_n*f_(n-1)",
     domain="n in [1, 200]",
+    input_names=("n",),
 )
 def _eq_2_6(rng, n_max):
     for n in range(1, _span(n_max, 200) + 1):
-        yield _exact(
-            {"n": n}, fib(2 * n), fib(n) ** 2 + 2 * fib(n) * fib(n - 1)
-        )
+        yield (fib(2 * n), fib(n) ** 2 + 2 * fib(n) * fib(n - 1), n)
 
 
 def _narayana_prefix_sum(step, offset, rhs_offset, constant, rng, n_max):
@@ -304,28 +308,32 @@ def _narayana_prefix_sum(step, offset, rhs_offset, constant, rng, n_max):
     total = 0
     for n in range(1, _span(n_max, 100) + 1):
         total += narayana(step * n + offset)
-        yield _exact({"n": n}, total, narayana(step * n + rhs_offset) - constant)
+        yield (total, narayana(step * n + rhs_offset) - constant, n)
 
 
 _identity(
     "INTRO_PROP_1",
     paper_ref="u_1 + u_2 + ... + u_n = u_(n+3) - 1",
     domain="n in [1, 100]",
+    input_names=("n",),
 )(partial(_narayana_prefix_sum, 1, 0, 3, 1))
 _identity(
     "INTRO_PROP_2",
     paper_ref="u_1 + u_4 + ... + u_(3n-2) = u_(3n-1)",
     domain="n in [1, 100]",
+    input_names=("n",),
 )(partial(_narayana_prefix_sum, 3, -2, -1, 0))
 _identity(
     "INTRO_PROP_3",
     paper_ref="u_2 + u_5 + ... + u_(3n-1) = u_(3n)",
     domain="n in [1, 100]",
+    input_names=("n",),
 )(partial(_narayana_prefix_sum, 3, -1, 0, 0))
 _identity(
     "INTRO_PROP_4",
     paper_ref="u_3 + u_6 + ... + u_(3n) = u_(3n+1) - 1",
     domain="n in [1, 100]",
+    input_names=("n",),
 )(partial(_narayana_prefix_sum, 3, 0, 1, 1))
 
 
@@ -333,31 +341,31 @@ _identity(
     "INTRO_PROP_5",
     paper_ref="u_(n+m) = u_(n-1)*u_(m+2) + u_(n-2)*u_m + u_(n-3)*u_(m+1)",
     domain="n, m in [1, 100]",
+    input_names=("n", "m"),
 )
 def _intro_prop_5(rng, n_max):
     hi = _span(n_max, 100)
     u = narayana_values(-2, 2 * hi + 3)  # u[j + 2] = u_j, one range read
-    for n in range(1, hi + 1):
+    ms = range(1, hi + 1)
+    for n in ms:
         u1, u2, u3 = u[n + 1], u[n], u[n - 1]  # u_(n-1), u_(n-2), u_(n-3)
-        for m in range(1, hi + 1):
-            yield _exact(
-                {"n": n, "m": m},
-                u[n + m + 2],
-                u1 * u[m + 4] + u2 * u[m + 2] + u3 * u[m + 3],
-            )
+        # u_(n+m), u_(m+2), u_m, u_(m+1) for m = 1, 2, ...
+        for m, lhs, a, b, c in zip(ms, u[n + 3:], u[5:], u[3:], u[4:]):
+            yield (lhs, u1 * a + u2 * b + u3 * c, n, m)
 
 
 @_identity(
     "INTRO_PROP_6",
     paper_ref="u_(2n) = u_(n+1)^2 + u_(n-1)^2 - u_(n-2)^2",
     domain="n in [1, 100]",
+    input_names=("n",),
 )
 def _intro_prop_6(rng, n_max):
     for n in range(1, _span(n_max, 100) + 1):
-        yield _exact(
-            {"n": n},
+        yield (
             narayana(2 * n),
             narayana(n + 1) ** 2 + narayana(n - 1) ** 2 - narayana(n - 2) ** 2,
+            n,
         )
 
 
@@ -365,54 +373,55 @@ def _intro_prop_6(rng, n_max):
     "INTRO_PROP_7",
     paper_ref="u_n is even for n in {7k, 7k+4, 7k+6}",
     domain="k in [0, 30], all three residue classes",
+    input_names=("k", "n"),
 )
 def _intro_prop_7(rng, n_max):
     for k in range(0, _span(n_max, 30) + 1):
         for n in (7 * k, 7 * k + 4, 7 * k + 6):
-            yield _exact({"k": k, "n": n}, narayana(n) % 2, 0)
+            yield (narayana(n) % 2, 0, k, n)
 
 
 @_identity(
     "INTRO_PROP_8",
     paper_ref="3 divides u_n for n in {8k, 8k-1, 8k-3}",
     domain="k in [0, 30], all three residue classes",
+    input_names=("k", "n"),
 )
 def _intro_prop_8(rng, n_max):
     for k in range(0, _span(n_max, 30) + 1):
         for n in (8 * k, 8 * k - 1, 8 * k - 3):
-            yield _exact({"k": k, "n": n}, narayana(n) % 3, 0)
+            yield (narayana(n) % 3, 0, k, n)
 
 
 @_identity(
     "SH06",
     paper_ref="u_n = sum_{m=0..[n/3]} C([n/3], m) u_(n - [n/3] - 2m)",
     domain="n in [2, 150]",
+    input_names=("n",),
 )
 def _sh06(rng, n_max):
     for n in range(2, _span(n_max, 150) + 1):
         t = n // 3
         total = sum(binom(t, m) * narayana(n - t - 2 * m) for m in range(t + 1))
-        yield _exact({"n": n}, narayana(n), total)
+        yield (narayana(n), total, n)
 
 
 @_identity(
     "NEG_INDEX_U",
     paper_ref="u_n = u_(n+3) - u_(n+2) extends the sequence (and U_n) to negative n",
     domain="scalars for n in [-60, 57]; quaternions for n in [-30, 10]",
+    input_names=("level", "n"),
 )
 def _neg_index_u(rng, n_max):
     hi = _span(n_max, 57)
     for n in range(-60, hi + 1):
-        yield _exact(
-            {"level": "scalar", "n": n},
-            narayana(n),
-            narayana(n + 3) - narayana(n + 2),
-        )
+        yield (narayana(n), narayana(n + 3) - narayana(n + 2), "scalar", n)
     for n in range(-30, 11):
-        yield _exact(
-            {"level": "quaternion", "n": n},
+        yield (
             narayana_quat(_H11, n),
             narayana_quat(_H11, n + 3) - narayana_quat(_H11, n + 2),
+            "quaternion",
+            n,
         )
 
 
@@ -420,14 +429,13 @@ def _neg_index_u(rng, n_max):
     "FIGURATE_STAR",
     paper_ref="S_n^(m) = n(n+1)...(n+m)/(m+1)! equals the m-fold prefix sum of 1..n",
     domain="n in [1, 40], m in [0, 8]",
+    input_names=("n", "m"),
 )
 def _figurate_star(rng, n_max):
     hi = _span(n_max, 40)
     for n in range(1, hi + 1):
         for m in range(0, 9):
-            yield _exact(
-                {"n": n, "m": m}, figurate(n, m), _iterated_prefix_sum(n, m)
-            )
+            yield (figurate(n, m), _iterated_prefix_sum(n, m), n, m)
 
 
 @_identity(
@@ -435,6 +443,7 @@ def _figurate_star(rng, n_max):
     paper_ref="herd growth x_n = x_(n-1) + x_(n-3) from 2, 3, 4; "
     "equals 1 + Y + sum_j S^(j)_(Y-3j); year 20 gives 2745",
     domain="years in [1, 60]",
+    input_names=("years",),
 )
 def _herd(rng, n_max):
     xs = [2, 3, 4]
@@ -442,7 +451,7 @@ def _herd(rng, n_max):
         while len(xs) < year:
             xs.append(xs[-1] + xs[-3])
         expected = xs[year - 1] if year != 20 else 2745
-        yield _exact({"years": year}, herd_total(year), expected)
+        yield (herd_total(year), expected, year)
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +462,7 @@ def _herd(rng, n_max):
     paper_ref="e2e2=-b1, e3e3=-b2, e4e4=-b1b2, e2e3=e4=-e3e2, "
     "e2e4=-b1e3=-e4e2, e3e4=b2e2=-e4e3",
     domain="all 16 ordered basis products in H(1,1) and 4 seeded algebras",
+    input_names=("params", "left", "right"),
 )
 def _mul_table(rng, n_max):
     algebras = [_H11] + [_rand_params(rng) for _ in range(4)]
@@ -470,34 +480,28 @@ def _mul_table(rng, n_max):
         units = (one, e2, e3, e4)
         for i in range(4):
             for j in range(4):
-                yield _exact(
-                    {"params": params, "left": names[i], "right": names[j]},
-                    units[i] * units[j],
-                    expected[i][j],
-                )
+                yield (units[i] * units[j], expected[i][j], params, names[i], names[j])
 
 
 @_identity(
     "NORM_EXPR",
     paper_ref="a*conj(a) = (a1^2 + b1 a2^2 + b2 a3^2 + b1 b2 a4^2) * 1",
     domain="200 seeded random rational quaternions",
+    input_names=("params", "a"),
 )
 def _norm_expr(rng, n_max):
     count = _span(n_max, 200)
     for _ in range(count):
         params = _rand_params(rng)
         a = _rand_quat(rng, params)
-        yield _exact(
-            {"params": params, "a": a},
-            a * a.conj(),
-            Quaternion.scalar(a.norm(), params),
-        )
+        yield (a * a.conj(), Quaternion.scalar(a.norm(), params), params, a)
 
 
 @_identity(
     "THM_2_1",
     paper_ref="a*H^{p,q}_n + b*H^{p',q'}_n = H^{ap+bp', aq+bq'}_n",
     domain="1000 seeded random tuples (a, b, p, q, p', q', n), n in [-20, 80]",
+    input_names=("params", "a", "b", "p", "q", "p_prime", "q_prime", "n"),
 )
 def _thm_2_1(rng, n_max):
     count = _span(n_max, 1000)
@@ -514,18 +518,14 @@ def _thm_2_1(rng, n_max):
             b,
         )
         rhs = gen_fib_quat(params, GenFibParams(a * p + b * p2, a * q + b * q2), n)
-        yield _exact(
-            {"params": params, "a": a, "b": b, "p": p, "q": q,
-             "p_prime": p2, "q_prime": q2, "n": n},
-            lhs,
-            rhs,
-        )
+        yield (lhs, rhs, params, a, b, p, q, p2, q2, n)
 
 
 @_identity(
     "THM_2_2_I",
     paper_ref="sum_{m=1..n} (-1)^(m+1) F_m = (-1)^(n+1) F_(n-1) + 1 + e3 + e4",
     domain="n in [1, 100] in H(1,1) and one seeded algebra",
+    input_names=("params", "n"),
 )
 def _thm_2_2_i(rng, n_max):
     hi = _span(n_max, 100)
@@ -536,9 +536,8 @@ def _thm_2_2_i(rng, n_max):
         previous = fib_quat(params, 0)
         for n in range(1, hi + 1):
             current = fib_quat(params, n)
-            total = total + current.scale(sign)
-            rhs = previous.scale(sign) + constant
-            yield _exact({"params": params, "n": n}, total, rhs)
+            total = _linear(total, 1, 1, current, sign, 1)
+            yield (total, _linear(previous, sign, 1, constant, 1, 1), params, n)
             previous = current
             sign = -sign
 
@@ -548,6 +547,7 @@ def _thm_2_2_i(rng, n_max):
     paper_ref="sum_{m=1..n} (-1)^(m+1) H^{p,q}_m = "
     "(-1)^(n+1) H^{p,q}_(n-1) - p + q + p*e2 + q*e3 + (p+q)*e4",
     domain="n in [1, 100] x 10 seeded (p, q) in H(1,1) and one seeded algebra",
+    input_names=("params", "p", "q", "n"),
 )
 def _thm_2_2_ii(rng, n_max):
     hi = _span(n_max, 100)
@@ -562,11 +562,11 @@ def _thm_2_2_ii(rng, n_max):
             previous = gen_fib_quat(params, pq, 0)
             for n in range(1, hi + 1):
                 current = gen_fib_quat(params, pq, n)
-                total = total + current.scale(sign)
-                rhs = previous.scale(sign) + constant
-                yield _exact({"params": params, "p": p, "q": q, "n": n}, total, rhs)
+                total = _linear(total, 1, 1, current, sign, 1)
+                yield (total, _linear(previous, sign, 1, constant, 1, 1), params, p, q, n)
                 previous = current
                 sign = -sign
+
 
 
 # ---------------------------------------------------------------------------
@@ -589,17 +589,14 @@ def _formula_norms(params, pq, start, stop):
     paper_ref="n(F_n) = h^{1+2b2,3b2}_(2n+2) + (b1-1) h^{1+2b2,b2}_(2n+3) "
     "- 2(b1-1)(1+b2) f_n f_(n+1)",
     domain="n in [0, 60] x 25 seeded rational (beta1, beta2)",
+    input_names=("params", "n"),
 )
 def _thm_2_4(rng, n_max):
     hi = _span(n_max, 60)
     for _ in range(25):
         params = _rand_params(rng)
         for n, formula in _formula_norms(params, None, 0, hi + 1):
-            yield _exact(
-                {"params": params, "n": n},
-                formula,
-                fib_quat(params, n).norm(),
-            )
+            yield (formula, fib_quat(params, n).norm(), params, n)
 
 
 @_identity(
@@ -607,18 +604,16 @@ def _thm_2_4(rng, n_max):
     paper_ref="n(H^{p,q}_n) = p^2 h^{1+2b2,3b2}_(2n) + ... "
     "+ 2pq b2 (1-b1) f_(n+1) f_(n+2)",
     domain="n in [1, 60] x 25 seeded (beta1, beta2, p, q)",
+    input_names=("params", "p", "q", "n"),
 )
 def _thm_2_5(rng, n_max):
     hi = _span(n_max, 60)
     for _ in range(25):
         params = _rand_params(rng)
         pq = _rand_pq(rng)
+        p, q = pq
         for n, formula in _formula_norms(params, pq, 1, hi + 1):
-            yield _exact(
-                {"params": params, "p": pq.p, "q": pq.q, "n": n},
-                formula,
-                gen_fib_quat(params, pq, n).norm(),
-            )
+            yield (formula, gen_fib_quat(params, pq, n).norm(), params, p, q, n)
 
 
 def _swamy_norm(formula, shift, rng, n_max):
@@ -626,12 +621,9 @@ def _swamy_norm(formula, shift, rng, n_max):
     (p, q) = (0, 1) then 10 seeded pairs and n in [0, 30]."""
     hi = _span(n_max, 30)
     for pq in [GenFibParams(0, 1)] + [_rand_pq(rng) for _ in range(10)]:
+        p, q = pq
         for n in range(0, hi + 1):
-            yield _exact(
-                {"p": pq.p, "q": pq.q, "n": n},
-                formula(pq, n + shift),
-                gen_fib_quat(_H11, pq, n + shift).norm(),
-            )
+            yield (formula(pq, n + shift), gen_fib_quat(_H11, pq, n + shift).norm(), p, q, n)
 
 
 def _swamy_proof_form(pq, m):
@@ -647,22 +639,26 @@ _identity(
     "SWAMY_AS_STATED",
     paper_ref="n(H^{p,q}_n) = 3(2pq - p^2) f_(2n+2) + (p^2 + q^2) f_(2n+3) in H(1,1)",
     domain=_SWAMY_DOMAIN,
+    input_names=("p", "q", "n"),
 )(partial(_swamy_norm, lambda pq, m: swamy_norm_as_stated(pq, m), 0))
 _identity(
     "SWAMY_CORRECTED",
     paper_ref="n(H^{p,q}_n) = 3[(2pq - p^2) f_(2n+2) + (p^2 + q^2) f_(2n+3)] in H(1,1)",
     domain=_SWAMY_DOMAIN,
+    input_names=("p", "q", "n"),
     corrects="SWAMY_AS_STATED",
 )(partial(_swamy_norm, lambda pq, m: swamy_norm_corrected(pq, m), 0))
 _identity(
     "SWAMY_PROOF_VARIANT",
     paper_ref="n(H^{p,q}_(n+1)) = 3[(p^2 + 2pq) f_(2n+2) + (p^2 + q^2) f_(2n+1)] in H(1,1)",
     domain=_SWAMY_DOMAIN,
+    input_names=("p", "q", "n"),
 )(partial(_swamy_norm, _swamy_proof_form, 1))
 _identity(
     "SWAMY_PROOF_VARIANT_CORRECTED",
     paper_ref="n(H^{p,q}_(n+1)) = 3[(2pq - p^2) f_(2n+4) + (p^2 + q^2) f_(2n+5)] in H(1,1)",
     domain=_SWAMY_DOMAIN,
+    input_names=("p", "q", "n"),
     corrects="SWAMY_PROOF_VARIANT",
 )(partial(_swamy_norm, lambda pq, m: swamy_norm_corrected(pq, m), 1))
 
@@ -680,6 +676,7 @@ def _trace_zero_instances(n_max):
     paper_ref="H_(n+1)^2 = 3 q^2/f_n^2 [f_(2n+1)^2 - f_(n+1) f_(n-2) f_(2n+2)] "
     "when p f_n + q f_(n+1) = 0",
     domain="n in [1, 12], k in {1, 2, 3} with p = -k f_(n+1), q = k f_n, in H(1,1)",
+    input_names=("n", "k", "p", "q"),
 )
 def _prop_2_3_as_stated(rng, n_max):
     for n, k, pq in _trace_zero_instances(n_max):
@@ -688,11 +685,7 @@ def _prop_2_3_as_stated(rng, n_max):
         scalar = Rational(3 * q * q, fib(n) ** 2) * (
             fib(2 * n + 1) ** 2 - fib(n + 1) * fib(n - 2) * fib(2 * n + 2)
         )
-        yield _exact(
-            {"n": n, "k": k, "p": p, "q": q},
-            lhs,
-            Quaternion.scalar(scalar, _H11),
-        )
+        yield (lhs, Quaternion.scalar(scalar, _H11), n, k, p, q)
 
 
 @_identity(
@@ -700,16 +693,13 @@ def _prop_2_3_as_stated(rng, n_max):
     paper_ref="H_(n+1)^2 = -n(H_(n+1)) * 1 when p f_n + q f_(n+1) = 0 "
     "(trace-zero characteristic identity)",
     domain="n in [1, 12], k in {1, 2, 3} with p = -k f_(n+1), q = k f_n, in H(1,1)",
+    input_names=("n", "k", "p", "q"),
     corrects="PROP_2_3_AS_STATED",
 )
 def _prop_2_3_corrected(rng, n_max):
     for n, k, pq in _trace_zero_instances(n_max):
         element = gen_fib_quat(_H11, pq, n + 1)
-        yield _exact(
-            {"n": n, "k": k, "p": pq.p, "q": pq.q},
-            element.square(),
-            Quaternion.scalar(-element.norm(), _H11),
-        )
+        yield (element.square(), Quaternion.scalar(-element.norm(), _H11), n, k, pq.p, pq.q)
 
 
 # ---------------------------------------------------------------------------
@@ -724,11 +714,7 @@ def _eprime_reduction(factor, rng, n_max):
             pq = GenFibParams(1, 1)
         literal = growth_indicator_Eprime(params, pq)
         weight = (pq.p + pq.q * ALPHA) ** 2
-        yield _exact(
-            {"params": params, "p": pq.p, "q": pq.q},
-            literal,
-            factor * (weight * growth_indicator_E(params)),
-        )
+        yield (literal, factor * (weight * growth_indicator_E(params)), params, pq.p, pq.q)
 
 
 _EPRIME_DOMAIN = "25 seeded (beta1, beta2, p, q) with (p, q) != (0, 0)"
@@ -737,12 +723,14 @@ _identity(
     paper_ref="(1/5)(p + alpha q)^2 [1 + b1 a^2 + b2 a^4 + b1b2 a^6] "
     "= (1/5)(p + alpha q)^2 E(b1, b2)",
     domain=_EPRIME_DOMAIN,
+    input_names=("params", "p", "q"),
 )(partial(_eprime_reduction, Rational(1, 5)))
 _identity(
     "EPRIME_REDUCTION_CORRECTED",
     paper_ref="(1/5)(p + alpha q)^2 [1 + b1 a^2 + b2 a^4 + b1b2 a^6] "
     "= (p + alpha q)^2 E(b1, b2)",
     domain=_EPRIME_DOMAIN,
+    input_names=("params", "p", "q"),
     corrects="EPRIME_REDUCTION_AS_STATED",
 )(partial(_eprime_reduction, Rational(1)))
 
@@ -752,6 +740,8 @@ _identity(
     paper_ref="E' != 0 gives an n' with F_n and H^{p,q}_n invertible for all n >= n'",
     domain="5 fixed + 8 seeded algebras for F_n; 5 seeded (algebra, p, q) for H_n; "
     "scans n in [0, 50] with independent re-verification",
+    # F_n instances carry only params and n_max
+    input_names=("params", "n_max", "p", "q"),
 )
 def _thm_2_6(rng, n_max):
     hi = _span(n_max, 50)
@@ -773,22 +763,20 @@ def _thm_2_6(rng, n_max):
 
 
 def _threshold_instance(params, pq, n_max):
-    inputs = {"params": params, "n_max": n_max}
-    if pq is not None:
-        inputs["p"] = pq.p
-        inputs["q"] = pq.q
+    inputs = (params, n_max) if pq is None else (params, n_max, pq.p, pq.q)
     try:
         report = invertibility_threshold(params, pq, n_max)
         verify_threshold_report(report)
     except (ScanExhaustedError, IndicatorDegenerateError, ConsistencyError) as exc:
-        # outcomes the mathematics can produce are counterexamples; any other
-        # exception is a library error and propagates
-        return (inputs, False, f"error: {exc}", "verified threshold report")
+        # outcomes the mathematics can produce are counterexamples (the error
+        # text never equals the rhs); any other exception is a library error
+        # and propagates
+        return (f"error: {exc}", "verified threshold report", *inputs)
     summary = (
         f"n0={report.empirical_n0} sign={report.sign_of_E:+d} "
         f"zeros={list(report.zero_norm_indices)}"
     )
-    return (inputs, True, summary, summary)
+    return (summary, summary, *inputs)
 
 
 @_identity(
@@ -796,6 +784,7 @@ def _threshold_instance(params, pq, n_max):
     paper_ref="the tail F_n, n >= n0, is an infinite set of invertible elements "
     "even when H(b1, b2) has zero divisors",
     domain="four split/degenerate algebras; n in [n0, n0 + 25]",
+    input_names=("params", "n"),
 )
 def _remark_2_7(rng, n_max):
     split = [
@@ -813,9 +802,8 @@ def _remark_2_7(rng, n_max):
             try:
                 product = element * element.inverse()
             except NotInvertibleError as exc:
-                yield ({"params": params, "n": n}, False, f"error: {exc}", one)
-                continue
-            yield _exact({"params": params, "n": n}, product, one)
+                product = f"error: {exc}"  # a string never equals one
+            yield (product, one, params, n)
 
 
 # ---------------------------------------------------------------------------
@@ -830,10 +818,8 @@ def _narayana_quat_sum(step, rhs_offset, constant, rng, n_max):
         total = Quaternion.zero(params)
         for n in range(0, hi + 1):
             total = total + narayana_quat(params, step * n)
-            yield _exact(
-                {"params": params, "n": n},
-                total,
-                narayana_quat(params, step * n + rhs_offset) - subtrahend,
+            yield (
+                total, narayana_quat(params, step * n + rhs_offset) - subtrahend, params, n
             )
 
 
@@ -842,11 +828,13 @@ _identity(
     "THM_3_1_A",
     paper_ref="(a): sum_{m=0..n} U_m = U_(n+3) - U_2",
     domain="n in [0, 100] in H(1,1) and one seeded algebra",
+    input_names=("params", "n"),
 )(partial(_narayana_quat_sum, 1, 3, (1, 1, 2, 3)))
 _identity(
     "THM_3_1_B",
     paper_ref="(b): sum_{m=0..n} U_(3m) = U_(3n+1) - 1 - e4",
     domain="n in [0, 100] in H(1,1) and one seeded algebra",
+    input_names=("params", "n"),
 )(partial(_narayana_quat_sum, 3, 1, (1, 0, 0, 1)))
 
 
@@ -854,16 +842,17 @@ _identity(
     "THM_3_2_GF",
     paper_ref="(sum_n U_n t^n)(1 - t - t^3) = U_0 + (U_1 - U_0) t + (U_2 - U_1) t^2",
     domain="truncated exact convolution through degree 300",
+    input_names=("max_degree",),
 )
 def _thm_3_2_gf(rng, n_max):
     degree = max(3, _span(n_max, 300))
-    inputs = {"max_degree": degree}
     try:
         check = gf_check(degree)
     except SeriesMismatchError as exc:
-        yield (inputs, False, f"residual {exc.coefficient} at degree {exc.degree}", "0")
+        # the residual text never equals the rhs
+        yield (f"residual {exc.coefficient} at degree {exc.degree}", "0", degree)
         return
-    yield _exact(inputs, check.max_abs_residual_coefficient, (0, 0, 0, 0))
+    yield (check.max_abs_residual_coefficient, (0, 0, 0, 0), degree)
 
 
 def _binomial_narayana_sum(a, b, rng, n_max):
@@ -872,18 +861,20 @@ def _binomial_narayana_sum(a, b, rng, n_max):
         total = Quaternion.zero(_H11)
         for i in range(0, n + 1):
             total = total + narayana_quat(_H11, a * n - 2 * i - 1).scale(binom(n, i))
-        yield _exact({"n": n}, total, narayana_quat(_H11, b * n - 1))
+        yield (total, narayana_quat(_H11, b * n - 1), n)
 
 
 _identity(
     "THM_3_5_1",
     paper_ref="sum_{i=0..n} C(n,i) U_(2n-2i-1) = U_(3n-1)",
     domain="n in [0, 12], using negative-index U values",
+    input_names=("n",),
 )(partial(_binomial_narayana_sum, 2, 3))
 _identity(
     "THM_3_5_2",
     paper_ref="sum_{i=0..n} C(n,i) U_(3n-2i-1) = U_(4n-1)",
     domain="n in [0, 12], using negative-index U values",
+    input_names=("n",),
 )(partial(_binomial_narayana_sum, 3, 4))
 
 
@@ -894,12 +885,13 @@ _identity(
     "EQ_2_9",
     paper_ref="f_n = (alpha^n - beta^n)/sqrt(5), alpha = (1+sqrt5)/2",
     domain="n in [-70, 70]",
+    input_names=("n",),
     tolerance=NUMERIC_TOLERANCE,
 )
 def _eq_2_9(rng, n_max):
     hi = min(_span(n_max, 70), FIB_INDEX_GUARD)
     for n in range(-hi, hi + 1):
-        yield _close({"n": n}, binet_fib(n), fib(n))
+        yield (binet_fib(n), fib(n), n)
 
 
 @_identity(
@@ -907,12 +899,13 @@ def _eq_2_9(rng, n_max):
     paper_ref="u_n = [a^(n+1)(g-b) + b^(n+1)(a-g) + g^(n+1)(b-a)] / "
     "[(a-b)(b-g)(g-a)], roots of t^3 - t^2 - 1",
     domain="n in [-20, 90]",
+    input_names=("n",),
     tolerance=NUMERIC_TOLERANCE,
 )
 def _thm_3_3(rng, n_max):
     hi = min(_span(n_max, 90), NARAYANA_INDEX_GUARD)
     for n in range(-20, hi + 1):
-        yield _close({"n": n}, binet_narayana(n), narayana(n))
+        yield (binet_narayana(n), narayana(n), n)
 
 
 @_identity(
@@ -920,15 +913,15 @@ def _thm_3_3(rng, n_max):
     paper_ref="U_n = D a^(n+1)/((b-a)(g-a)) + E b^(n+1)/((a-b)(g-b)) "
     "+ F g^(n+1)/((b-g)(a-g)), D = (1, a, a^2, a^3) over (1, e2, e3, e4)",
     domain="n in [0, 60], componentwise",
+    input_names=("n",),
     tolerance=NUMERIC_TOLERANCE,
 )
 def _thm_3_4(rng, n_max):
     # the components reach index n + 3
     hi = min(_span(n_max, 60), NARAYANA_INDEX_GUARD - 3)
     for n in range(0, hi + 1):
-        approx = binet_narayana_quat(_H11, n)
-        exact_values = tuple(narayana_values(n, n + 4))
-        yield ({"n": n}, all(map(_near, approx, exact_values)), approx, exact_values)
+        yield (binet_narayana_quat(_H11, n), tuple(narayana_values(n, n + 4)), n)
+
 
 
 # ---------------------------------------------------------------------------
@@ -954,25 +947,28 @@ def audit(identity_id, *, seed=DEFAULT_SEED, n_max=None):
 
     ``n_max`` rescales the entry's primary range (index bound or draw count,
     see the entry's domain description); ``seed`` feeds all random draws.
-    Instances run in a fixed order and the first failure is kept with exact
-    values.  A run of zero instances proves nothing, so it raises
-    DomainError instead of reporting a pass.
+    Instances run in a fixed order.  An exact entry's instance passes when
+    lhs == rhs, a numeric entry's when ``_near`` holds under the entry's
+    tolerance.  The first failure is kept with exact values, its inputs
+    named by the entry's ``input_names``.  A run of zero instances proves
+    nothing, so it raises DomainError instead of reporting a pass.
     """
     check = get_check(identity_id)
+    tolerance = check.tolerance
     rng = random.Random(seed)
     started = time.perf_counter()
-    instances = passes = failures = 0
+    instances = failures = 0
     first = None
-    for inputs, ok, lhs, rhs in check.run(rng, n_max):
+    for instance in check.run(rng, n_max):
         instances += 1
-        if ok:
-            passes += 1
-        else:
-            failures += 1
-            if first is None:
-                first = Counterexample(
-                    inputs=_render_inputs(inputs), lhs=str(lhs), rhs=str(rhs)
-                )
+        lhs = instance[0]
+        rhs = instance[1]
+        if lhs == rhs if tolerance is None else _near(lhs, rhs, tolerance):
+            continue
+        failures += 1
+        if first is None:
+            inputs = dict(zip(check.input_names, instance[2:]))
+            first = Counterexample(inputs=_render_inputs(inputs), lhs=str(lhs), rhs=str(rhs))
     elapsed = time.perf_counter() - started
     if not instances:
         raise DomainError(f"{check.id} ran no instances with n_max={n_max}")
@@ -983,8 +979,9 @@ def audit(identity_id, *, seed=DEFAULT_SEED, n_max=None):
         provenance=check.provenance,
         seed=seed,
         instances_run=instances,
-        passes=passes,
+        passes=instances - failures,
         failures=failures,
+
         first_counterexample=first,
         elapsed=elapsed,
     )

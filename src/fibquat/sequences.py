@@ -9,9 +9,10 @@ the recurrence (backward for negative n); a larger one comes from one power
 of t modulo the characteristic polynomial t^k - t^(k-1) - 1 (O(log n)
 multiplications in the residue ring of ``surd``, the companion-matrix power
 held as k numbers), and a range past the tables from one such power at its
-start, then the recurrence forward; a range that starts where the engine's
-last such range ended, as consecutive windows do, continues from that
-range's last values instead.  Every route gives the same values.
+start, then the recurrence forward; a range that starts where one of the
+engine's last two such ranges ended, as consecutive windows do (also two
+interleaved runs of windows), continues from that range's last values
+instead.  Every route gives the same values.
 Every cache is bounded, in memory as well as in count: tables stop at their
 engine's cap, and at most GENFIB_CACHE_CAP gen_fib seed engines are kept, the
 least recently used dropped first.  ``fib``, ``narayana`` and the builders
@@ -53,8 +54,10 @@ class _Recurrence:
     characteristic polynomial, by binary exponentiation (k(k+1)/2 big
     multiplications per squaring); a range that leaves the tables takes one
     such power at its start and runs the recurrence forward from there.  Of
-    such a range only the values around its end are kept, at most 2k, and the
-    next range that starts within them runs on from them without a power.
+    such a range only the values around its end are kept, at most 2k, for
+    the last two such ranges; a range that starts within either runs on from
+    it without a power, so two interleaved runs of windows (the low and high
+    f-ranges of ``normforms._formula_tops``) each take one power.
     """
 
     def __init__(self, *seeds, cap=TABLE_CAP):
@@ -63,7 +66,9 @@ class _Recurrence:
         self._fwd = list(seeds)  # x_0, x_1, ...
         # x_0, x_-1, x_-2, ...: x_-1 .. x_-(k-1) come from the seeds alone
         self._bwd = [seeds[0]] + [seeds[k - i] - seeds[k - i - 1] for i in range(1, k)]
-        self._resume = (0, ())  # (i, (x_i, x_{i+1}, ...)): the end of the last range past the cap
+        # (i, (x_i, x_{i+1}, ...)): the ends of the last range past the cap
+        # and of the one before it
+        self._resume = self._earlier = (0, ())
         self._lock = threading.Lock()
 
     def _forward(self, size):
@@ -101,14 +106,19 @@ class _Recurrence:
         if start < -cap or stop > cap + 1:
             k = self._k
             length = max(0, stop - start)
-            base, tail = self._resume
-            if base <= start <= base + len(tail) - k:
-                run = list(tail[start - base:])
+            last = self._resume
+            # ``other``, the end this range does not continue from, is kept
+            for (base, tail), other in ((last, self._earlier), (self._earlier, last)):
+                if base <= start <= base + len(tail) - k:
+                    run = list(tail[start - base:])
+                    break
             else:
                 run = list(self._power(start))
+                other = last
             for _ in range(length + k - len(run)):  # through x_{stop+k-1}
                 run.append(run[-1] + run[-k])
             keep = max(0, length - k)
+            self._earlier = other
             self._resume = (start + keep, tuple(run[keep:length + k]))
             return run[:length]
         if start >= 0:

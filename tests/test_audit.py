@@ -156,7 +156,7 @@ class TestAuditRuns:
         # the thresholds they report
         rng = random.Random(DEFAULT_SEED)
         instances = get_check("THM_2_6_THRESHOLD").run(rng, None)
-        fixed = [(str(inputs["params"]), lhs) for inputs, _, lhs, _ in instances][:5]
+        fixed = [(str(params), lhs) for lhs, _, params, *_ in instances][:5]
         assert fixed == [
             ("H(1, 1)", "n0=0 sign=+1 zeros=[]"),
             ("H(-1, 1)", "n0=0 sign=-1 zeros=[]"),
@@ -164,7 +164,7 @@ class TestAuditRuns:
             ("H(0, 0)", "n0=1 sign=+1 zeros=[0]"),
             ("H(2, -1/2)", "n0=0 sign=-1 zeros=[]"),
         ]
-        tails = [(str(i["params"]), i["n"]) for i, *_ in get_check("REMARK_2_7").run(rng, 0)]
+        tails = [(str(params), n) for _, _, params, n in get_check("REMARK_2_7").run(rng, 0)]
         assert tails == [("H(-1, -1/3)", 1), ("H(-1, 1)", 0), ("H(0, 1)", 0), ("H(2, -3)", 0)]
 
     def test_thm_2_6_replaces_degenerate_seeds(self):
