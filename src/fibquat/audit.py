@@ -206,9 +206,12 @@ def _rand_quat(rng, params):
 
 
 def _near(approx, exact_value, tolerance):
-    """Relative error within tolerance; two tuples compare componentwise."""
+    """Relative error within tolerance; two tuples compare componentwise,
+    and tuples of different lengths are never near."""
     if isinstance(approx, tuple) and isinstance(exact_value, tuple):
-        return all(_near(a, e, tolerance) for a, e in zip(approx, exact_value))
+        return len(approx) == len(exact_value) and all(
+            _near(a, e, tolerance) for a, e in zip(approx, exact_value)
+        )
     return abs(approx - exact_value) / max(1, abs(exact_value)) <= tolerance
 
 

@@ -6,12 +6,14 @@ componentwise for tuples."""
 
 import importlib
 import random
+import time
 from collections import Counter
 
 import pytest
 
 from fibquat import DEFAULT_SEED, IdentityCheck, audit, fib, narayana
-from fibquat.audit import _REGISTRY, NUMERIC_TOLERANCE
+from fibquat.analytic import NARAYANA_INDEX_GUARD
+from fibquat.audit import _REGISTRY, NUMERIC_TOLERANCE, _near
 
 audit_module = importlib.import_module("fibquat.audit")  # fibquat.audit is also a function
 
@@ -145,3 +147,38 @@ def test_one_quaternion_component_off_fails_thm_3_4(monkeypatch, component, fact
     assert report.failures == failures
     if failures:
         assert report.first_counterexample.inputs == {"n": "20"}
+
+
+def test_the_report_times_its_own_run():
+    before = time.perf_counter()
+    report = audit("EQ_1_2")
+    assert 0 <= report.elapsed <= time.perf_counter() - before
+
+
+@pytest.mark.parametrize("approx, exact_value, tolerance, near", [
+    (0.5, 0, 0.5, True),    # the bound is inclusive
+    (0.75, 0, 0.5, False),  # |exact| < 1 divides by 1
+    (1.5, 1, 0.5, True),
+    (3.0, 2, 0.5, True),    # relative to |exact| past 1
+    (3.5, 2, 0.5, False),
+    (-3.0, -2, 0.5, True),
+    ((1.0, 2.0), (1, 2), 0.0, True),
+    ((1.0, 2.5), (1, 2), 0.2, False),
+    ((1.0, 2.0), (1, 2, 3), 0.5, False),  # a missing component is not near
+])
+def test_near(approx, exact_value, tolerance, near):
+    assert _near(approx, exact_value, tolerance) is near
+
+
+def test_thm_3_4_stops_at_the_precision_guard():
+    # the components reach index n + 3, which the guard bounds
+    report = audit("THM_3_4_BINET_QUAT", n_max=10**6)
+    assert (report.instances_run, report.failures) == (NARAYANA_INDEX_GUARD - 3 + 1, 0)
+
+
+def test_thm_2_6_replaces_degenerate_seeds_by_one_zero():
+    # seed 1 draws (p, q) = (0, 0), whose indicator E' vanishes; (1, 0) runs instead
+    instances = list(_REGISTRY["THM_2_6_THRESHOLD"].run(random.Random(1), 3))
+    seeds = [instance[4:] for instance in instances if len(instance) == 6]
+    assert len(seeds) == 5
+    assert (1, 0) in seeds and (0, 0) not in seeds
