@@ -11,12 +11,13 @@ The closed forms evaluate h-values through h_{n+1} = p*f_n + q*f_{n+1},
 with the betas' numerators and denominators folded into one integer
 coefficient per f-value or product of f-values: the route independent of
 the integer recurrence and the quadratic form used by the direct norms.
-They are written once, over an index range: the public single-index forms
-read one index, the threshold re-verification and the audit's norm
-entries windows of 256.  Each growth
-indicator is one integer residue c0 + c1*alpha of Z[alpha], 5*d1*d2 times
-E or E', which the public indicators reduce to a QuadraticSurd and the
-threshold and its re-verification read on the integers.
+They are one fold, of n(H^{p,q}_n) (Theorem 2.5) over an index range, and
+n(F_n) (Theorem 2.4) is its case (p, q) = (0, 1), as F_n = H^{0,1}_n: the
+public single-index forms read one index, the threshold re-verification
+and the audit's norm entries windows of 256.  Each growth indicator is one
+integer residue c0 + c1*alpha of Z[alpha], 5*d1*d2 times E or E', which the
+public indicators reduce to a QuadraticSurd and the threshold and its
+re-verification read on the integers.
 
 The threshold scan reports what a scan of every n in [0, n_max] reports,
 but stops early at a proven tail bound: 5*d1*d2 times the norm is
@@ -46,42 +47,18 @@ def _over_d1d2(params, top):
     return Rational(top, d1 * d2)
 
 
-def _fib_formula_tops(params, low, high):
-    """d1*d2 * n(F_n) by the closed form, for n = s, s+1, ...
-
-    low[i] must be f_{s+i} and high[i] must be f_{2s+1+i}; the range ends
-    where either list does, the last index reading f_{2n+3}.  One index
-    takes low = [f_s, f_{s+1}] and high = [f_{2s+1}, f_{2s+2}, f_{2s+3}]
-    (``_formula_tops`` reads both).  The closed form of ``norm_fib_formula``
-    is folded to a f_{2n+1} + b f_{2n+2} - cross f_n f_{n+1} (f_{2n+3} is
-    the sum of the two before it), with the constants of the algebra
-    computed once for the whole range.
-    """
-    n1, d1, n2, d2 = params.cleared
-    p_hi = d2 + 2 * n2
-    b1_less_1 = n1 - d1
-    c = b1_less_1 * n2
-    a = d1 * p_hi + c
-    b = 3 * (d1 * n2) + b1_less_1 * p_hi + c
-    cross = 2 * (b1_less_1 * (d2 + n2))
-    return [
-        a * x1 + b * x2 - cross * (y0 * y1)
-        for x1, x2, y0, y1 in zip(high[0::2], high[1:-1:2], low, low[1:])
-    ]
-
-
 def _genfib_formula_tops(params, pq, low, high):
     """d1*d2 * n(H^{p,q}_n) by the closed form, for n = s, s+1, ...
 
-    low[i] must be f_{s-1+i} and high[i] must be f_{2s-1+i} (compare
-    ``_fib_formula_tops``); the range ends where either list does, the last
-    index reading f_{n+2} and f_{2n+3}.  ``_formula_tops`` reads the two
-    lists.  The closed form of ``norm_genfib_formula`` has
-    five coefficients of f_{2n-1}, ..., f_{2n+3} and three of the consecutive
-    products f_m f_{m+1}, m = n-1, n, n+1; it is folded onto f_{2n+1},
-    f_{2n} and f_{n-1} f_n by f_{2n-1} = f_{2n+1} - f_{2n}, f_{2n+2} =
-    f_{2n+1} + f_{2n}, f_{2n+3} = 2 f_{2n+1} + f_{2n}, f_n f_{n+1} = f_{2n} -
-    f_{n-1} f_n and f_{n+1} f_{n+2} = f_{n-1} f_n + f_{2n+1}.
+    low[i] must be f_{s-1+i} and high[i] must be f_{2s+i}; index n reads only
+    f_{n-1}, f_n, f_{2n} and f_{2n+1}, and the range ends where either list
+    does.  Seeds (0, 1) give n(F_n): Theorem 2.4 is the case (p, q) = (0, 1)
+    of Theorem 2.5.  The closed form of ``norm_genfib_formula`` has five
+    coefficients of f_{2n-1}, ..., f_{2n+3} and three of the products
+    f_m f_{m+1}, m = n-1, n, n+1; it is folded onto f_{2n+1}, f_{2n} and
+    f_{n-1} f_n by f_{2n-1} = f_{2n+1} - f_{2n}, f_{2n+2} = f_{2n+1} + f_{2n},
+    f_{2n+3} = 2 f_{2n+1} + f_{2n}, f_n f_{n+1} = f_{2n} - f_{n-1} f_n and
+    f_{n+1} f_{n+2} = f_{n-1} f_n + f_{2n+1}.
     """
     n1, d1, n2, d2 = params.cleared
     p, q = pq
@@ -114,19 +91,15 @@ def _genfib_formula_tops(params, pq, low, high):
     product_c = k6 + k9 - k5
     return [
         odd_c * x1 + even_c * x0 + product_c * (y0 * y1)
-        for x1, x0, y0, y1 in zip(high[2:-2:2], high[1::2], low, low[1:-2])
+        for x0, x1, y0, y1 in zip(high[0::2], high[1::2], low, low[1:])
     ]
 
 
 def _formula_tops(params, pq, start, stop):
-    """d1*d2 times the closed-form norm of F_n (pq is None) or H^{p,q}_n,
-    for n in [start, stop), from two lists of f-values."""
-    if pq is None:
-        return _fib_formula_tops(
-            params, fib_values(start, stop + 1), fib_values(2 * start + 1, 2 * stop + 2)
-        )
+    """d1*d2 times the closed-form norm of F_n (pq is None, the seeds (0, 1))
+    or H^{p,q}_n, for n in [start, stop), from two ranges of f-values."""
     return _genfib_formula_tops(
-        params, pq, fib_values(start - 1, stop + 2), fib_values(2 * start - 1, 2 * stop + 2)
+        params, pq or (0, 1), fib_values(start - 1, stop), fib_values(2 * start, 2 * stop)
     )
 
 
@@ -135,7 +108,7 @@ def norm_fib_formula(params, n):
 
     h^{1+2b2, 3b2}_{2n+2} + (b1-1) h^{1+2b2, b2}_{2n+3} - 2(b1-1)(1+b2) f_n f_{n+1}
 
-    evaluated as one integer numerator over d1*d2.
+    the case (p, q) = (0, 1) of ``norm_genfib_formula``, over d1*d2.
     """
     return _over_d1d2(params, _formula_tops(params, None, n, n + 1)[0])
 
@@ -408,26 +381,32 @@ def verify_threshold_report(report):
     route instead of the quadratic form on recurrence values, read in
     windows of _VERIFY_WINDOW indices of [0, N] whose signs alone are kept.
     It rechecks every invariant: sign_of_E is the indicator's, the tail
-    is uniformly nonzero with sign sign_of_E, empirical_n0 is minimal, and
-    zero_norm_indices lists exactly the zero norms below it, over all of
-    [0, scanned_up_to] whatever tail bound the scan stopped at.  Raises
-    ConsistencyError on any disagreement.
+    is uniformly nonzero with sign sign_of_E, empirical_n0 is minimal and in
+    [0, scanned_up_to], scanned_up_to >= 1, and zero_norm_indices lists
+    exactly the zero norms below n0, over all of [0, scanned_up_to] whatever
+    tail bound the scan stopped at.  Raises ConsistencyError on any
+    disagreement.
     """
     params = report.params
     pq = report.pq
     if residue_sign(*_indicator(params, pq)) != report.sign_of_E:
         raise ConsistencyError("sign_of_E does not match the growth indicator")
     n_max = report.scanned_up_to
+    n0 = report.empirical_n0
+    if n_max < 1 or not 0 <= n0 <= n_max + 1:  # n_max + 1 is refused further down
+        raise ConsistencyError(f"no scan reports n0 = {n0} scanning [0, {n_max}]")
     signs = []
     for start in range(0, n_max + 1, _VERIFY_WINDOW):
         tops = _formula_tops(params, pq, start, min(start + _VERIFY_WINDOW, n_max + 1))
         signs += [(top > 0) - (top < 0) for top in tops]
-    for n in range(report.empirical_n0, n_max + 1):
+    for n in range(n0, n_max + 1):
         if signs[n] != report.sign_of_E:
             raise ConsistencyError(f"tail condition fails at n = {n}")
-    if report.empirical_n0 > 0 and signs[report.empirical_n0 - 1] == report.sign_of_E:
+    if n0 > 0 and signs[n0 - 1] == report.sign_of_E:
         raise ConsistencyError("empirical_n0 is not minimal")
-    zeros = tuple(n for n in range(report.empirical_n0) if not signs[n])
+    if n0 > n_max:
+        raise ConsistencyError(f"no scan reports n0 = {n0} scanning [0, {n_max}]")
+    zeros = tuple(n for n in range(n0) if not signs[n])
     if zeros != report.zero_norm_indices:
         raise ConsistencyError(
             f"zero norms disagree: {zeros} vs {report.zero_norm_indices}"

@@ -11,8 +11,8 @@ multiplications in the residue ring of ``surd``, the companion-matrix power
 held as k numbers), and a range past the tables from one such power at its
 start, then the recurrence forward; a range that starts where one of the
 engine's last two such ranges ended, as consecutive windows do (also two
-interleaved runs of windows), continues from that range's last values
-instead.  Every route gives the same values.
+interleaved runs of windows), or inside the forward table, runs on from
+there instead.  Every route gives the same values.
 Every cache is bounded, in memory as well as in count: tables stop at their
 engine's cap, and at most GENFIB_CACHE_CAP gen_fib seed engines are kept, the
 least recently used dropped first.  ``fib``, ``narayana`` and the builders
@@ -52,11 +52,11 @@ class _Recurrence:
     (forward, and backward by x_n = x_{n+k} - x_{n+k-1}); a range of them is
     sliced from those lists.  Beyond the cap, x_n comes from t^n modulo the
     characteristic polynomial, by binary exponentiation (k(k+1)/2 big
-    multiplications per squaring); a range that leaves the tables takes one
-    such power at its start and runs the recurrence forward from there.  Of
-    such a range only the values around its end are kept, at most 2k, for
-    the last two such ranges; a range that starts within either runs on from
-    it without a power, so two interleaved runs of windows (the low and high
+    multiplications per squaring).  A range past the cap runs the recurrence
+    forward from its start, which it reads from the values kept around the
+    end of each of the last two such ranges (at most 2k) or from the forward
+    table, filled to the cap, when it starts within one of them, and else
+    from one power.  So two interleaved runs of windows (the low and high
     f-ranges of ``normforms._formula_tops``) each take one power.
     """
 
@@ -108,7 +108,8 @@ class _Recurrence:
             length = max(0, stop - start)
             last = self._resume
             # ``other``, the end this range does not continue from, is kept
-            for (base, tail), other in ((last, self._earlier), (self._earlier, last)):
+            table = (0, self._forward(cap + 1) if 0 <= start <= cap else ())
+            for (base, tail), other in ((last, self._earlier), (self._earlier, last), (table, last)):
                 if base <= start <= base + len(tail) - k:
                     run = list(tail[start - base:])
                     break

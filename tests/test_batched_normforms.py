@@ -40,9 +40,7 @@ N = 60
 def batched(params, pq):
     """d1*d2 * norm for n in [0, N] by the route verify_threshold_report takes."""
     f = [fib(m) for m in range(-1, 2 * N + 4)]  # f[m + 1] = f_m
-    if pq is None:
-        return normforms._fib_formula_tops(params, f[1:], f[2:])
-    return normforms._genfib_formula_tops(params, pq, f, f)
+    return normforms._genfib_formula_tops(params, pq or (0, 1), f, f[1:])
 
 
 @settings(max_examples=60)

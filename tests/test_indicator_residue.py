@@ -174,6 +174,33 @@ def test_reverify_checks_both_ends_of_the_range(pq):
         verify_threshold_report(report._replace(empirical_n0=1))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("empirical_n0", -1), ("empirical_n0", -7), ("empirical_n0", 52), ("scanned_up_to", -3)],
+)
+def test_reverify_refuses_a_report_no_scan_gives(field, value):
+    # each passed, or raised IndexError, before the range was checked
+    report = invertibility_threshold(AlgebraParams(1, 1), None, 50)
+    verify_threshold_report(report)
+    with pytest.raises(ConsistencyError, match="no scan reports"):
+        verify_threshold_report(report._replace(**{field: value}))
+
+
+@pytest.mark.parametrize("pq", [None, GenFibParams(2, 7)], ids=str)
+def test_reverify_refuses_n0_past_the_scan(pq):
+    # the zero at 300 ends the scan: the scan itself raises, and a report
+    # of n0 = 301 listing that zero is refused, not passed
+    params = _zero_divisor(Rational(-7, 2), 300, pq)
+    with pytest.raises(ScanExhaustedError):
+        invertibility_threshold(params, pq, 300)
+    report = invertibility_threshold(params, pq, 299)
+    late = report._replace(
+        scanned_up_to=300, empirical_n0=301, zero_norm_indices=report.zero_norm_indices + (300,)
+    )
+    with pytest.raises(ConsistencyError, match="no scan reports n0 = 301"):
+        verify_threshold_report(late)
+
+
 def test_cubic_gap_is_the_exact_residual():
     for m in (1 << 52, (1 << 52) + 12345, 6601209640718589, (1 << 53) - 1, 1 << 53):
         t = Fraction(m, 1 << 52)

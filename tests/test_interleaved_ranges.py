@@ -1,9 +1,10 @@
 """Two interleaved runs of range reads past an engine's table cap.
 
-``normforms._formula_tops`` reads a low f-range [s, ...] and a high one
-[2s + 1, ...] from the one f-engine for every window, so the engine keeps
+``normforms._formula_tops`` reads a low f-range [s - 1, ...] and a high one
+[2s, ...] from the one f-engine for every window, so the engine keeps
 the ends of its last two ranges and each run continues from its own end:
-one power per run, not one per window.
+one power per run, not one per window.  A range that starts inside the
+forward table and ends past the cap runs on from the table without one.
 """
 
 import pytest
@@ -15,7 +16,13 @@ from fibquat.normforms import (
     invertibility_threshold,
     verify_threshold_report,
 )
-from fibquat.sequences import TABLE_CAP, _Recurrence, fib_values
+from fibquat.sequences import (
+    TABLE_CAP,
+    GenFibParams,
+    _Recurrence,
+    fib_values,
+    gen_fib_values,
+)
 
 
 @pytest.fixture
@@ -46,10 +53,11 @@ def test_two_interleaved_window_runs_take_one_power_each(powers, seeds):
     assert len(engine._resume[1]) <= 2 * k and len(engine._earlier[1]) <= 2 * k
 
 
-def test_the_reverify_takes_at_most_two_powers(monkeypatch, powers):
+@pytest.mark.parametrize("pq", [None, GenFibParams(1, 2)], ids=str)
+def test_the_reverify_takes_at_most_two_powers(monkeypatch, powers, pq):
     params = AlgebraParams(1, 1)
     n_max = 12000
-    report = invertibility_threshold(params, None, n_max)
+    report = invertibility_threshold(params, pq, n_max)
     formula = normforms._formula_tops
     tops = []
 
@@ -63,5 +71,40 @@ def test_the_reverify_takes_at_most_two_powers(monkeypatch, powers):
     verify_threshold_report(report)
     assert 0 < len(powers) <= 2
     # the re-verify read every norm in [0, n_max], equal to a full scan's
-    full = _cleared_norm_scan(params, fib_values(0, n_max + 4))
-    assert tops == full
+    values = fib_values(0, n_max + 4) if pq is None else gen_fib_values(pq, 0, n_max + 4)
+    assert tops == _cleared_norm_scan(params, values)
+
+
+def plain(seeds, stop):
+    """x_0, ..., x_{stop-1} by the recurrence alone."""
+    k = len(seeds)
+    xs = list(seeds)
+    while len(xs) < stop:
+        xs.append(xs[-1] + xs[-k])
+    return xs
+
+
+@pytest.mark.parametrize("seeds", [(0, 1), (3, -7), (0, 1, 1)])
+def test_a_range_leaving_the_table_runs_on_from_it(powers, seeds):
+    xs = plain(seeds, TABLE_CAP + 3)
+    engine = _Recurrence(*seeds)
+    assert engine.values(0, TABLE_CAP + 3) == xs
+    # the read filled the table to the cap and no further
+    assert len(engine._fwd) == TABLE_CAP + 1
+    assert engine.values(3840, 4098) == xs[3840:4098]
+    assert powers == []
+    # a read that starts past the cap takes its power and leaves the table as it is
+    assert engine.values(3 * TABLE_CAP, 3 * TABLE_CAP + 5) == plain(seeds, 3 * TABLE_CAP + 5)[-5:]
+    assert powers == [3 * TABLE_CAP] and len(engine._fwd) == TABLE_CAP + 1
+
+
+@pytest.mark.parametrize("seeds", [(0, 1), (3, -7), (0, 1, 1)])
+def test_a_range_ending_at_the_cap_takes_no_power(powers, seeds):
+    assert _Recurrence(*seeds).values(-5, TABLE_CAP + 1)[5:] == plain(seeds, TABLE_CAP + 1)
+    assert powers == []
+
+
+def test_a_far_read_does_not_fill_the_table(powers):
+    engine = _Recurrence(0, 1)
+    assert engine.values(TABLE_CAP + 1, TABLE_CAP + 3) == plain((0, 1), TABLE_CAP + 3)[-2:]
+    assert powers == [TABLE_CAP + 1] and engine._fwd == [0, 1]
