@@ -25,8 +25,10 @@ class Rational:
             self._num = num._num
             self._den = num._den
             return
-        if not isinstance(num, int) or not isinstance(den, int):
-            raise TypeError("Rational components must be integers")
+        if num.__class__ is not int or den.__class__ is not int:
+            if not isinstance(num, int) or not isinstance(den, int):
+                raise TypeError("Rational components must be integers")
+            num, den = int(num), int(den)  # a bool is stored as 0 or 1
         if den == 0:
             raise ZeroDivisionError("rational with zero denominator")
         if den < 0:

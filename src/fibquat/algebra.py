@@ -34,7 +34,7 @@ def as_rational(x):
     """Coerce an int (or Rational) to Rational."""
     if isinstance(x, Rational):
         return x
-    if isinstance(x, int):  # n/1 is already reduced
+    if x.__class__ is int:  # n/1 is already reduced; a bool goes through Rational
         return _raw(x, 1)
     return Rational(x)
 

@@ -9,8 +9,9 @@ public closed forms reduce one integer numerator over d1*d2.
 
 The closed forms evaluate h-values through h_{n+1} = p*f_n + q*f_{n+1},
 with the betas' numerators and denominators folded into one integer
-coefficient per f-value or product of f-values: the route independent of
-the integer recurrence and the quadratic form used by the direct norms.
+coefficient each of f_{2n+1}, f_{2n} and (-1)^n in 5*d1*d2 times the norm:
+the route independent of the integer recurrence and the quadratic form
+used by the direct norms.
 They are one fold, of n(H^{p,q}_n) (Theorem 2.5) over an index range, and
 n(F_n) (Theorem 2.4) is its case (p, q) = (0, 1), as F_n = H^{0,1}_n: the
 public single-index forms read one index, the threshold re-verification
@@ -28,6 +29,7 @@ the sign of E.  Its re-verification still checks all of [0, n_max] by the
 closed forms and never reads N.
 """
 
+from itertools import cycle
 from typing import NamedTuple
 
 from ._kernel import Rational
@@ -39,26 +41,22 @@ from .errors import (
     ScanExhaustedError,
 )
 from .sequences import GenFibParams, fib, fib_values, gen_fib_values
-from .surd import from_residue, mul, residue_sign, t_power
+from .surd import from_residue, mul, residue_sign
 
 
-def _over_d1d2(params, top):
-    n1, d1, n2, d2 = params.cleared
-    return Rational(top, d1 * d2)
+def _genfib_formula_tops(params, pq, start, high):
+    """d1*d2 * n(H^{p,q}_n) by the closed form, for n = start, start+1, ...
 
-
-def _genfib_formula_tops(params, pq, low, high):
-    """d1*d2 * n(H^{p,q}_n) by the closed form, for n = s, s+1, ...
-
-    low[i] must be f_{s-1+i} and high[i] must be f_{2s+i}; index n reads only
-    f_{n-1}, f_n, f_{2n} and f_{2n+1}, and the range ends where either list
-    does.  Seeds (0, 1) give n(F_n): Theorem 2.4 is the case (p, q) = (0, 1)
-    of Theorem 2.5.  The closed form of ``norm_genfib_formula`` has five
-    coefficients of f_{2n-1}, ..., f_{2n+3} and three of the products
-    f_m f_{m+1}, m = n-1, n, n+1; it is folded onto f_{2n+1}, f_{2n} and
-    f_{n-1} f_n by f_{2n-1} = f_{2n+1} - f_{2n}, f_{2n+2} = f_{2n+1} + f_{2n},
-    f_{2n+3} = 2 f_{2n+1} + f_{2n}, f_n f_{n+1} = f_{2n} - f_{n-1} f_n and
-    f_{n+1} f_{n+2} = f_{n-1} f_n + f_{2n+1}.
+    high[i] must be f_{2*start+i}; index n reads only f_{2n} and f_{2n+1},
+    and the range ends where the list does.  Seeds (0, 1) give n(F_n):
+    Theorem 2.4 is the case (p, q) = (0, 1) of Theorem 2.5.  The closed form
+    of ``norm_genfib_formula`` has five coefficients of f_{2n-1}, ...,
+    f_{2n+3} and three of the products f_m f_{m+1}, m = n-1, n, n+1; it is
+    folded onto f_{2n+1}, f_{2n} and f_{n-1} f_n by f_{2n-1} = f_{2n+1} -
+    f_{2n}, f_{2n+2} = f_{2n+1} + f_{2n}, f_{2n+3} = 2 f_{2n+1} + f_{2n},
+    f_n f_{n+1} = f_{2n} - f_{n-1} f_n and f_{n+1} f_{n+2} = f_{n-1} f_n +
+    f_{2n+1}, and then by 5 f_{n-1} f_n = 3 f_{2n} - f_{2n+1} + (-1)^n onto
+    f_{2n+1}, f_{2n} and (-1)^n, as 5 times the value.
     """
     n1, d1, n2, d2 = params.cleared
     p, q = pq
@@ -85,22 +83,21 @@ def _genfib_formula_tops(params, pq, low, high):
     k5 = (2 * p) * (b1_less_1 * (p * n2 + (p + q) * d2))
     k6 = (2 * q2) * (b1_less_1 * (d2 + n2))
     k9 = pq2 * (n2 * (d1 - n1))
-    # folded onto f_{2n+1}, f_{2n} and f_{n-1} f_n
-    odd_c = c0 + c2 + c3 + 2 * c4 + k9
-    even_c = c1 - c0 + c3 + c4 - k6
+    # folded onto f_{n-1} f_n, then 5 times onto f_{2n+1}, f_{2n} and (-1)^n
     product_c = k6 + k9 - k5
+    odd_c = 5 * (c0 + c2 + c3 + 2 * c4 + k9) - product_c
+    even_c = 5 * (c1 - c0 + c3 + c4 - k6) + 3 * product_c
+    units = cycle((product_c, -product_c) if start % 2 == 0 else (-product_c, product_c))
     return [
-        odd_c * x1 + even_c * x0 + product_c * (y0 * y1)
-        for x0, x1, y0, y1 in zip(high[0::2], high[1::2], low, low[1:])
+        (odd_c * x1 + even_c * x0 + unit) // 5
+        for x0, x1, unit in zip(high[0::2], high[1::2], units)
     ]
 
 
 def _formula_tops(params, pq, start, stop):
     """d1*d2 times the closed-form norm of F_n (pq is None, the seeds (0, 1))
-    or H^{p,q}_n, for n in [start, stop), from two ranges of f-values."""
-    return _genfib_formula_tops(
-        params, pq or (0, 1), fib_values(start - 1, stop), fib_values(2 * start, 2 * stop)
-    )
+    or H^{p,q}_n, for n in [start, stop), from one range of f-values."""
+    return _genfib_formula_tops(params, pq or (0, 1), start, fib_values(2 * start, 2 * stop))
 
 
 def norm_fib_formula(params, n):
@@ -110,7 +107,8 @@ def norm_fib_formula(params, n):
 
     the case (p, q) = (0, 1) of ``norm_genfib_formula``, over d1*d2.
     """
-    return _over_d1d2(params, _formula_tops(params, None, n, n + 1)[0])
+    n1, d1, n2, d2 = params.cleared
+    return Rational(_formula_tops(params, None, n, n + 1)[0], d1 * d2)
 
 
 def norm_genfib_formula(params, pq, n):
@@ -125,7 +123,8 @@ def norm_genfib_formula(params, pq, n):
     evaluated as one integer numerator over d1*d2.  Here h^{a,b}_m is
     a f_{m-1} + b f_m, and f extends to negative indices.
     """
-    return _over_d1d2(params, _formula_tops(params, pq, n, n + 1)[0])
+    n1, d1, n2, d2 = params.cleared
+    return Rational(_formula_tops(params, pq, n, n + 1)[0], d1 * d2)
 
 
 def swamy_norm_as_stated(pq, n):
@@ -159,7 +158,7 @@ def _indicator_E_pair(params):
 
 
 # 1, alpha^2, alpha^4, alpha^6 as residues of Z[alpha], read by E' literally
-_ALPHA_EVEN_POWERS = [t_power(2, m) for m in (0, 2, 4, 6)]
+_ALPHA_EVEN_POWERS = [fib_values(m - 1, m + 1) for m in (0, 2, 4, 6)]
 
 
 def _indicator(params, pq):
@@ -267,11 +266,10 @@ def _fitted_constant(lead, tops):
 def _tail_bound(lead, k, n_max):
     """The least N <= n_max with |lead|*alpha^(2N) > |sigma(lead)| + |k|, or None.
 
-    Past such an N every norm of the fitted form has the sign of lead.  The
-    inequality is decided on integers of Z[alpha]: stepping alpha^(2n) =
-    f_{2n-1} + f_{2n}*alpha up from n = 0 to 32, then, since its left side
-    grows with n, doubling n and bisecting, with alpha^(2n) read by
-    ``t_power``.
+    Past such an N every norm of the fitted form has the sign of lead.  It is
+    decided on integers, alpha^(2n) = f_{2n-1} + f_{2n}*alpha from f_{2n} and
+    f_{2n+1} by ``fib_values``; as the left side grows with n, n + 1 doubles
+    from 1 until it holds or n is n_max, and the last doubling is bisected.
     """
     c0, c1 = lead
     s0, s1 = c0 + c1, -c1  # sigma(lead)
@@ -280,30 +278,25 @@ def _tail_bound(lead, k, n_max):
     offset = conj_sign * s0 + abs(k)
     slope = conj_sign * s1
 
-    def holds(x0, x1):
-        # sign*lead*alpha^(2n) - |sigma(lead)| - |k| > 0, with alpha^(2n) = x0 + x1*alpha
-        gap0 = sign * (c0 * x0 + c1 * x1) - offset
-        gap1 = sign * (c0 * x1 + c1 * (x0 + x1)) - slope
+    def holds(n):
+        # sign*lead*alpha^(2n) - |sigma(lead)| - |k| > 0, alpha^(2n) = x1 - x0 + x0*alpha
+        x0, x1 = fib_values(2 * n, 2 * n + 2)
+        gap0 = sign * (c0 * (x1 - x0) + c1 * x0) - offset
+        gap1 = sign * (c0 * x0 + c1 * x1) - slope
         return residue_sign(gap0, gap1) > 0
 
-    g, h = 1, 0  # f_{-1}, f_0
-    for n in range(min(n_max, 32) + 1):
-        if holds(g, h):
-            return n
-        g, h = g + h, g + 2 * h  # times alpha^2 = 1 + alpha
-    low = 32  # fails; high, once found, holds
-    while low < n_max:
-        high = min(2 * low, n_max)
-        if holds(*t_power(2, 2 * high)):
-            while high - low > 1:
-                mid = (low + high) // 2
-                if holds(*t_power(2, 2 * mid)):
-                    high = mid
-                else:
-                    low = mid
-            return high
-        low = high
-    return None
+    low, high = -1, 0  # low fails; high, once it holds, is the upper end
+    while high > n_max or not holds(high):
+        if high >= n_max:
+            return None
+        low, high = high, min(2 * high + 1, n_max)
+    while high - low > 1:
+        mid = (low + high) // 2
+        if holds(mid):
+            high = mid
+        else:
+            low = mid
+    return high
 
 
 def invertibility_threshold(params, pq=None, n_max=50):
@@ -379,7 +372,8 @@ def verify_threshold_report(report):
 
     The second scan evaluates d1*d2 times each norm through the closed-form
     route instead of the quadratic form on recurrence values, read in
-    windows of _VERIFY_WINDOW indices of [0, N] whose signs alone are kept.
+    windows of _VERIFY_WINDOW indices of [0, scanned_up_to] whose signs
+    alone are kept; it never reads the tail bound N.
     It rechecks every invariant: sign_of_E is the indicator's, the tail
     is uniformly nonzero with sign sign_of_E, empirical_n0 is minimal and in
     [0, scanned_up_to], scanned_up_to >= 1, and zero_norm_indices lists

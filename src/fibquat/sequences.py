@@ -10,9 +10,9 @@ of t modulo the characteristic polynomial t^k - t^(k-1) - 1 (O(log n)
 multiplications in the residue ring of ``surd``, the companion-matrix power
 held as k numbers), and a range past the tables from one such power at its
 start, then the recurrence forward; a range that starts where one of the
-engine's last two such ranges ended, as consecutive windows do (also two
-interleaved runs of windows), or inside the forward table, runs on from
-there instead.  Every route gives the same values.
+engine's last two such ranges ended, or inside the forward table, runs on
+from there instead, so a run of windows or of the builders' overlapping
+reads takes one power.  Every route gives the same values.
 Every cache is bounded, in memory as well as in count: tables stop at their
 engine's cap, and at most GENFIB_CACHE_CAP gen_fib seed engines are kept, the
 least recently used dropped first.  ``fib``, ``narayana`` and the builders
@@ -56,8 +56,9 @@ class _Recurrence:
     forward from its start, which it reads from the values kept around the
     end of each of the last two such ranges (at most 2k) or from the forward
     table, filled to the cap, when it starts within one of them, and else
-    from one power.  So two interleaved runs of windows (the low and high
-    f-ranges of ``normforms._formula_tops``) each take one power.
+    from one power.  The second end lets a loop of overlapping reads, such as
+    the quaternion builders' [n, n+4) after [n-1, n+3), run on from the read
+    before last, even between the windows of another run (as in THM_2_4).
     """
 
     def __init__(self, *seeds, cap=TABLE_CAP):
@@ -148,16 +149,19 @@ _narayana = _Recurrence(0, 1, 1)
 @functools.lru_cache(maxsize=GENFIB_CACHE_CAP)
 def _genfib_engine(p, q):
     """The engine of one (p, q) seed pair, its tables bounded by
-    GENFIB_TABLE_CAP.  Two threads racing on a fresh seed may each build one,
-    and both fill it identically."""
-    return _Recurrence(p, q, cap=GENFIB_TABLE_CAP)
+    GENFIB_TABLE_CAP, on int seeds: (1.0, 1.0) shares the entry of (1, 1).
+    Two threads racing on a fresh seed may each build one, and both fill it
+    identically."""
+    if int(p) != p or int(q) != q:
+        raise DomainError(f"gen_fib seeds must be integers, got ({p}, {q})")
+    return _Recurrence(int(p), int(q), cap=GENFIB_TABLE_CAP)
 
 
 def fib(n):
     """Fibonacci number f_n for any signed n (f_0 = 0, f_1 = 1).
 
-    Past TABLE_CAP each call takes one power; runs of indices go through
-    fib_values.
+    Past TABLE_CAP a call takes one power unless it continues one of the
+    engine's last two reads: consecutive calls take one power in all.
     """
     fwd = _fib._fwd
     if 0 <= n < len(fwd):
@@ -173,12 +177,11 @@ def fib_values(start, stop):
 def gen_fib(pq, n):
     """Generalized Fibonacci number h_n with seeds h_0 = p, h_1 = q.
 
-    Computed from its own seeds (by the recurrence or by powers of t modulo
-    its characteristic polynomial, never through fib), so it can be checked independently
+    Computed from its own seeds, never through fib, so it can be checked
     against h_{n+1} = p*f_n + q*f_{n+1}.  At most GENFIB_CACHE_CAP seed
     engines are kept, the least recently used dropped first, each tabling
-    |n| <= GENFIB_TABLE_CAP.  Past that bound each call takes one power;
-    runs of indices go through gen_fib_values.
+    |n| <= GENFIB_TABLE_CAP, past which consecutive calls take one power in
+    all, as ``fib`` does.  DomainError for a seed that is not integral.
     """
     p, q = pq  # a seed tuple of any other length raises here
     return _genfib_engine(p, q).value(n)
@@ -193,8 +196,7 @@ def gen_fib_values(pq, start, stop):
 def narayana(n):
     """Fibonacci-Narayana number u_n for any signed n (u_0, u_1, u_2 = 0, 1, 1).
 
-    Past TABLE_CAP each call takes one power; runs of indices go through
-    narayana_values.
+    Past TABLE_CAP consecutive calls take one power in all, as ``fib`` does.
     """
     fwd = _narayana._fwd
     if 0 <= n < len(fwd):

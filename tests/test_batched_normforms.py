@@ -39,8 +39,8 @@ N = 60
 
 def batched(params, pq):
     """d1*d2 * norm for n in [0, N] by the route verify_threshold_report takes."""
-    f = [fib(m) for m in range(-1, 2 * N + 4)]  # f[m + 1] = f_m
-    return normforms._genfib_formula_tops(params, pq or (0, 1), f, f[1:])
+    f = [fib(m) for m in range(0, 2 * N + 2)]  # f[m] = f_m
+    return normforms._genfib_formula_tops(params, pq or (0, 1), 0, f)
 
 
 @settings(max_examples=60)
@@ -52,7 +52,7 @@ def test_batched_closed_forms_match_single_index(params, pq):
     for n in range(N + 1):
         assert Rational(fib_tops[n], d1d2) == norm_fib_formula(params, n)
         assert Rational(genfib_tops[n], d1d2) == norm_genfib_formula(params, pq, n)
-    # n = 0 takes the closed form too, reading f_{-1}
+    # n = 0 takes the closed form too
     assert Rational(genfib_tops[0], d1d2) == gen_fib_quat(params, pq, 0).norm()
 
 

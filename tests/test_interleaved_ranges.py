@@ -1,10 +1,13 @@
-"""Two interleaved runs of range reads past an engine's table cap.
+"""Interleaved runs of range reads past an engine's table cap.
 
-``normforms._formula_tops`` reads a low f-range [s - 1, ...] and a high one
-[2s, ...] from the one f-engine for every window, so the engine keeps
-the ends of its last two ranges and each run continues from its own end:
-one power per run, not one per window.  A range that starts inside the
-forward table and ends past the cap runs on from the table without one.
+The engine keeps the ends of its last two ranges past the cap, so each of
+two interleaved runs continues from its own end: one power per run, not one
+per read.  A loop of short overlapping reads is such a pair of runs: the
+quaternion builders read [n, n + 4) and then [n + 1, n + 5), which starts at
+the end of the read before last.  So is a run of windows interleaved with
+such a loop, as in the audit's THM_2_4, which builds F_n between its
+closed-form windows.  A range that starts inside the forward table and ends
+past the cap runs on from the table without one.
 """
 
 import pytest

@@ -134,3 +134,9 @@ def test_selected_backend_is_exported():
     # perfbench records fibquat.KERNEL_BACKEND and wraps this class by module path
     assert fibquat.KERNEL_BACKEND == "pure-python"
     assert fibquat.Rational is Rational
+
+
+def test_a_bool_is_stored_as_an_int():
+    assert (str(Rational(True)), repr(Rational(True))) == ("1", "Rational(1, 1)")
+    assert repr(Rational(False, True)) == "Rational(0, 1)"
+    assert str(fibquat.AlgebraParams(True, False)) == "H(1, 0)"

@@ -97,12 +97,8 @@ def test_folded_tops_match_the_docstring_formulas(params, pq, s, count):
     b1, b2 = params.beta1, params.beta2
     d1d2 = b1.denominator * b2.denominator
     e = s + count - 1  # tops for n = s..e from one pair of value lists
-    fib_tops = normforms._genfib_formula_tops(
-        params, (0, 1), fib_values(s - 1, e + 1), fib_values(2 * s, 2 * e + 2)
-    )
-    genfib_tops = normforms._genfib_formula_tops(
-        params, pq, fib_values(s - 1, e + 1), fib_values(2 * s, 2 * e + 2)
-    )
+    fib_tops = normforms._genfib_formula_tops(params, (0, 1), s, fib_values(2 * s, 2 * e + 2))
+    genfib_tops = normforms._genfib_formula_tops(params, pq, s, fib_values(2 * s, 2 * e + 2))
     assert len(fib_tops) == len(genfib_tops) == count
     for n, fib_top, genfib_top in zip(range(s, e + 1), fib_tops, genfib_tops):
         assert Rational(fib_top, d1d2) == literal_fib_norm(b1, b2, n)

@@ -13,7 +13,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fibquat import fib, gen_fib, herd_total, narayana
+from fibquat import AlgebraParams, fib, fib_quat, gen_fib, gen_fib_quat, herd_total, narayana
 from fibquat import sequences
 from fibquat.sequences import fib_values, gen_fib_values, narayana_values
 from fibquat.sequences import (
@@ -258,3 +258,33 @@ def test_value_ranges_are_copies():
     values = fib_values(0, 10)
     values[3] = -1
     assert fib(3) == 2
+
+
+def test_builder_loops_past_the_cap_reuse_the_kept_ends(monkeypatch):
+    # consecutive single reads, and the builders' [n, n+4) after [n-1, n+3),
+    # run on from the ends the engine keeps instead of taking a power each
+    power = _Recurrence._power
+    powers = []
+    monkeypatch.setattr(_Recurrence, "_power", lambda self, n: powers.append(n) or power(self, n))
+    for engine in (sequences._fib, sequences._narayana):  # forget earlier reads
+        monkeypatch.setattr(engine, "_resume", (0, ()))
+        monkeypatch.setattr(engine, "_earlier", (0, ()))
+    for name, read, seeds, start in (
+        ("fib", fib, (0, 1), 5000),
+        ("narayana", narayana, (0, 1, 1), 5000),
+        ("gen_fib", lambda n: gen_fib((1031, -1033), n), (1031, -1033), 600),
+    ):
+        powers.clear()
+        assert [read(n) for n in range(start, start + 100)] == loop_run(seeds, start, 100), name
+        assert powers == [start], name
+    params = AlgebraParams(2, -3)
+    for name, build, seeds, start, count in (
+        ("gen_fib_quat", lambda n: gen_fib_quat(params, (1039, 1049), n), (1039, 1049), 600, 100),
+        ("fib_quat", lambda n: fib_quat(params, n), (0, 1), 5000, 400),
+    ):
+        powers.clear()
+        xs = loop_run(seeds, start, count + 3)
+        for n in range(start, start + count):
+            q = build(n)
+            assert (q.x1, q.x2, q.x3, q.x4, q.den) == (*xs[n - start:n - start + 4], 1), (name, n)
+        assert len(powers) <= 2, name

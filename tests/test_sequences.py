@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fibquat import (
+    AlgebraParams,
     DomainError,
     binom,
     fib,
     figurate,
     gen_fib,
+    gen_fib_quat,
     herd_total,
     narayana,
 )
+from fibquat.sequences import gen_fib_values
 
 
 def prefix_sum_oracle(n, m):
@@ -250,3 +253,18 @@ class TestHerd:
         monkeypatch.setattr(seqs, "figurate", lambda n, m: real(n, m) + 1)
         with pytest.raises(ConsistencyError):
             herd_total(20)
+
+
+def test_seed_engines_hold_ints_whichever_key_comes_first():
+    # (1009.0, 1013.0) equals (1009, 1013) and shares its cache entry
+    for first, second in (((1009.0, 1013.0), (1009, 1013)), ((1019, 1021), (1019.0, 1021.0))):
+        for pq in (first, second):
+            values = [gen_fib(pq, n) for n in (-3, 0, 1, 10, 600)] + gen_fib_values(pq, 0, 8)
+            assert all(type(value) is int for value in values), pq
+            assert str(gen_fib_quat(AlgebraParams(1, 1), pq, 3)) == str(
+                gen_fib_quat(AlgebraParams(1, 1), (int(pq[0]), int(pq[1])), 3)
+            )
+    assert type(gen_fib((True, False), 3)) is int
+    for pq in ((1.5, 1), (1, 0.25)):
+        with pytest.raises(DomainError):
+            gen_fib(pq, 3)

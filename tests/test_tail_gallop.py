@@ -1,8 +1,8 @@
-"""The tail bound's search past n = 32: doubling, then bisection.
+"""The tail bound's search: doubling, then bisection.
 
-``normforms._tail_bound`` steps alpha^(2n) up to n = 32 and then, because
-|lead|*alpha^(2n) grows with n, doubles n and bisects, reading each
-alpha^(2n) by ``t_power``.  Its result must be the least N that a plain
+``normforms._tail_bound`` reads alpha^(2n) = f_{2n-1} + f_{2n}*alpha from
+the f-engine and, because |lead|*alpha^(2n) grows with n, doubles n + 1 from
+1 and bisects the last step.  Its result must be the least N that a plain
 stepping search finds, written out here on integers of Z[alpha].  The
 algebras are zero divisors on demand, as in ``test_threshold_bound``:
 beta2 = -u_n/u_{n+2}, with u_m = x_m^2 + beta1*x_{m+1}^2, gives the element
@@ -21,7 +21,7 @@ from fibquat import (
     verify_threshold_report,
 )
 from fibquat import normforms
-from fibquat.sequences import fib_values, gen_fib_values
+from fibquat.sequences import _Recurrence, fib_values, gen_fib_values
 from fibquat.surd import mul, residue_sign
 
 
@@ -106,13 +106,13 @@ def test_a_deep_zero_divisor_reports_its_zero():
 
 
 def test_the_search_reads_few_powers_far_out(monkeypatch):
-    # at n = 6,000 stepping takes seconds; doubling from 32 and bisecting
-    # read about 2*log2(N/32) powers instead
+    # at n = 6,000 stepping takes seconds; doubling and bisecting read about
+    # 2*log2(N/2048) engine powers instead, the f-table serving 2n <= 4096
     params = zero_divisor(Rational(-3), None, 6000)
     lead, k = lead_and_constant(params, None)
-    power = normforms.t_power
+    power = _Recurrence._power
     calls = []
-    monkeypatch.setattr(normforms, "t_power", lambda kind, n: calls.append(n) or power(kind, n))
+    monkeypatch.setattr(_Recurrence, "_power", lambda self, n: calls.append(n) or power(self, n))
     bound = normforms._tail_bound(lead, k, 10**6)
     assert bound == 6001
     assert 0 < len(calls) <= 2 * (bound // 32).bit_length() + 4
