@@ -12,12 +12,12 @@ may give split algebras with zero divisors.
 
 A quaternion is held as four integer numerators over one positive common
 denominator, (x1 + x2*e2 + x3*e3 + x4*e4)/den, reduced so that
-gcd(x1, x2, x3, x4, den) == 1.  With beta_i = n_i/d_i, every operation works
-on these integers with the betas' denominators cleared too, and reduces its
-result once by a single gcd; products, norms and inverses build no Rational
-per coefficient.  A result over den = 1, such as a sum of integer
-quaternions or an integer multiple of one, is reduced already and takes no
-gcd.  The coefficients a1..a4 are Rational views built on demand.
+gcd(x1, x2, x3, x4, den) == 1, and an algebra as the tuple (n1, d1, n2, d2)
+with beta_i = n_i/d_i in lowest terms.  Every operation works on these
+integers and reduces its result once by a single gcd; products, norms and
+inverses build no Rational per coefficient.  A result over den = 1, such as
+a sum of integer quaternions or an integer multiple of one, is reduced
+already and takes no gcd.  a1..a4, beta1 and beta2 are Rational views.
 
 All values are immutable and every operation is a pure function, so
 everything here is safe to share between threads.
@@ -39,47 +39,7 @@ def as_rational(x):
     return Rational(x)
 
 
-class AlgebraParams:
-    """The pair (beta1, beta2) fixing one algebra.  Any rationals are allowed.
-
-    A frozen value type: equality, hashing and repr read (beta1, beta2) only.
-    ``cleared`` is (n1, d1, n2, d2) with beta_i = n_i/d_i and d_i > 0, the
-    integers every cleared product and norm reads; it is derived from the
-    betas, so copies and pickles rebuild it from them.
-    """
-
-    __slots__ = ("beta1", "beta2", "cleared")
-
-    def __init__(self, beta1, beta2):
-        b1 = as_rational(beta1)
-        b2 = as_rational(beta2)
-        init = object.__setattr__
-        init(self, "beta1", b1)
-        init(self, "beta2", b2)
-        init(self, "cleared", (b1.numerator, b1.denominator, b2.numerator, b2.denominator))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of AlgebraParams")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of AlgebraParams")
-
-    def __reduce__(self):
-        return self.__class__, (self.beta1, self.beta2)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.beta1 == other.beta1 and self.beta2 == other.beta2
-
-    def __hash__(self):
-        return hash((self.beta1, self.beta2))
-
-    def __repr__(self):
-        return f"AlgebraParams(beta1={self.beta1!r}, beta2={self.beta2!r})"
-
-    def __str__(self):
-        return f"H({self.beta1}, {self.beta2})"
+_tuple_new = tuple.__new__
 
 
 class _FieldTuple(tuple):
@@ -106,6 +66,38 @@ class _FieldTuple(tuple):
 
     def __reduce__(self):
         return tuple.__new__, (self.__class__, tuple(self))
+
+
+class AlgebraParams(_FieldTuple):
+    """The pair (beta1, beta2) fixing one algebra.  Any rationals are allowed.
+
+    Stored as the tuple (n1, d1, n2, d2) with beta_i = n_i/d_i in lowest terms
+    and d_i > 0, which every cleared product and norm reads; ``beta1`` and
+    ``beta2`` are Rational views of it, and ``cleared`` is the plain tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, beta1, beta2):
+        b1 = as_rational(beta1)
+        b2 = as_rational(beta2)
+        return _tuple_new(cls, (b1.numerator, b1.denominator, b2.numerator, b2.denominator))
+
+    @property
+    def beta1(self):
+        return _raw(self[0], self[1])
+
+    @property
+    def beta2(self):
+        return _raw(self[2], self[3])
+
+    cleared = property(tuple)
+
+    def __repr__(self):
+        return f"AlgebraParams(beta1={self.beta1!r}, beta2={self.beta2!r})"
+
+    def __str__(self):
+        return f"H({self.beta1}, {self.beta2})"
 
 
 class Quaternion(_FieldTuple):
@@ -217,7 +209,7 @@ class Quaternion(_FieldTuple):
         x1, x2, x3, x4, den_a, params = self
         y1, y2, y3, y4, den_b, other_params = other
         _require_same_algebra(params, other_params)
-        n1, d1, n2, d2 = params.cleared
+        n1, d1, n2, d2 = params
         # times d1*d2, the factors 1, beta1, beta2, beta1*beta2 of the table
         # become the integers d1*d2, n1*d2, d1*n2, n1*n2
         dd = d1 * d2
@@ -255,7 +247,7 @@ class Quaternion(_FieldTuple):
         d1*d2*den^2 gives the reduced Rational.
         """
         x1, x2, x3, x4, den, params = self
-        n1, d1, n2, d2 = params.cleared
+        n1, d1, n2, d2 = params
         top = d2 * (d1 * (x1 * x1) + n1 * (x2 * x2)) + n2 * (d1 * (x3 * x3) + n1 * (x4 * x4))
         bottom = d1 * d2
         if den != 1:
@@ -296,9 +288,6 @@ class Quaternion(_FieldTuple):
         return (
             f"Quaternion({self.a1}, {self.a2}, {self.a3}, {self.a4}; {self.params})"
         )
-
-
-_tuple_new = tuple.__new__
 
 
 def _new(x1, x2, x3, x4, den, params):

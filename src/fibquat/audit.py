@@ -186,16 +186,16 @@ def _span(n_max, default):
     return default if n_max is None else n_max
 
 
-def _rand_rational(rng, bound=8, max_den=4):
-    return Rational(rng.randint(-bound, bound), rng.randint(1, max_den))
+def _rand_rational(rng):
+    return Rational(rng.randint(-8, 8), rng.randint(1, 4))
 
 
-def _rand_params(rng, bound=8, max_den=4):
-    return AlgebraParams(_rand_rational(rng, bound, max_den), _rand_rational(rng, bound, max_den))
+def _rand_params(rng):
+    return AlgebraParams(_rand_rational(rng), _rand_rational(rng))
 
 
-def _rand_pq(rng, bound=9):
-    return GenFibParams(rng.randint(-bound, bound), rng.randint(-bound, bound))
+def _rand_pq(rng):
+    return GenFibParams(rng.randint(-9, 9), rng.randint(-9, 9))
 
 
 def _rand_quat(rng, params):
@@ -579,7 +579,7 @@ def _formula_norms(params, pq, start, stop):
     """(n, closed-form norm of F_n or H^{p,q}_n) for n in [start, stop), the
     closed forms of ``norm_fib_formula`` and ``norm_genfib_formula`` read in
     windows of _VERIFY_WINDOW indices."""
-    n1, d1, n2, d2 = params.cleared
+    n1, d1, n2, d2 = params
     bottom = d1 * d2
     for low in range(start, stop, _VERIFY_WINDOW):
         tops = _formula_tops(params, pq, low, min(low + _VERIFY_WINDOW, stop))

@@ -40,7 +40,7 @@ from .errors import (
     IndicatorDegenerateError,
     ScanExhaustedError,
 )
-from .sequences import GenFibParams, fib, fib_values, gen_fib_values
+from .sequences import GenFibParams, _integer_seeds, fib, fib_values, gen_fib_values
 from .surd import from_residue, mul, residue_sign
 
 
@@ -58,8 +58,8 @@ def _genfib_formula_tops(params, pq, start, high):
     f_{2n+1}, and then by 5 f_{n-1} f_n = 3 f_{2n} - f_{2n+1} + (-1)^n onto
     f_{2n+1}, f_{2n} and (-1)^n, as 5 times the value.
     """
-    n1, d1, n2, d2 = params.cleared
-    p, q = pq
+    n1, d1, n2, d2 = params
+    p, q = _integer_seeds(*pq)
     p_hi = d2 + 2 * n2
     n2_3 = 3 * n2
     b1_less_1 = n1 - d1
@@ -107,7 +107,7 @@ def norm_fib_formula(params, n):
 
     the case (p, q) = (0, 1) of ``norm_genfib_formula``, over d1*d2.
     """
-    n1, d1, n2, d2 = params.cleared
+    n1, d1, n2, d2 = params
     return Rational(_formula_tops(params, None, n, n + 1)[0], d1 * d2)
 
 
@@ -123,7 +123,7 @@ def norm_genfib_formula(params, pq, n):
     evaluated as one integer numerator over d1*d2.  Here h^{a,b}_m is
     a f_{m-1} + b f_m, and f extends to negative indices.
     """
-    n1, d1, n2, d2 = params.cleared
+    n1, d1, n2, d2 = params
     return Rational(_formula_tops(params, pq, n, n + 1)[0], d1 * d2)
 
 
@@ -150,7 +150,7 @@ def swamy_norm_corrected(pq, n):
 
 def _indicator_E_pair(params):
     # 5*d1*d2 * E as the residue [c0, c1] of c0 + c1*alpha in Z[alpha]
-    n1, d1, n2, d2 = params.cleared
+    n1, d1, n2, d2 = params
     return [
         d1 * d2 + n1 * d2 + 2 * (d1 * n2) + 5 * (n1 * n2),  # d1*d2 (1 + b1 + 2 b2 + 5 b1 b2)
         n1 * d2 + 3 * (d1 * n2) + 8 * (n1 * n2),            # d1*d2 (b1 + 3 b2 + 8 b1 b2)
@@ -171,11 +171,11 @@ def _indicator(params, pq):
     pair = _indicator_E_pair(params)
     if pq is None:
         return pair
-    n1, d1, n2, d2 = params.cleared
+    n1, d1, n2, d2 = params
     # d1*d2 [1 + b1 a^2 + b2 a^4 + b1 b2 a^6]
     weights = (d1 * d2, n1 * d2, d1 * n2, n1 * n2)
     bracket = [sum(w * a[i] for w, a in zip(weights, _ALPHA_EVEN_POWERS)) for i in (0, 1)]
-    root = list(pq)  # p + alpha*q
+    root = _integer_seeds(*pq)  # p + alpha*q
     square = mul(root, root)
     literal = mul(square, bracket)
     reduced = mul(square, pair)
@@ -196,7 +196,7 @@ def growth_indicator_E(params):
     b2^2 + 7 b2 + 1 = 0, whose discriminant 45 is not a perfect square.
     The integer residue of ``_indicator`` over 5*d1*d2, reduced.
     """
-    n1, d1, n2, d2 = params.cleared
+    n1, d1, n2, d2 = params
     return from_residue(_indicator(params, None), 5 * d1 * d2)
 
 
@@ -207,7 +207,7 @@ def growth_indicator_Eprime(params, pq):
     reduced form (p + alpha*q)^2 * E(b1, b2); the two must agree exactly.
     The integer residue of ``_indicator`` over 5*d1*d2, reduced.
     """
-    n1, d1, n2, d2 = params.cleared
+    n1, d1, n2, d2 = params
     return from_residue(_indicator(params, pq), 5 * d1 * d2)
 
 
@@ -238,7 +238,7 @@ def _cleared_norm_scan(params, values):
     With u_m = d1*x_m^2 + n1*x_{m+1}^2 the form is d2*u_n + n2*u_{n+2}, so
     each square and each u_m is computed once for the whole scan.
     """
-    n1, d1, n2, d2 = params.cleared
+    n1, d1, n2, d2 = params
     squares = [x * x for x in values]
     u = [d1 * a + n1 * b for a, b in zip(squares, squares[1:])]
     return [d2 * a + n2 * b for a, b in zip(u, u[2:])]

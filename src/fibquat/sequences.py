@@ -146,15 +146,23 @@ _fib = _Recurrence(0, 1)
 _narayana = _Recurrence(0, 1, 1)
 
 
+def _integer_seeds(p, q):
+    """[p, q] as ints by the seed rule of ``gen_fib``."""
+    if p.__class__ is not int or q.__class__ is not int:
+        seeds = [int(x) if isinstance(x, float) and x.is_integer() else x for x in (p, q)]
+        if any(getattr(x, "denominator", None) != 1 for x in seeds):  # nan, inf, 1.5, 1/2
+            raise DomainError(f"gen_fib seeds must be integers, got ({p}, {q})")
+        p, q = (int(x.numerator) for x in seeds)  # a numpy integer's numerator is itself
+    return [p, q]
+
+
 @functools.lru_cache(maxsize=GENFIB_CACHE_CAP)
 def _genfib_engine(p, q):
     """The engine of one (p, q) seed pair, its tables bounded by
-    GENFIB_TABLE_CAP, on int seeds: (1.0, 1.0) shares the entry of (1, 1).
-    Two threads racing on a fresh seed may each build one, and both fill it
-    identically."""
-    if int(p) != p or int(q) != q:
-        raise DomainError(f"gen_fib seeds must be integers, got ({p}, {q})")
-    return _Recurrence(int(p), int(q), cap=GENFIB_TABLE_CAP)
+    GENFIB_TABLE_CAP, on int seeds: a key equal to (1, 1), such as (1.0, 1.0),
+    builds on a miss the engine it finds on a hit.  Two threads racing on a
+    fresh seed may each build one, and both fill it identically."""
+    return _Recurrence(*_integer_seeds(p, q), cap=GENFIB_TABLE_CAP)
 
 
 def fib(n):
@@ -181,7 +189,9 @@ def gen_fib(pq, n):
     against h_{n+1} = p*f_n + q*f_{n+1}.  At most GENFIB_CACHE_CAP seed
     engines are kept, the least recently used dropped first, each tabling
     |n| <= GENFIB_TABLE_CAP, past which consecutive calls take one power in
-    all, as ``fib`` does.  DomainError for a seed that is not integral.
+    all, as ``fib`` does.  A seed equal to an integer (an int or bool, an
+    integral float, a Rational or Fraction over 1) is read as that int, and
+    any other seed, nan and inf included, raises DomainError.
     """
     p, q = pq  # a seed tuple of any other length raises here
     return _genfib_engine(p, q).value(n)

@@ -2,9 +2,9 @@
 QuadraticSurd.
 
 Each is immutable, survives pickle, copy and deepcopy as an equal value,
-and hashes equal when equal; AlgebraParams keeps its derived ``cleared``
-integers and its repr text.  Quaternion and QuadraticSurd are tuples of
-their canonical fields that equal no plain tuple and are not ordered.
+and hashes equal when equal; AlgebraParams keeps its ``cleared`` integers
+and its repr text.  AlgebraParams, Quaternion and QuadraticSurd are tuples
+of their canonical fields that equal no plain tuple and are not ordered.
 """
 
 import copy
@@ -91,6 +91,26 @@ def test_algebra_params_fields_are_read_only():
         with pytest.raises(AttributeError):
             setattr(HALF_THREE, attribute, Rational(5))
     assert HALF_THREE.cleared == (1, 2, 3, 1)
+
+
+def test_algebra_params_is_the_tuple_of_its_cleared_integers():
+    cleared = HALF_THREE.cleared
+    assert type(cleared) is tuple and tuple(HALF_THREE) == cleared == (1, 2, 3, 1)
+    assert not HALF_THREE == cleared and HALF_THREE != cleared
+    assert not cleared == HALF_THREE and cleared != HALF_THREE
+    for other in (HALF_THREE, cleared):
+        with pytest.raises(TypeError):
+            HALF_THREE < other
+        with pytest.raises(TypeError):
+            other > HALF_THREE
+    joined = (1,) + HALF_THREE
+    assert type(joined) is tuple and joined == (1, 1, 2, 3, 1)
+    for attribute in ("beta1", "beta2", "cleared"):
+        with pytest.raises(AttributeError):
+            delattr(HALF_THREE, attribute)
+    with pytest.raises(AttributeError):
+        HALF_THREE.extra = 1
+    assert HALF_THREE.beta1 == Rational(1, 2) and HALF_THREE.beta2 == Rational(3)
 
 
 def test_quaternion_takes_no_new_attributes():

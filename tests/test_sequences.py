@@ -2,6 +2,7 @@
 relations, divisibility patterns, and the herd computation."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,15 +10,19 @@ from hypothesis import given, strategies as st
 from fibquat import (
     AlgebraParams,
     DomainError,
+    Rational,
     binom,
     fib,
     figurate,
     gen_fib,
     gen_fib_quat,
+    growth_indicator_Eprime,
     herd_total,
+    invertibility_threshold,
     narayana,
+    norm_genfib_formula,
 )
-from fibquat.sequences import gen_fib_values
+from fibquat.sequences import _genfib_engine, gen_fib_values
 
 
 def prefix_sum_oracle(n, m):
@@ -268,3 +273,41 @@ def test_seed_engines_hold_ints_whichever_key_comes_first():
     for pq in ((1.5, 1), (1, 0.25)):
         with pytest.raises(DomainError):
             gen_fib(pq, 3)
+
+
+def test_one_seed_rule_on_a_cache_miss_and_a_cache_hit():
+    # a seed equal to an integer reads the int table whichever equal key
+    # fills the fresh cache entry, h_5 = 3p + 5q
+    _genfib_engine.cache_clear()
+    orders = (
+        (1103, (Rational(1103), 1), (1103, 1)),
+        (1109, (1109, 1), (Rational(1109), 1)),
+        (1117, (Fraction(1117), 1.0), (1117, 1)),
+    )
+    for p, first, second in orders:
+        for pq in (first, second):
+            value = gen_fib(pq, 5)
+            assert type(value) is int and value == 3 * p + 5, pq
+    # an integer type whose numerator is itself, as numpy's are, still gives ints
+    seed = type("Int64Like", (int,), {"numerator": property(lambda self: self)})(1123)
+    assert type(gen_fib((seed, 1), 0)) is int and gen_fib((seed, 1), 5) == 3 * 1123 + 5
+    h11 = AlgebraParams(1, 1)
+    assert invertibility_threshold(h11, (1.0, Rational(1))) == invertibility_threshold(h11, (1, 1))
+    assert norm_genfib_formula(h11, (Fraction(2), 1.0), 7) == norm_genfib_formula(h11, (2, 1), 7)
+    refused = (
+        (Rational(1, 2), 1),
+        (float("nan"), 1),
+        (1, float("inf")),
+        (float("-inf"), 1),
+        (1.5, 1),
+        (1, Fraction(1, 3)),
+    )
+    for pq in refused:
+        for call in (
+            lambda: invertibility_threshold(h11, pq),
+            lambda: norm_genfib_formula(h11, pq, 3),
+            lambda: growth_indicator_Eprime(h11, pq),
+            lambda: gen_fib(pq, 3),
+        ):
+            with pytest.raises(DomainError):
+                call()
