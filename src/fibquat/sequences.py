@@ -9,10 +9,11 @@ the recurrence (backward for negative n); a larger one comes from one power
 of t modulo the characteristic polynomial t^k - t^(k-1) - 1 (O(log n)
 multiplications in the residue ring of ``surd``, the companion-matrix power
 held as k numbers), and a range past the tables from one such power at its
-start, then the recurrence forward; a range that starts where one of the
-engine's last two such ranges ended, or inside the forward table, runs on
-from there instead, so a run of windows or of the builders' overlapping
-reads takes one power.  Every route gives the same values.
+start, then the recurrence forward.  Each engine keeps one run, the last 3k
+values of its last such range [start, stop), and a range that starts in
+[stop - 2k, stop] continues it instead, so a run of windows or of the
+builders' overlapping reads takes one power.  Every route gives the same
+values.
 Every cache is bounded, in memory as well as in count: tables stop at their
 engine's cap, and at most GENFIB_CACHE_CAP gen_fib seed engines are kept, the
 least recently used dropped first.  ``fib``, ``narayana`` and the builders
@@ -52,13 +53,13 @@ class _Recurrence:
     (forward, and backward by x_n = x_{n+k} - x_{n+k-1}); a range of them is
     sliced from those lists.  Beyond the cap, x_n comes from t^n modulo the
     characteristic polynomial, by binary exponentiation (k(k+1)/2 big
-    multiplications per squaring).  A range past the cap runs the recurrence
-    forward from its start, which it reads from the values kept around the
-    end of each of the last two such ranges (at most 2k) or from the forward
-    table, filled to the cap, when it starts within one of them, and else
-    from one power.  The second end lets a loop of overlapping reads, such as
-    the quaternion builders' [n, n+4) after [n-1, n+3), run on from the read
-    before last, even between the windows of another run (as in THM_2_4).
+    multiplications per squaring).  A range [start, stop) past the cap runs
+    the recurrence forward from its start through x_{stop+k-1} and keeps the
+    last 3k values of that run, x_{stop-2k} .. x_{stop+k-1} (fewer when the
+    range is shorter).  The next range past the cap continues the kept run
+    when it starts in [stop - 2k, stop], and else takes one power: so the
+    quaternion builders' [n, n+4) after [n-1, n+3) continues, as do
+    consecutive windows.
     """
 
     def __init__(self, *seeds, cap=TABLE_CAP):
@@ -67,9 +68,8 @@ class _Recurrence:
         self._fwd = list(seeds)  # x_0, x_1, ...
         # x_0, x_-1, x_-2, ...: x_-1 .. x_-(k-1) come from the seeds alone
         self._bwd = [seeds[0]] + [seeds[k - i] - seeds[k - i - 1] for i in range(1, k)]
-        # (i, (x_i, x_{i+1}, ...)): the ends of the last range past the cap
-        # and of the one before it
-        self._resume = self._earlier = (0, ())
+        # (i, (x_i, x_{i+1}, ...)): the kept run of the last range past the cap
+        self._resume = (0, ())
         self._lock = threading.Lock()
 
     def _forward(self, size):
@@ -99,7 +99,8 @@ class _Recurrence:
 
     def values(self, start, stop):
         """[x_start, ..., x_{stop-1}]: table slices when every index is within
-        the cap, else the state at start by one power, then the recurrence."""
+        the cap, else the state at start from the kept run or by one power,
+        then the recurrence."""
         fwd = self._fwd
         if 0 <= start and stop <= len(fwd):
             return fwd[start:stop]
@@ -107,20 +108,14 @@ class _Recurrence:
         if start < -cap or stop > cap + 1:
             k = self._k
             length = max(0, stop - start)
-            last = self._resume
-            # ``other``, the end this range does not continue from, is kept
-            table = (0, self._forward(cap + 1) if 0 <= start <= cap else ())
-            for (base, tail), other in ((last, self._earlier), (self._earlier, last), (table, last)):
-                if base <= start <= base + len(tail) - k:
-                    run = list(tail[start - base:])
-                    break
+            base, tail = self._resume
+            if base <= start <= base + len(tail) - k:
+                run = list(tail[start - base:])
             else:
                 run = list(self._power(start))
-                other = last
             for _ in range(length + k - len(run)):  # through x_{stop+k-1}
                 run.append(run[-1] + run[-k])
-            keep = max(0, length - k)
-            self._earlier = other
+            keep = max(0, length - 2 * k)
             self._resume = (start + keep, tuple(run[keep:length + k]))
             return run[:length]
         if start >= 0:
@@ -168,8 +163,9 @@ def _genfib_engine(p, q):
 def fib(n):
     """Fibonacci number f_n for any signed n (f_0 = 0, f_1 = 1).
 
-    Past TABLE_CAP a call takes one power unless it continues one of the
-    engine's last two reads: consecutive calls take one power in all.
+    Past TABLE_CAP a call takes one power unless it continues the engine's
+    last read past the cap, starting in [stop - 4, stop] of that read:
+    consecutive calls take one power in all.
     """
     fwd = _fib._fwd
     if 0 <= n < len(fwd):
@@ -206,7 +202,9 @@ def gen_fib_values(pq, start, stop):
 def narayana(n):
     """Fibonacci-Narayana number u_n for any signed n (u_0, u_1, u_2 = 0, 1, 1).
 
-    Past TABLE_CAP consecutive calls take one power in all, as ``fib`` does.
+    Past TABLE_CAP a call takes one power unless it continues the engine's
+    last read past the cap, starting in [stop - 6, stop] of that read:
+    consecutive calls take one power in all.
     """
     fwd = _narayana._fwd
     if 0 <= n < len(fwd):

@@ -262,13 +262,12 @@ def test_value_ranges_are_copies():
 
 def test_builder_loops_past_the_cap_reuse_the_kept_ends(monkeypatch):
     # consecutive single reads, and the builders' [n, n+4) after [n-1, n+3),
-    # run on from the ends the engine keeps instead of taking a power each
+    # continue the run the engine keeps instead of taking a power each
     power = _Recurrence._power
     powers = []
     monkeypatch.setattr(_Recurrence, "_power", lambda self, n: powers.append(n) or power(self, n))
-    for engine in (sequences._fib, sequences._narayana):  # forget earlier reads
-        monkeypatch.setattr(engine, "_resume", (0, ()))
-        monkeypatch.setattr(engine, "_earlier", (0, ()))
+    for engine in (sequences._fib, sequences._narayana, sequences._genfib_engine(1039, 1049)):
+        monkeypatch.setattr(engine, "_resume", (0, ()))  # forget earlier reads
     for name, read, seeds, start in (
         ("fib", fib, (0, 1), 5000),
         ("narayana", narayana, (0, 1, 1), 5000),
@@ -287,4 +286,4 @@ def test_builder_loops_past_the_cap_reuse_the_kept_ends(monkeypatch):
         for n in range(start, start + count):
             q = build(n)
             assert (q.x1, q.x2, q.x3, q.x4, q.den) == (*xs[n - start:n - start + 4], 1), (name, n)
-        assert len(powers) <= 2, name
+        assert powers == [start], name
