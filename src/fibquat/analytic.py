@@ -163,17 +163,21 @@ def gf_check(max_degree):
 
     U_n has components u_n..u_{n+3}, so component k of the coefficient at
     degree d >= 3 is the residual r_{d+k} = u_{d+k} - u_{d+k-1} - u_{d+k-3}.
-    One slice u_0..u_{max_degree+3} gives every residual once, in one linear
-    pass; the first degree whose four residuals are not all zero is reported
-    with its coefficient.
+    Every residual r_3 .. r_{max_degree+3} is computed once, 256 per read of
+    u in windows that overlap by 3 values, so memory stays flat in
+    max_degree; at the first nonzero residual r_m the four residuals of
+    degree max(3, m - 3), the least degree whose coefficient holds r_m, are
+    recomputed from one read of the 7 values they use and reported.
     """
     if max_degree < 3:
         raise DomainError(f"gf_check requires max_degree >= 3, got {max_degree}")
-    u = narayana_values(0, max_degree + 4)
-    residuals = [a - b - c for a, b, c in zip(u[3:], u[2:], u)]  # r_3 .. r_{max_degree+3}
-    if any(residuals):
-        first = next(m for m, r in enumerate(residuals, 3) if r)
-        degree = max(3, first - 3)  # the least degree d with d <= first <= d + 3
-        raise SeriesMismatchError(degree, tuple(residuals[degree - 3:degree + 1]))
+    for start in range(0, max_degree + 1, 256):
+        u = narayana_values(start, min(start + 259, max_degree + 4))
+        residuals = [a - b - c for a, b, c in zip(u[3:], u[2:], u)]  # r_{start+3} ..
+        if any(residuals):
+            first = next(m for m, r in enumerate(residuals, start + 3) if r)
+            degree = max(3, first - 3)
+            u = narayana_values(degree - 3, degree + 4)
+            raise SeriesMismatchError(degree, tuple(a - b - c for a, b, c in zip(u[3:], u[2:], u)))
     # every residual is zero, so is the largest of each component
     return SeriesCheck(degree_checked=max_degree, max_abs_residual_coefficient=(0, 0, 0, 0))

@@ -3,8 +3,8 @@ E and E' in Q(sqrt 5), and invertibility thresholds.
 
 Every norm here is evaluated with denominators cleared.  With
 beta1 = n1/d1 and beta2 = n2/d2, d1*d2 times the norm of an integer
-quaternion is an integer with the norm's sign, so the threshold scan and
-its re-verification decide sign and zeroness on plain integers, and the
+quaternion is an integer with the norm's sign, so the threshold and its
+re-verification decide sign and zeroness on plain integers, and the
 public closed forms reduce one integer numerator over d1*d2.
 
 The closed forms evaluate h-values through h_{n+1} = p*f_n + q*f_{n+1},
@@ -20,15 +20,27 @@ integer residue c0 + c1*alpha of Z[alpha], 5*d1*d2 times E or E', which the
 public indicators reduce to a QuadraticSurd and the threshold and its
 re-verification read on the integers.
 
-The threshold scan reports what a scan of every n in [0, n_max] reports,
-but stops early at a proven tail bound: 5*d1*d2 times the norm is
+The threshold reports what a scan of every n in [0, n_max] reports, from
+O(log n_max) single-index norms.  5*d1*d2 times the norm is V(n) =
 A*alpha^(2n) + sigma(A)*alpha^(-2n) + k*(-1)^n, with A from the indicator
 residue and k fitted to three norms (the fit is the proof, checked on
-every call), so past an index N found exactly on integers every norm has
-the sign of E.  Its re-verification still checks all of [0, n_max] by the
-closed forms and never reads N.
+every call).  With s = sign A, s*V(n) = G(n) + s*k*(-1)^r on each parity r
+of n, where G(x) = s*(A*alpha^(2x) + sigma(A)*alpha^(-2x)) is strictly
+convex and positive when sign sigma(A) = s (the convex case), else
+strictly increasing (the monotone case).  So the bad indices of parity r,
+where the norm is zero or has the sign opposite to E, s*V(n) <= 0, are one
+interval of the integers, bounded in the convex case and running to
+-infinity in the monotone case.  A zero norm sits at an end of its
+interval, as a strictly convex or increasing sequence that is <= 0 on both
+sides of an index is < 0 there; so there are at most two zero norms over
+all of Z: in the convex case G > 0 leaves an interval only on the parity
+with -s*k*(-1)^r > 0, and in the monotone case each interval has one end.
+The threshold locates each parity's interval by galloping and bisection.
+Its re-verification reads every index of [0, n_max] by the closed forms
+instead, and shares only the indicator with it.
 """
 
+from functools import partial
 from itertools import cycle
 from typing import NamedTuple
 
@@ -212,14 +224,14 @@ def growth_indicator_Eprime(params, pq):
 
 
 class ThresholdReport(NamedTuple):
-    """Outcome of an invertibility scan over n in [0, scanned_up_to].
+    """Outcome of an invertibility threshold over n in [0, scanned_up_to].
 
     empirical_n0 is the least index from which every norm in
     [0, scanned_up_to] is nonzero with sign equal to sign_of_E, and zero
     norms below it are listed: the report is always that of a scan of the
-    whole range.  empirical_n0 is proven, valid for every n >= it, whenever
-    the tail bound N of ``invertibility_threshold`` is at most
-    scanned_up_to; the report does not record N.
+    whole range.  empirical_n0 is proven, valid for every n >= it, since
+    ``invertibility_threshold`` locates each parity's whole interval of bad
+    indices on the proven Binet form; at most two zero norms are listed.
     """
 
     params: AlgebraParams
@@ -228,20 +240,6 @@ class ThresholdReport(NamedTuple):
     empirical_n0: int
     scanned_up_to: int
     zero_norm_indices: tuple[int, ...]
-
-
-def _cleared_norm_scan(params, values):
-    """d1*d2 times the norm of x_n + x_{n+1}*e2 + x_{n+2}*e3 + x_{n+3}*e4 for
-    each n, given the list x_0, x_1, ...: the integer quadratic form of
-    ``Quaternion.norm``, d2*(d1*x1^2 + n1*x2^2) + n2*(d1*x3^2 + n1*x4^2).
-
-    With u_m = d1*x_m^2 + n1*x_{m+1}^2 the form is d2*u_n + n2*u_{n+2}, so
-    each square and each u_m is computed once for the whole scan.
-    """
-    n1, d1, n2, d2 = params
-    squares = [x * x for x in values]
-    u = [d1 * a + n1 * b for a, b in zip(squares, squares[1:])]
-    return [d2 * a + n2 * b for a, b in zip(u, u[2:])]
 
 
 def _fitted_constant(lead, tops):
@@ -263,60 +261,60 @@ def _fitted_constant(lead, tops):
     return k
 
 
-def _tail_bound(lead, k, n_max):
-    """The least N <= n_max with |lead|*alpha^(2N) > |sigma(lead)| + |k|, or None.
+class _SignedNorms(dict):
+    """n: s*d1*d2 times the norm of F_n (pq is None) or H^{p,q}_n, for a sign
+    s, read on first use: the integer quadratic form of ``Quaternion.norm``
+    on the four sequence values from n, as one read of the recurrence."""
 
-    Past such an N every norm of the fitted form has the sign of lead.  It is
-    decided on integers, alpha^(2n) = f_{2n-1} + f_{2n}*alpha from f_{2n} and
-    f_{2n+1} by ``fib_values``; as the left side grows with n, n + 1 doubles
-    from 1 until it holds or n is n_max, and the last doubling is bisected.
-    """
-    c0, c1 = lead
-    s0, s1 = c0 + c1, -c1  # sigma(lead)
-    sign = residue_sign(c0, c1)
-    conj_sign = residue_sign(s0, s1)
-    offset = conj_sign * s0 + abs(k)
-    slope = conj_sign * s1
+    __slots__ = ("_params", "_read", "_s")
 
-    def holds(n):
-        # sign*lead*alpha^(2n) - |sigma(lead)| - |k| > 0, alpha^(2n) = x1 - x0 + x0*alpha
-        x0, x1 = fib_values(2 * n, 2 * n + 2)
-        gap0 = sign * (c0 * (x1 - x0) + c1 * x0) - offset
-        gap1 = sign * (c0 * x0 + c1 * x1) - slope
-        return residue_sign(gap0, gap1) > 0
+    def __init__(self, params, pq, s):
+        self._params = params
+        self._read = fib_values if pq is None else partial(gen_fib_values, pq)
+        self._s = s
 
-    low, high = -1, 0  # low fails; high, once it holds, is the upper end
-    while high > n_max or not holds(high):
-        if high >= n_max:
-            return None
-        low, high = high, min(2 * high + 1, n_max)
+    def __missing__(self, n):
+        x1, x2, x3, x4 = self._read(n, n + 4)
+        n1, d1, n2, d2 = self._params
+        value = self[n] = self._s * (
+            d2 * (d1 * x1 * x1 + n1 * x2 * x2) + n2 * (d1 * x3 * x3 + n1 * x4 * x4)
+        )
+        return value
+
+
+def _reach(holds, limit):
+    """The largest t in [0, limit] with holds(t), for a holds that is true on
+    a prefix of [0, limit], t = 0 included and never evaluated: t = 1, 3, 7,
+    ... is tried until it fails or passes limit, and the last step bisected."""
+    low, high = 0, 1
+    while high <= limit and holds(high):
+        low, high = high, 2 * high + 1
+    high = min(high, limit + 1)  # fails, or is past limit
     while high - low > 1:
         mid = (low + high) // 2
         if holds(mid):
-            high = mid
-        else:
             low = mid
-    return high
+        else:
+            high = mid
+    return low
 
 
 def invertibility_threshold(params, pq=None, n_max=50):
-    """Scan exact norms of F_n (or H^{p,q}_n when pq is given) for n in [0, n_max].
+    """The sign threshold of the exact norms of F_n (or H^{p,q}_n when pq is
+    given) over n in [0, n_max]: the report of a scan of the whole range,
+    its empirical_n0 proven for every n.
 
-    The report is that of a scan of the whole range [0, n_max].  A scan of
-    [0, min(max(N, 2), n_max)] gives it whenever a tail bound N <= n_max is
-    found, since every norm past N provably has sign_of_E; the report's
-    empirical_n0 is then proven for every n.  N comes from the Binet form
-    5*d1*d2*norm_n = A*alpha^(2n) + sigma(A)*alpha^(-2n) + k*(-1)^n: A is
-    the residue 5*d1*d2*E of ``_indicator`` (for F_n), or its 5*d1*d2*E'
-    times alpha^-2 (for H^{p,q}_n), k is fitted to the norm at n = 0, and
-    the fit is checked at n = 1 and 2, which proves the form
-    (``_fitted_constant``, ``_tail_bound``).  Otherwise the whole range is
-    scanned.  sign_of_E is the sign of that residue.
-
-    The sequence values f_0.. (or h_0..) feed the integer quadratic form of
-    ``Quaternion.norm``, d1*d2 times each norm, whose sign and zeroness are
-    those of the norm itself, evaluated for the whole scan by
-    ``_cleared_norm_scan``; no Quaternion or Rational is built per index.
+    The Binet lead A is the residue 5*d1*d2*E of ``_indicator`` (for F_n),
+    or its 5*d1*d2*E' times alpha^-2 (for H^{p,q}_n), and sign_of_E is its
+    sign s; the fit at n = 0, 1, 2 proves the Binet form
+    (``_fitted_constant``), so each parity's bad indices are one interval
+    (see the module docstring).  On parity r the locator starts at the
+    least s*V in [r, n_max], galloping while s*V(n+2) <= s*V(n), which is r
+    itself when s*V increases from r, as it does in the monotone case.  From
+    there it gallops and bisects (``_reach``) down and up to the ends of the
+    interval within [0, n_max]: n0 is 1 plus the largest end, and the zero
+    norms are the ends where V = 0.  Each V(n) is read alone
+    (``_SignedNorms``), O(log n_max) of them in all.
 
     Raises IndicatorDegenerateError when the applicable growth indicator is
     zero (only possible for pq == (0, 0) with rational parameters),
@@ -325,40 +323,35 @@ def invertibility_threshold(params, pq=None, n_max=50):
     """
     if n_max < 1:
         raise DomainError(f"invertibility_threshold requires n_max >= 1, got {n_max}")
-    lead = _indicator(params, pq)
-    target = residue_sign(*lead)
+    c0, c1 = _indicator(params, pq)
+    target = residue_sign(c0, c1)
     if not target:
         raise IndicatorDegenerateError(
             f"growth indicator vanishes for {params} with seeds {pq}"
         )
     if pq is not None:  # h_m ~ alpha^(m-1) (p + alpha*q)/sqrt 5, so E' * alpha^-2
-        c0, c1 = lead
-        lead = [2 * c0 - c1, c1 - c0]  # times alpha^-2 = 2 - alpha
-    values = fib_values(0, 6) if pq is None else gen_fib_values(pq, 0, 6)
-    tops = _cleared_norm_scan(params, values)  # n = 0, 1, 2
-    bound = _tail_bound(lead, _fitted_constant(lead, tops), n_max)
-    last = n_max if bound is None else min(max(bound, 2), n_max)
-    if last > 2:
-        values = fib_values(3, last + 4) if pq is None else gen_fib_values(pq, 3, last + 4)
-        tops += _cleared_norm_scan(params, values)
-    signs = [(top > 0) - (top < 0) for top in tops]
-    n0 = 0
-    for n in range(last, -1, -1):
-        if signs[n] != target:  # zero norm also fails this
-            n0 = n + 1
-            break
+        c0, c1 = 2 * c0 - c1, c1 - c0  # times alpha^-2 = 2 - alpha
+    norms = _SignedNorms(params, pq, target)
+    _fitted_constant((c0, c1), [target * norms[n] for n in range(3)])  # the proof of the form
+    ends = set()
+    for r in (0, 1):
+        least = r + 2 * _reach(lambda t: norms[r + 2 * t] <= norms[r + 2 * t - 2], (n_max - r) // 2)
+        if norms[least] <= 0:
+            low = least - 2 * _reach(lambda t: norms[least - 2 * t] <= 0, (least - r) // 2)
+            high = least + 2 * _reach(lambda t: norms[least + 2 * t] <= 0, (n_max - least) // 2)
+            ends.update((low, high))
+    n0 = max(ends, default=-1) + 1
     if n0 > n_max:
         raise ScanExhaustedError(
             f"no sign threshold within [0, {n_max}] for {params} with seeds {pq}"
         )
-    zeros = tuple(n for n in range(n0) if not signs[n])
     return ThresholdReport(
         params=params,
         pq=pq,
         sign_of_E=target,
         empirical_n0=n0,
         scanned_up_to=n_max,
-        zero_norm_indices=zeros,
+        zero_norm_indices=tuple(sorted(n for n in ends if not norms[n])),
     )
 
 
@@ -368,18 +361,18 @@ _VERIFY_WINDOW = 256
 
 
 def verify_threshold_report(report):
-    """Re-verify a ThresholdReport by an independent second scan.
+    """Re-verify a ThresholdReport by an independent scan.
 
-    The second scan evaluates d1*d2 times each norm through the closed-form
-    route instead of the quadratic form on recurrence values, read in
-    windows of _VERIFY_WINDOW indices of [0, scanned_up_to] whose signs
-    alone are kept; it never reads the tail bound N.
+    The scan evaluates d1*d2 times each norm through the closed-form route
+    instead of the quadratic form on recurrence values, at every index of
+    [0, scanned_up_to], read in windows of _VERIFY_WINDOW indices whose
+    signs alone are kept; it does not rely on the interval structure that
+    ``invertibility_threshold`` locates.
     It rechecks every invariant: sign_of_E is the indicator's, the tail
     is uniformly nonzero with sign sign_of_E, empirical_n0 is minimal and in
     [0, scanned_up_to], scanned_up_to >= 1, and zero_norm_indices lists
-    exactly the zero norms below n0, over all of [0, scanned_up_to] whatever
-    tail bound the scan stopped at.  Raises ConsistencyError on any
-    disagreement.
+    exactly the zero norms below n0, over all of [0, scanned_up_to].  Raises
+    ConsistencyError on any disagreement.
     """
     params = report.params
     pq = report.pq

@@ -217,3 +217,35 @@ class TestGfCheck:
         assert caught.value.degree == degree
         assert caught.value.coefficient == coefficient
         assert gf_check(300).max_abs_residual_coefficient == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("max_degree", [3, 255, 256, 257, 300, 511, 512])
+    def test_every_corrupted_index_matches_one_slice(self, max_degree):
+        # gf_check reads u in windows; the reference reads u_0 .. u_{D+3} as
+        # one slice and reports the least degree whose coefficient is nonzero,
+        # so every corruption, at the windows' seams and just past D + 3 too,
+        # must get the same report
+        table = sequences._narayana._fwd
+        sequences.narayana_values(0, max_degree + 12)  # fill the table past every index read
+
+        def one_slice():
+            u = table[:max_degree + 4]
+            residuals = [a - b - c for a, b, c in zip(u[3:], u[2:], u)]  # r_3 .. r_{D+3}
+            first = next((m for m, r in enumerate(residuals, 3) if r), None)
+            if first is None:
+                return None
+            degree = max(3, first - 3)
+            return degree, tuple(residuals[degree - 3:degree + 1])
+
+        for index in range(max_degree + 8):
+            table[index] += 1
+            try:
+                expected = one_slice()
+                try:
+                    gf_check(max_degree)
+                    outcome = None
+                except SeriesMismatchError as caught:
+                    outcome = caught.degree, caught.coefficient
+            finally:
+                table[index] -= 1
+            assert outcome == expected, index
+            assert (expected is None) == (index > max_degree + 3), index

@@ -15,11 +15,13 @@ from fibquat import (
     AlgebraParams,
     GenFibParams,
     Rational,
+    fib_quat,
+    gen_fib_quat,
     invertibility_threshold,
     normforms,
     verify_threshold_report,
 )
-from fibquat.sequences import fib, fib_values, gen_fib_values
+from fibquat.sequences import fib
 from fibquat.surd import mul
 
 INDICES = list(range(-60, 61)) + [300, 5000]
@@ -29,8 +31,12 @@ def binet_lead_and_constant(params, pq):
     lead = normforms._indicator(params, pq)
     if pq is not None:
         lead = mul(lead, [2, -1])  # times 2 - alpha = alpha^-2
-    values = fib_values(0, 6) if pq is None else gen_fib_values(pq, 0, 6)
-    return lead, normforms._fitted_constant(lead, normforms._cleared_norm_scan(params, values))
+    n1, d1, n2, d2 = params
+    tops = [
+        d1 * d2 * (fib_quat(params, n) if pq is None else gen_fib_quat(params, pq, n)).norm()
+        for n in range(3)
+    ]
+    return lead, normforms._fitted_constant(lead, tops)
 
 
 def test_the_fold_is_the_binet_form_at_the_doubled_index():

@@ -20,11 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from fibquat import fib_quat, normforms, sequences
 from fibquat.algebra import AlgebraParams
-from fibquat.normforms import (
-    _cleared_norm_scan,
-    invertibility_threshold,
-    verify_threshold_report,
-)
+from fibquat.normforms import invertibility_threshold, verify_threshold_report
 from fibquat.sequences import (
     TABLE_CAP,
     GenFibParams,
@@ -81,9 +77,12 @@ def test_the_reverify_takes_at_most_two_powers(monkeypatch, powers, pq):
     powers.clear()
     verify_threshold_report(report)
     assert 0 < len(powers) <= 2
-    # the re-verify read every norm in [0, n_max], equal to a full scan's
-    values = fib_values(0, n_max + 4) if pq is None else gen_fib_values(pq, 0, n_max + 4)
-    assert tops == _cleared_norm_scan(params, values)
+    # the re-verify read every norm in [0, n_max], equal to the quadratic
+    # form d2*(d1*x1^2 + n1*x2^2) + n2*(d1*x3^2 + n1*x4^2), here d1 = d2 = 1
+    x = fib_values(0, n_max + 4) if pq is None else gen_fib_values(pq, 0, n_max + 4)
+    squares = [value * value for value in x]
+    u = [a + b for a, b in zip(squares, squares[1:])]
+    assert tops == [a + b for a, b in zip(u, u[2:])]
 
 
 def plain(seeds, stop, start=0):

@@ -1,16 +1,19 @@
-"""The tail bound of the threshold scan.
+"""The threshold read off the Binet form of the norm.
 
-``invertibility_threshold`` scans only up to a tail bound N proven from the
-Binet form of the norm, so its report must still equal that of a scan of
-the whole range [0, n_max].  The reference here is such a scan, written out
-in the test: the sign of d1*d2 times each norm from the quadratic form
-d2*(d1*x1^2 + n1*x2^2) + n2*(d1*x3^2 + n1*x4^2) on the sequence values.
+``invertibility_threshold`` reads the norm only at the indices that locate
+each parity's interval of bad indices on the Binet form, so its report must
+still equal that of a scan of the whole range [0, n_max].  The reference
+here is such a scan, written out in the test: the sign of d1*d2 times each
+norm from the quadratic form d2*(d1*x1^2 + n1*x2^2) + n2*(d1*x3^2 +
+n1*x4^2) on the sequence values.  Past the least N with
+|A|*alpha^(2N) > |sigma(A)| + |k| every norm has the sign of E, which the
+test finds by QuadraticSurd arithmetic.
 
-The algebras that make the bound matter are zero divisors on demand: the
-norm of F_n is u_n + beta2*u_{n+2}, with u_m = f_m^2 + beta1*f_{m+1}^2
+The algebras that make the intervals matter are zero divisors on demand:
+the norm of F_n is u_n + beta2*u_{n+2}, with u_m = f_m^2 + beta1*f_{m+1}^2
 (h in place of f for H^{p,q}_n), so beta2 = -u_n/u_{n+2} gives the element
-of index n norm 0, with sign changes around it that a bound set too low
-would miss.
+of index n norm 0, with sign changes around it that an interval end set
+wrong would miss.
 """
 
 import random
@@ -32,7 +35,7 @@ from fibquat import (
 )
 from fibquat import normforms
 from fibquat.sequences import fib_values, gen_fib_values
-from fibquat.surd import ALPHA, from_residue, mul
+from fibquat.surd import ALPHA, QuadraticSurd, from_residue, mul
 
 
 def _values(pq, stop):
@@ -89,12 +92,6 @@ def binet_lead(params, pq):
     return lead if pq is None else mul(lead, [2, -1])
 
 
-def tail_bound(params, pq, n_max=10**6):
-    lead = binet_lead(params, pq)
-    tops = normforms._cleared_norm_scan(params, _values(pq, 6))
-    return normforms._tail_bound(lead, normforms._fitted_constant(lead, tops), n_max)
-
-
 def _seeded_algebras(count, seed):
     rng = random.Random(seed)
     points = []
@@ -122,49 +119,65 @@ def test_constructed_zero_divisors_match_a_full_scan(pq):
 
 
 def test_every_norm_past_the_bound_has_the_sign_of_E():
+    # n0 at n_max = 10^6 is proven: the next 200 norms all have the sign of E
     for params, pq in _seeded_algebras(200, seed=1415):
         for kind in (None, pq):
-            bound = tail_bound(params, pq=kind)
-            assert bound is not None
-            sign = invertibility_threshold(params, kind, bound + 1).sign_of_E
-            for n in range(bound, bound + 201):
+            report = invertibility_threshold(params, kind, 10**6)
+            for n in range(report.empirical_n0, report.empirical_n0 + 201):
                 element = fib_quat(params, n) if kind is None else gen_fib_quat(params, kind, n)
-                assert element.norm().sign() == sign, (params, kind, n)
+                assert element.norm().sign() == report.sign_of_E, (params, kind, n)
 
 
-def test_tail_bound_is_none_past_n_max():
-    # a zero divisor at n = 100 needs a bound past its zero; below n_max = 20
-    # there is none, and the scan covers the whole range
+def test_a_zero_past_n_max_leaves_the_report_a_scan():
+    # a zero divisor at n >= 100: at every n_max around and below its zero
+    # the report is still that of a scan of [0, n_max]
     params, n = next((p, n) for p, n in zero_divisor_family(None, 400, seed=7) if n >= 100)
-    bound = tail_bound(params, None)
-    assert bound is not None and bound > n
-    assert tail_bound(params, None, n_max=n) is None
-    assert scan(params, None, 20) == reference_scan(params, None, 20)
+    for n_max in (20, n - 1, n, n + 1, 2 * n):
+        assert scan(params, None, n_max) == reference_scan(params, None, n_max), n_max
+    assert n in scan(params, None, 2 * n)[1]
 
 
-def least_tail_bound(params, pq):
-    """The least n >= 0 with |A|*alpha^(2n) > |sigma(A)| + |k|, by
-    QuadraticSurd arithmetic."""
+def binet_norms(params, pq):
+    """5*d1*d2 times the norm at n = 0, 1, ..., N by the Binet form
+    A*alpha^(2n) + sigma(A)*alpha^(-2n) + k*(-1)^n in QuadraticSurd
+    arithmetic, with k from the direct norm at n = 0, and N the least n >= 0
+    with |A|*alpha^(2n) > |sigma(A)| + |k|, past which every norm has the
+    sign of A."""
+    n1, d1, n2, d2 = params
+    element = fib_quat(params, 0) if pq is None else gen_fib_quat(params, pq, 0)
     c0, c1 = binet_lead(params, pq)
-    k = normforms._fitted_constant((c0, c1), normforms._cleared_norm_scan(params, _values(pq, 6)))
     lead, conj = from_residue((c0, c1), 1), from_residue((c0 + c1, -c1), 1)
+    k = 5 * d1 * d2 * element.norm() - (lead + conj).r
     size, rest = lead * lead.sign(), conj * conj.sign() + abs(k)
-    n, power = 0, from_residue((1, 0), 1)
-    while (size * power - rest).sign() <= 0:
-        n, power = n + 1, power * ALPHA**2
-    return n
+    norms, power = [], from_residue((1, 0), 1)
+    while True:
+        term = lead * power
+        norms.append(term + QuadraticSurd(term.r, -term.s) + k * (-1) ** len(norms))
+        if (size * power - rest).sign() > 0:
+            return norms
+        power = power * ALPHA**2
 
 
 def test_the_exact_search_finds_the_least_bound():
+    # every norm past the least bound N has the sign of A, so a QuadraticSurd
+    # scan of [0, N] by the Binet form gives the proven report at any n_max
     cases = [(params, None) for params, _ in zero_divisor_family(None, 60, seed=1416)]
     seeds = GenFibParams(2, 3)
     cases += [(params, seeds) for params, _ in zero_divisor_family(seeds, 60, seed=1416)]
     cases += _seeded_algebras(40, seed=1416)
     for params, pq in cases:
-        n = least_tail_bound(params, pq)
-        assert tail_bound(params, pq) == n, (params, pq)
-        assert tail_bound(params, pq, n_max=n) == n
-        assert tail_bound(params, pq, n_max=n - 1) is None
+        norms = binet_norms(params, pq)
+        bound = len(norms) - 1
+        n1, d1, n2, d2 = params
+        for n in {0, bound // 2, bound}:
+            element = fib_quat(params, n) if pq is None else gen_fib_quat(params, pq, n)
+            assert norms[n] == 5 * d1 * d2 * element.norm(), (params, pq, n)
+        sign = from_residue(binet_lead(params, pq), 1).sign()
+        n0 = max((n + 1 for n, norm in enumerate(norms) if norm.sign() != sign), default=0)
+        zeros = tuple(n for n in range(n0) if norms[n].is_zero())
+        assert scan(params, pq, max(bound, 1)) == (n0, zeros), (params, pq)
+        report = invertibility_threshold(params, pq, 10**6)
+        assert (report.empirical_n0, report.zero_norm_indices) == (n0, zeros), (params, pq)
 
 
 @pytest.mark.parametrize("offset", [(1, 0), (1, -1), (2, -1)])
