@@ -1,5 +1,7 @@
-"""Rational kernel: arithmetic against the stdlib Fraction oracle, and invariants."""
+"""Rational kernel: arithmetic and ordering against the stdlib Fraction oracle,
+with Rational, int and foreign operands, and invariants."""
 
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fibquat
+from fibquat import AlgebraParams, QuadraticSurd, Quaternion
 from fibquat._kernel._pyrational import Rational
 
 nums = st.integers(-10**6, 10**6)
@@ -15,6 +18,15 @@ dens = st.integers(1, 10**5)
 
 def as_fraction(x):
     return Fraction(x.numerator, x.denominator)
+
+
+def exact(x):
+    # an int has a numerator and a denominator too, so check the type first
+    assert type(x) is Rational
+    return as_fraction(x)
+
+
+COMPARISONS = (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge)
 
 
 class TestConstruction:
@@ -44,8 +56,8 @@ class TestConstruction:
 
 
 class TestArithmetic:
-    @given(a=nums, b=dens, c=nums, d=dens)
-    def test_field_ops_match_fraction(self, a, b, c, d):
+    @given(a=nums, b=dens, c=nums, d=dens, k=nums)
+    def test_field_ops_match_fraction(self, a, b, c, d, k):
         x, y = Rational(a, b), Rational(c, d)
         fx, fy = Fraction(a, b), Fraction(c, d)
         assert as_fraction(x + y) == fx + fy
@@ -56,6 +68,21 @@ class TestArithmetic:
         assert (x == y) == (fx == fy)
         assert (x < y) == (fx < fy)
         assert (x <= y) == (fx <= fy)
+        assert (x > y) == (fx > fy)
+        assert (x >= y) == (fx >= fy)
+        assert (x != y) == (fx != fy)
+        for left, right, fleft, fright in ((x, k, fx, k), (k, x, k, fx)):
+            assert exact(left + right) == fleft + fright
+            assert exact(left - right) == fleft - fright
+            assert exact(left * right) == fleft * fright
+            if fright != 0:
+                assert exact(left / right) == fleft / fright
+            for op in COMPARISONS:
+                assert op(left, right) == op(fleft, fright)
+        # ties: an equal Rational built unreduced, and an int equal to a Rational
+        for left, right in ((x, Rational(2 * a, 2 * b)), (Rational(k), k), (k, Rational(k))):
+            for op in COMPARISONS:
+                assert op(left, right) == op(as_fraction(left), as_fraction(right))
 
     def test_int_interop(self, R):
         x = R(3, 4)
@@ -84,6 +111,35 @@ class TestArithmetic:
         with pytest.raises(ZeroDivisionError):
             1 / R(0)
 
+    @pytest.mark.parametrize("foreign", [0.5, "1", None, Fraction(1, 2)], ids=repr)
+    def test_foreign_operands_are_refused(self, R, foreign):
+        x = R(1, 2)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv,
+                   operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                op(x, foreign)
+            with pytest.raises(TypeError):
+                op(foreign, x)
+        assert not (x == foreign) and not (foreign == x)
+        assert x != foreign and foreign != x
+
+    def test_package_types_take_their_reflected_methods(self, R):
+        half = R(1, 2)
+        q = Quaternion(1, 2, 3, 4, AlgebraParams(1, 1))
+        assert half * q == Quaternion(half, 1, R(3, 2), 2, AlgebraParams(1, 1))
+        s = QuadraticSurd(1, 1)
+        assert half * s == QuadraticSurd(half, half)
+        assert half + s == QuadraticSurd(R(3, 2), 1)
+        assert half - s == QuadraticSurd(-half, -1)
+
+    def test_int_and_power_division_by_zero(self, R):
+        with pytest.raises(ZeroDivisionError):
+            R(1, 2) / 0
+        with pytest.raises(ZeroDivisionError):
+            1 / R(0)
+        with pytest.raises(ZeroDivisionError):
+            R(0) ** -1
+
     def test_unary(self, R):
         assert -R(2, 3) == R(-2, 3)
         assert +R(2, 3) == R(2, 3)
@@ -101,6 +157,17 @@ class TestArithmetic:
         x = Rational(a, b) + Rational(a, b + 1) * Rational(3, 7)
         assert x.denominator > 0
         assert gcd(abs(x.numerator), x.denominator) == 1
+        for y in (
+            Rational(a, b) - Rational(a, b + 1),
+            Rational(a, b) - 3,
+            3 - Rational(a, b),
+            Rational(a, b) / Rational(-7, 3),
+            Rational(a, b) / -6,
+            Rational(a, b) / Rational(a or 1, b + 1),
+            -6 / Rational(a or 1, b),
+        ):
+            assert y.denominator > 0
+            assert gcd(abs(y.numerator), y.denominator) == 1
 
 
 class TestHashStrRepr:
