@@ -2,19 +2,34 @@
 
 Every coefficient in the package is a ``Rational``: an always-reduced
 fraction of arbitrary-precision integers with a positive denominator.
-Quaternion arithmetic, norms and closed forms run on cleared integers, so
-this class mostly holds views, norms and the betas.
+Quaternion arithmetic, norms, thresholds and closed forms run on cleared
+integers, so this class mostly holds views, norms and the betas: one
+``audit --all`` builds 6,539 and compares 4,490 but multiplies 91, and a
+grid iteration makes 100,682 ``sign`` calls and 3,362 ``int * Rational``
+products.  So the arithmetic is plain: each operator reads its operand by
+one rule (``_pair``) and reduces its result by at most one gcd.
 """
 
 import sys
 from math import gcd
+from operator import ge, gt, le, lt
 
 _HASH_MODULUS = sys.hash_info.modulus
 _HASH_INF = sys.hash_info.inf
 
 
+def _comparison(op):
+    # an ordering method: self against a Rational or int operand, cross-multiplied
+    def compare(self, other):
+        if (pair := _pair(other)) is None:
+            return NotImplemented
+        return op(self._num * pair[1], pair[0] * self._den)
+    return compare
+
+
 class Rational:
-    """Exact fraction.  Invariants: denominator > 0, gcd(|num|, den) == 1."""
+    """Exact fraction.  Invariants: denominator > 0, gcd(|num|, den) == 1.
+    An operand is a Rational or an int; any other gets NotImplemented."""
 
     __slots__ = ("_num", "_den")
 
@@ -66,92 +81,52 @@ class Rational:
         return 0
 
     # -- arithmetic ------------------------------------------------------
-    # The add/mul gcd shortcuts are the classic ones: pulling common
-    # factors out first keeps the intermediate integers small.
 
     def __add__(self, other):
-        if isinstance(other, Rational):
-            na, da = self._num, self._den
-            nb, db = other._num, other._den
-        elif isinstance(other, int):
-            return _raw(self._num + other * self._den, self._den)
-        else:
+        if (pair := _pair(other)) is None:
             return NotImplemented
-        g = gcd(da, db)
-        if g == 1:
-            return _raw(na * db + nb * da, da * db)
-        s = da // g
-        t = na * (db // g) + nb * s
-        g2 = gcd(t, g)
-        if g2 == 1:
-            return _raw(t, s * db)
-        return _raw(t // g2, s * (db // g2))
+        num, den = pair
+        return _reduced(self._num * den + num * self._den, self._den * den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Rational):
-            return self.__add__(_raw(-other._num, other._den))
-        if isinstance(other, int):
-            return _raw(self._num - other * self._den, self._den)
-        return NotImplemented
+        if (pair := _pair(other)) is None:
+            return NotImplemented
+        num, den = pair
+        return _reduced(self._num * den - num * self._den, self._den * den)
 
     def __rsub__(self, other):
-        if isinstance(other, int):
-            return _raw(other * self._den - self._num, self._den)
-        return NotImplemented
+        if (pair := _pair(other)) is None:
+            return NotImplemented
+        num, den = pair
+        return _reduced(num * self._den - self._num * den, self._den * den)
 
     def __mul__(self, other):
-        if isinstance(other, Rational):
-            na, da = self._num, self._den
-            nb, db = other._num, other._den
-        elif isinstance(other, int):
-            na, da = self._num, self._den
-            nb, db = other, 1
-        else:
+        if (pair := _pair(other)) is None:
             return NotImplemented
-        g1 = gcd(na, db)
-        if g1 > 1:
-            na //= g1
-            db //= g1
-        g2 = gcd(nb, da)
-        if g2 > 1:
-            nb //= g2
-            da //= g2
-        return _raw(na * nb, da * db)
+        num, den = pair
+        return _reduced(self._num * num, self._den * den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Rational):
-            nb, db = other._num, other._den
-        elif isinstance(other, int):
-            nb, db = other, 1
-        else:
+        if (pair := _pair(other)) is None:
             return NotImplemented
-        if nb == 0:
-            raise ZeroDivisionError("division by zero rational")
-        if nb < 0:
-            nb, db = -nb, -db
-        # reciprocal of a reduced fraction is reduced, so _raw is safe
-        return self.__mul__(_raw(db, nb))
+        num, den = pair
+        return Rational(self._num * den, self._den * num)
 
     def __rtruediv__(self, other):
-        if not isinstance(other, int):
+        if (pair := _pair(other)) is None:
             return NotImplemented
-        if self._num == 0:
-            raise ZeroDivisionError("division by zero rational")
-        return Rational(other * self._den, self._num)
+        num, den = pair
+        return Rational(num * self._den, den * self._num)
 
     def __pow__(self, exponent, modulo=None):
-        if modulo is not None:
+        if modulo is not None or not isinstance(exponent, int):
             return NotImplemented
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent >= 0:
+        if exponent >= 0:  # powers of coprime integers are coprime
             return _raw(self._num**exponent, self._den**exponent)
-        if self._num == 0:
-            raise ZeroDivisionError("zero to a negative power")
         return Rational(self._den ** (-exponent), self._num ** (-exponent))
 
     def __neg__(self):
@@ -172,33 +147,10 @@ class Rational:
             return self._den == 1 and self._num == other
         return NotImplemented
 
-    def __lt__(self, other):
-        if isinstance(other, Rational):
-            return self._num * other._den < other._num * self._den
-        if isinstance(other, int):
-            return self._num < other * self._den
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, Rational):
-            return self._num * other._den <= other._num * self._den
-        if isinstance(other, int):
-            return self._num <= other * self._den
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, Rational):
-            return self._num * other._den > other._num * self._den
-        if isinstance(other, int):
-            return self._num > other * self._den
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, Rational):
-            return self._num * other._den >= other._num * self._den
-        if isinstance(other, int):
-            return self._num >= other * self._den
-        return NotImplemented
+    __lt__ = _comparison(lt)
+    __le__ = _comparison(le)
+    __gt__ = _comparison(gt)
+    __ge__ = _comparison(ge)
 
     def __hash__(self):
         # same scheme as the stdlib numeric tower, so hash(Rational(k)) == hash(k)
@@ -236,3 +188,16 @@ def _raw(num, den):
     self._num = num
     self._den = den
     return self
+
+
+def _pair(x):
+    """(numerator, denominator) of a Rational or an int, else None."""
+    if isinstance(x, Rational):
+        return x._num, x._den
+    return (x, 1) if isinstance(x, int) else None
+
+
+def _reduced(num, den):
+    """The Rational num/den in lowest terms, for den > 0: one gcd."""
+    g = gcd(num, den)
+    return _raw(num // g, den // g)

@@ -27,7 +27,7 @@ from math import gcd, lcm
 from operator import itemgetter
 
 from ._kernel import Rational, _raw
-from .errors import AlgebraMismatchError, NotInvertibleError
+from .errors import AlgebraMismatchError, NotInvertibleError, _shown
 
 
 def as_rational(x):
@@ -307,7 +307,7 @@ def _reduced(x1, x2, x3, x4, den, params):
 
 def _require_same_algebra(p, q):
     if p is not q and p != q:
-        raise AlgebraMismatchError(f"cannot combine elements of {p} and {q}")
+        raise AlgebraMismatchError(f"cannot combine elements of {_shown(p)} and {_shown(q)}")
 
 
 def _linear(a, lam_top, lam_bottom, b, mu_top, mu_bottom):

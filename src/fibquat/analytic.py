@@ -8,7 +8,7 @@ statement lives in the exact modules instead.
 
 from typing import NamedTuple
 
-from .errors import ConsistencyError, DomainError, PrecisionGuardError, SeriesMismatchError
+from .errors import ConsistencyError, DomainError, PrecisionGuardError, SeriesMismatchError, _shown
 from .sequences import narayana_values
 
 _SQRT5 = 5 ** 0.5
@@ -170,7 +170,7 @@ def gf_check(max_degree):
     recomputed from one read of the 7 values they use and reported.
     """
     if max_degree < 3:
-        raise DomainError(f"gf_check requires max_degree >= 3, got {max_degree}")
+        raise DomainError(f"gf_check requires max_degree >= 3, got {_shown(max_degree)}")
     for start in range(0, max_degree + 1, 256):
         u = narayana_values(start, min(start + 259, max_degree + 4))
         residuals = [a - b - c for a, b, c in zip(u[3:], u[2:], u)]  # r_{start+3} ..

@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``_shown``, which puts a
+value into their messages."""
+
+
+def _shown(value):
+    """The text of ``f"{value}"`` for an error message, or a stand-in where the
+    value holds an integer too long for str() under the interpreter's digit
+    limit, so that the error raised is still the library's own."""
+    try:
+        return f"{value}"
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
 
 
 class FibquatError(Exception):
@@ -38,7 +49,7 @@ class SeriesMismatchError(FibquatError):
     def __init__(self, degree, coefficient):
         self.degree = degree
         self.coefficient = coefficient
-        super().__init__(f"nonzero residual at degree {degree}: {coefficient}")
+        super().__init__(f"nonzero residual at degree {degree}: {_shown(coefficient)}")
 
 
 class IndicatorDegenerateError(FibquatError):

@@ -51,6 +51,7 @@ from .errors import (
     DomainError,
     IndicatorDegenerateError,
     ScanExhaustedError,
+    _shown,
 )
 from .sequences import GenFibParams, _integer_seeds, fib, fib_values, gen_fib_values
 from .surd import from_residue, mul, residue_sign
@@ -322,12 +323,12 @@ def invertibility_threshold(params, pq=None, n_max=50):
     and ConsistencyError when the norms do not fit the Binet form.
     """
     if n_max < 1:
-        raise DomainError(f"invertibility_threshold requires n_max >= 1, got {n_max}")
+        raise DomainError(f"invertibility_threshold requires n_max >= 1, got {_shown(n_max)}")
     c0, c1 = _indicator(params, pq)
     target = residue_sign(c0, c1)
     if not target:
         raise IndicatorDegenerateError(
-            f"growth indicator vanishes for {params} with seeds {pq}"
+            f"growth indicator vanishes for {_shown(params)} with seeds {_shown(pq)}"
         )
     if pq is not None:  # h_m ~ alpha^(m-1) (p + alpha*q)/sqrt 5, so E' * alpha^-2
         c0, c1 = 2 * c0 - c1, c1 - c0  # times alpha^-2 = 2 - alpha
@@ -343,7 +344,7 @@ def invertibility_threshold(params, pq=None, n_max=50):
     n0 = max(ends, default=-1) + 1
     if n0 > n_max:
         raise ScanExhaustedError(
-            f"no sign threshold within [0, {n_max}] for {params} with seeds {pq}"
+            f"no sign threshold within [0, {n_max}] for {_shown(params)} with seeds {_shown(pq)}"
         )
     return ThresholdReport(
         params=params,

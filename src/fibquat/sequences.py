@@ -27,7 +27,7 @@ import math
 import threading
 from typing import NamedTuple
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, _shown
 from .surd import t_power
 
 
@@ -146,7 +146,7 @@ def _integer_seeds(p, q):
     if p.__class__ is not int or q.__class__ is not int:
         seeds = [int(x) if isinstance(x, float) and x.is_integer() else x for x in (p, q)]
         if any(getattr(x, "denominator", None) != 1 for x in seeds):  # nan, inf, 1.5, 1/2
-            raise DomainError(f"gen_fib seeds must be integers, got ({p}, {q})")
+            raise DomainError(f"gen_fib seeds must be integers, got ({_shown(p)}, {_shown(q)})")
         p, q = (int(x.numerator) for x in seeds)  # a numpy integer's numerator is itself
     return [p, q]
 
@@ -220,9 +220,9 @@ def narayana_values(start, stop):
 def binom(n, k):
     """Exact binomial coefficient C(n, k) = n!/(k!(n-k)!)."""
     if n < 0 or k < 0:
-        raise DomainError(f"binom requires non-negative arguments, got ({n}, {k})")
+        raise DomainError(f"binom requires non-negative arguments, got ({_shown(n)}, {_shown(k)})")
     if k > n:
-        raise DomainError(f"binom requires k <= n, got ({n}, {k})")
+        raise DomainError(f"binom requires k <= n, got ({_shown(n)}, {_shown(k)})")
     return math.comb(n, k)
 
 
@@ -232,9 +232,9 @@ def figurate(n, m):
     Equals the m-fold iterated prefix sum of 1..n.
     """
     if n < 1:
-        raise DomainError(f"figurate requires n >= 1, got {n}")
+        raise DomainError(f"figurate requires n >= 1, got {_shown(n)}")
     if m < 0:
-        raise DomainError(f"figurate requires m >= 0, got {m}")
+        raise DomainError(f"figurate requires m >= 0, got {_shown(m)}")
     return math.comb(n + m, m + 1)
 
 
@@ -248,7 +248,7 @@ def herd_total(years):
     the two routes must agree.
     """
     if years < 1:
-        raise DomainError(f"herd_total requires years >= 1, got {years}")
+        raise DomainError(f"herd_total requires years >= 1, got {_shown(years)}")
     by_recurrence = narayana(years + 3)
     by_figurate = _herd_figurate(years)
     if by_recurrence != by_figurate:

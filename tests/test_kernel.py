@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import fibquat
 from fibquat import AlgebraParams, QuadraticSurd, Quaternion
@@ -105,6 +105,11 @@ class TestArithmetic:
         with pytest.raises(ZeroDivisionError):
             R(0) ** -1
 
+    @given(a=nums, b=dens, e=st.integers(-6, 6))
+    def test_pow_matches_fraction(self, a, b, e):
+        assume(a != 0 or e >= 0)
+        assert exact(Rational(a, b) ** e) == Fraction(a, b) ** e
+
     def test_division_by_zero(self, R):
         with pytest.raises(ZeroDivisionError):
             R(1) / R(0)
@@ -120,6 +125,8 @@ class TestArithmetic:
                 op(x, foreign)
             with pytest.raises(TypeError):
                 op(foreign, x)
+        with pytest.raises(TypeError):
+            x ** foreign
         assert not (x == foreign) and not (foreign == x)
         assert x != foreign and foreign != x
 
@@ -139,6 +146,10 @@ class TestArithmetic:
             1 / R(0)
         with pytest.raises(ZeroDivisionError):
             R(0) ** -1
+
+    def test_pow_takes_no_modulus(self, R):
+        with pytest.raises(TypeError):
+            pow(R(2, 3), 2, 5)
 
     def test_unary(self, R):
         assert -R(2, 3) == R(-2, 3)
