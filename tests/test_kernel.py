@@ -139,13 +139,10 @@ class TestArithmetic:
         assert half + s == QuadraticSurd(R(3, 2), 1)
         assert half - s == QuadraticSurd(-half, -1)
 
-    def test_int_and_power_division_by_zero(self, R):
+    def test_division_by_int_zero(self, R):
+        # 1 / R(0) and R(0) ** -1 are in test_division_by_zero and test_pow
         with pytest.raises(ZeroDivisionError):
             R(1, 2) / 0
-        with pytest.raises(ZeroDivisionError):
-            1 / R(0)
-        with pytest.raises(ZeroDivisionError):
-            R(0) ** -1
 
     def test_pow_takes_no_modulus(self, R):
         with pytest.raises(TypeError):
