@@ -5,7 +5,10 @@ Output goes to stdout as text (default), a single JSON document, or CSV with
 a header row; diagnostics go to stderr.  Exit codes: 0 success / all-pass,
 1 counterexample or non-invertible/degenerate result, 2 usage error.
 Output cut short by a reader that closes the pipe exits 1, with nothing on
-stderr.
+stderr.  Once the output is flushed, main() freezes the garbage collector
+before it exits: every object left dies with the process, and frozen ones are
+skipped by the full collections CPython runs at shutdown.  run() leaves the
+collector alone.
 
 Each subcommand handler returns one _Result holding its output in all three
 formats and its exit code; _render alone reads --format and prints.
@@ -15,6 +18,7 @@ drop the elapsed_ms field, the only run-dependent output).
 """
 
 import argparse
+import gc
 import io
 import json
 import os
@@ -533,6 +537,7 @@ def main():
         # interpreter's own flush at exit cannot raise a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
+    gc.freeze()  # the shutdown collections skip what is left (module docstring)
     sys.exit(code)
 
 
