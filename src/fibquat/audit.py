@@ -13,7 +13,9 @@ provenance tags and the documented anomalies (the as-stated entries that
 have a corrected variant) are derived from it.  Failing as-stated entries
 are not artifact bugs; the adjudication helper separates "transcription
 issue" (corrected sibling passes) from "artifact error" (no passing sibling).  All randomness is drawn from a per-audit
-seeded generator, so reports are deterministic and embed their seed.
+seeded generator, so reports are deterministic and embed their seed; every
+draw goes through ``_draw``, which reproduces ``Random.randint`` from
+``getrandbits``, value for value and state for state.
 
 Each entry declares the names of its inputs once, at registration, and
 yields every instance as the flat tuple (lhs, rhs, *values); ``audit``
@@ -28,7 +30,7 @@ from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from ._kernel import Rational
-from .algebra import AlgebraParams, Quaternion, _linear, basis, combine
+from .algebra import AlgebraParams, Quaternion, _linear, basis
 from .analytic import (
     FIB_INDEX_GUARD,
     NARAYANA_INDEX_GUARD,
@@ -186,8 +188,20 @@ def _span(n_max, default):
     return default if n_max is None else n_max
 
 
+def _draw(rng, low, high):
+    """``rng.randint(low, high)``: the same value, leaving ``rng`` in the same
+    state, by the rejection rule CPython's randint draws with
+    (``Random._randbelow_with_getrandbits``) but without its call layers."""
+    width = high - low + 1
+    k = width.bit_length()
+    r = rng.getrandbits(k)
+    while r >= width:
+        r = rng.getrandbits(k)
+    return low + r
+
+
 def _rand_rational(rng):
-    return Rational(rng.randint(-8, 8), rng.randint(1, 4))
+    return Rational(_draw(rng, -8, 8), _draw(rng, 1, 4))
 
 
 def _rand_params(rng):
@@ -195,7 +209,7 @@ def _rand_params(rng):
 
 
 def _rand_pq(rng):
-    return GenFibParams(rng.randint(-9, 9), rng.randint(-9, 9))
+    return GenFibParams(_draw(rng, -9, 9), _draw(rng, -9, 9))
 
 
 def _rand_quat(rng, params):
@@ -510,17 +524,13 @@ def _thm_2_1(rng, n_max):
     count = _span(n_max, 1000)
     for _ in range(count):
         params = _rand_params(rng)
-        a, b = rng.randint(-9, 9), rng.randint(-9, 9)
-        p, q = _rand_pq(rng)
-        p2, q2 = _rand_pq(rng)
-        n = rng.randint(-20, 80)
-        lhs = combine(
-            gen_fib_quat(params, GenFibParams(p, q), n),
-            gen_fib_quat(params, GenFibParams(p2, q2), n),
-            a,
-            b,
+        # a and b, then the seed pairs (p, q) and (p', q'), as _rand_pq draws them
+        a, b, p, q, p2, q2 = [_draw(rng, -9, 9) for _ in range(6)]
+        n = _draw(rng, -20, 80)
+        lhs = _linear(
+            gen_fib_quat(params, (p, q), n), a, 1, gen_fib_quat(params, (p2, q2), n), b, 1
         )
-        rhs = gen_fib_quat(params, GenFibParams(a * p + b * p2, a * q + b * q2), n)
+        rhs = gen_fib_quat(params, (a * p + b * p2, a * q + b * q2), n)
         yield (lhs, rhs, params, a, b, p, q, p2, q2, n)
 
 

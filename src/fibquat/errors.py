@@ -61,4 +61,8 @@ class ScanExhaustedError(FibquatError):
 
 
 class UnknownIdentityError(FibquatError, KeyError):
-    """Requested audit id is not in the registry."""
+    """Requested audit id is not in the registry; the id is its one argument."""
+
+    def __str__(self):
+        # KeyError's own str() is the bare repr of the id
+        return f"unknown audit id {self.args[0]!r} (fibquat audit --list shows the ids)"

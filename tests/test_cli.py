@@ -326,6 +326,12 @@ class TestAudit:
         assert code == 2
         assert "NOPE" in err
 
+    def test_unknown_id_says_what_is_wrong(self, capsys):
+        # not KeyError's bare "error: 'NOPE'"
+        code, out, err = invoke(capsys, "audit", "--id", "NOPE")
+        assert (code, out) == (2, "")
+        assert err == "error: unknown audit id 'NOPE' (fibquat audit --list shows the ids)\n"
+
     def test_custom_seed_embedded(self, capsys):
         code, out, _ = invoke(
             capsys, "audit", "--id", "THM_2_4", "--seed", "7", "--n-max", "5",

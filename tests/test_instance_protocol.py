@@ -41,22 +41,11 @@ def test_an_entry_without_names_reports_empty_inputs(monkeypatch):
     assert report.first_counterexample == ({}, "0", "1")
 
 
-class RecordingRandom(random.Random):
-    """A seeded generator that records every ``randint(lo, hi)`` request."""
-
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.requests = []
-
-    def randint(self, a, b):
-        self.requests.append((a, b))
-        return super().randint(a, b)
-
-
 def draws(rationals=0, seed_pairs=0, extra=None):
-    """randint requests of the helpers: a seeded rational draws its numerator
-    in [-8, 8] and its denominator in [1, 4] (an algebra takes two, a
-    quaternion four), a seed pair (p, q) two integers in [-9, 9]."""
+    """(low, high) requests to ``_draw``, the audit's one draw: a seeded
+    rational draws its numerator in [-8, 8] and its denominator in [1, 4]
+    (an algebra takes two, a quaternion four), a seed pair (p, q) two
+    integers in [-9, 9]."""
     counts = Counter({(-8, 8): rationals, (1, 4): rationals, (-9, 9): 2 * seed_pairs})
     counts.update(extra or {})
     return +counts  # without the zero counts
@@ -89,14 +78,23 @@ DRAWS = {
 
 @pytest.mark.parametrize("seed", [DEFAULT_SEED, 1])
 @pytest.mark.parametrize("identity_id", sorted(_REGISTRY))
-def test_seeded_draws_match_the_documented_domain(identity_id, seed):
-    rng = RecordingRandom(seed)
+def test_seeded_draws_match_the_documented_domain(monkeypatch, identity_id, seed):
+    requests = []
+    draw = audit_module._draw
+
+    def recording_draw(rng, low, high):
+        requests.append((low, high))
+        return draw(rng, low, high)
+
+    monkeypatch.setattr(audit_module, "_draw", recording_draw)
+    rng = random.Random(seed)
     for _ in _REGISTRY[identity_id].run(rng, None):
         pass
-    assert Counter(rng.requests) == DRAWS.get(identity_id, Counter())
-    # nothing else was drawn: replaying the requests reaches the same state
+    assert Counter(requests) == DRAWS.get(identity_id, Counter())
+    # nothing else was drawn, and each request consumed what randint would:
+    # replaying the requests through randint reaches the same state
     replay = random.Random(seed)
-    for a, b in rng.requests:
+    for a, b in requests:
         replay.randint(a, b)
     assert replay.getstate() == rng.getstate()
 
