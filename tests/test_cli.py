@@ -327,7 +327,6 @@ class TestAudit:
         assert "NOPE" in err
 
     def test_unknown_id_says_what_is_wrong(self, capsys):
-        # not KeyError's bare "error: 'NOPE'"
         code, out, err = invoke(capsys, "audit", "--id", "NOPE")
         assert (code, out) == (2, "")
         assert err == "error: unknown audit id 'NOPE' (fibquat audit --list shows the ids)\n"
