@@ -1,5 +1,11 @@
 """Exception types shared across the package, and ``_shown``, which puts a
-value into their messages."""
+value into their messages.
+
+An error that carries fields passes them, and only them, to
+``Exception.__init__`` and builds its message in ``__str__``, so that
+``args`` is what the constructor took and a pickled copy, rebuilt as
+``type(error)(*error.args)``, reads the same.
+"""
 
 
 def _shown(value):
@@ -27,8 +33,11 @@ class NotInvertibleError(FibquatError):
     """
 
     def __init__(self, norm):
+        super().__init__(norm)
         self.norm = norm
-        super().__init__(f"element is not invertible: norm is {norm}")
+
+    def __str__(self):
+        return f"element is not invertible: norm is {_shown(self.norm)}"
 
 
 class DomainError(FibquatError, ValueError):
@@ -47,9 +56,12 @@ class SeriesMismatchError(FibquatError):
     """A truncated series product had a nonzero residual coefficient."""
 
     def __init__(self, degree, coefficient):
+        super().__init__(degree, coefficient)
         self.degree = degree
         self.coefficient = coefficient
-        super().__init__(f"nonzero residual at degree {degree}: {_shown(coefficient)}")
+
+    def __str__(self):
+        return f"nonzero residual at degree {self.degree}: {_shown(self.coefficient)}"
 
 
 class IndicatorDegenerateError(FibquatError):

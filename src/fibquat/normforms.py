@@ -229,10 +229,13 @@ class ThresholdReport(NamedTuple):
 
     empirical_n0 is the least index from which every norm in
     [0, scanned_up_to] is nonzero with sign equal to sign_of_E, and zero
-    norms below it are listed: the report is always that of a scan of the
-    whole range.  empirical_n0 is proven, valid for every n >= it, since
-    ``invertibility_threshold`` locates each parity's whole interval of bad
-    indices on the proven Binet form; at most two zero norms are listed.
+    norms below it are listed, at most two: the report is always that of a
+    scan of the whole range.  empirical_n0 holds for every n >= it only
+    when each parity's interval of bad indices (the module docstring) ends
+    inside [0, scanned_up_to], and the report does not say whether they do:
+    in H(-12, -12614708645908898764136/86462499333591078659879) the report
+    at scanned_up_to = 50 has empirical_n0 = 50 and no zero norm, yet the
+    norm of F_51 is 0.
     """
 
     params: AlgebraParams
@@ -302,8 +305,9 @@ def _reach(holds, limit):
 
 def invertibility_threshold(params, pq=None, n_max=50):
     """The sign threshold of the exact norms of F_n (or H^{p,q}_n when pq is
-    given) over n in [0, n_max]: the report of a scan of the whole range,
-    its empirical_n0 proven for every n.
+    given) over n in [0, n_max]: the report of a scan of the whole range.
+    Its empirical_n0 holds past n_max only when each parity's interval of
+    bad indices ends inside [0, n_max] (see ``ThresholdReport``).
 
     The Binet lead A is the residue 5*d1*d2*E of ``_indicator`` (for F_n),
     or its 5*d1*d2*E' times alpha^-2 (for H^{p,q}_n), and sign_of_E is its

@@ -2,8 +2,8 @@
 
 Each route is held against the textbook Rational evaluation it replaced:
 ``Quaternion.norm`` against a1^2 + b1*a2^2 + b2*a3^2 + b1*b2*a4^2, the
-closed forms against the direct norm, and the integer threshold scan against
-a scan over ``Quaternion`` norms kept here as the reference.
+closed forms against the direct norm, and the threshold against the scan of
+``Quaternion`` norms in ``threshold_oracle``.
 """
 
 import pytest
@@ -12,18 +12,14 @@ from hypothesis import given, settings, strategies as st
 from fibquat import (
     AlgebraParams,
     GenFibParams,
-    IndicatorDegenerateError,
     Quaternion,
     Rational,
-    ScanExhaustedError,
     fib_quat,
     gen_fib_quat,
-    growth_indicator_E,
-    growth_indicator_Eprime,
-    invertibility_threshold,
     norm_fib_formula,
     norm_genfib_formula,
 )
+from threshold_oracle import located, norm_scan
 
 ZERO_NORM_ALGEBRAS = [
     AlgebraParams(-1, Rational(-1, 3)),  # n(F_0) = 1 - 1/3 - 2/3 = 0
@@ -66,44 +62,13 @@ def test_closed_forms_match_direct_norms(params, pq):
         assert norm_genfib_formula(params, pq, n) == gen_fib_quat(params, pq, n).norm()
 
 
-def reference_threshold(params, pq, n_max):
-    """(sign_of_E, empirical_n0, zero_norm_indices) from Quaternion norms."""
-    if pq is None:
-        target = growth_indicator_E(params).sign()
-        norms = [fib_quat(params, n).norm() for n in range(n_max + 1)]
-    else:
-        target = growth_indicator_Eprime(params, pq).sign()
-        norms = [gen_fib_quat(params, pq, n).norm() for n in range(n_max + 1)]
-    n0 = 0
-    for n in range(n_max, -1, -1):
-        if norms[n].sign() != target:
-            n0 = n + 1
-            break
-    return target, n0, tuple(n for n in range(n0) if not norms[n])
-
-
-def assert_matches_reference(params, pq, n_max):
-    target, n0, zeros = reference_threshold(params, pq, n_max)
-    if target == 0:
-        with pytest.raises(IndicatorDegenerateError):
-            invertibility_threshold(params, pq, n_max)
-    elif n0 > n_max:
-        with pytest.raises(ScanExhaustedError):
-            invertibility_threshold(params, pq, n_max)
-    else:
-        report = invertibility_threshold(params, pq, n_max)
-        assert (report.sign_of_E, report.empirical_n0, report.zero_norm_indices) == (
-            target, n0, zeros,
-        )
-
-
 @settings(max_examples=40)
 @given(params=small_params, pq=st.none() | seeds, n_max=st.integers(1, 40))
 def test_threshold_matches_reference_scan(params, pq, n_max):
-    assert_matches_reference(params, pq, n_max)
+    assert located(params, pq, (n_max,)) == norm_scan(params, pq, (n_max,))
 
 
 @pytest.mark.parametrize("params", ZERO_NORM_ALGEBRAS, ids=str)
 @pytest.mark.parametrize("pq", [None, GenFibParams(2, -1), GenFibParams(-3, 2)], ids=str)
 def test_threshold_matches_reference_on_zero_norms(params, pq):
-    assert_matches_reference(params, pq, 50)
+    assert located(params, pq, (50,)) == norm_scan(params, pq, (50,))

@@ -28,8 +28,8 @@ from fibquat import (
     verify_threshold_report,
 )
 from fibquat import analytic, normforms
-from fibquat.sequences import fib_values, gen_fib_values
 from fibquat.surd import ALPHA, from_residue
+from threshold_oracle import located, zero_divisor
 
 
 def _algebras(count, seed):
@@ -41,40 +41,26 @@ def _algebras(count, seed):
     ]
 
 
-def _zero_divisor(beta1, n, pq=None):
-    # beta2 = -u_n/u_{n+2} gives the element of index n norm 0, with
-    # u_m = x_m^2 + beta1*x_{m+1}^2 on its sequence values x
-    x = fib_values(0, n + 4) if pq is None else gen_fib_values(pq, 0, n + 4)
-    u_n, u_n2 = (x[m] ** 2 + beta1 * x[m + 1] ** 2 for m in (n, n + 2))
-    return AlgebraParams(beta1, -u_n / u_n2)
-
-
 CASES = [
-    (params, pq, n_max)
-    for params in _algebras(40, seed=1501) + [_zero_divisor(Rational(-7, 2), 40)]
+    (params, pq)
+    for params in _algebras(40, seed=1501) + [zero_divisor(Rational(-7, 2), None, 40)]
     for pq in (None, GenFibParams(1, 2), GenFibParams(-3, 5))
-    for n_max in (1, 3, 50, 130)
 ]
-
-
-def _outcome(params, pq, n_max):
-    try:
-        report = invertibility_threshold(params, pq, n_max)
-    except ScanExhaustedError as exc:
-        return str(exc)
-    verify_threshold_report(report)
-    return report
+N_MAXES = (1, 3, 50, 130)
 
 
 def test_no_surd_is_built_on_the_threshold_paths(monkeypatch):
-    expected = [_outcome(*case) for case in CASES]
-    assert any(isinstance(e, normforms.ThresholdReport) and e.zero_norm_indices for e in expected)
+    expected = [located(params, pq, N_MAXES) for params, pq in CASES]
+    assert any(
+        isinstance(e, normforms.ThresholdReport) and e.zero_norm_indices
+        for outcomes in expected for e in outcomes
+    )
 
     def refuse(*args):
         raise AssertionError("from_residue called")
 
     monkeypatch.setattr(normforms, "from_residue", refuse)
-    assert [_outcome(*case) for case in CASES] == expected
+    assert [located(params, pq, N_MAXES) for params, pq in CASES] == expected
     with pytest.raises(AssertionError, match="from_residue called"):
         growth_indicator_E(CASES[0][0])
 
@@ -146,7 +132,7 @@ def test_reverify_reads_every_window(pq):
     # a zero norm in the second window, and the tail sign read at both ends
     # of the later window boundaries
     window = normforms._VERIFY_WINDOW
-    params = _zero_divisor(Rational(-7, 2), window + 44, pq)
+    params = zero_divisor(Rational(-7, 2), pq, window + 44)
     n_max = 3 * window + 5
     report = invertibility_threshold(params, pq, n_max)
     verify_threshold_report(report)
@@ -163,7 +149,7 @@ def test_reverify_reads_every_window(pq):
 def test_reverify_checks_both_ends_of_the_range(pq):
     # the zero at 300 lies one index past the scan: stretched over it, the
     # report fails there; and an n0 of 0 moved up to 1 is not minimal
-    params = _zero_divisor(Rational(-7, 2), 300, pq)
+    params = zero_divisor(Rational(-7, 2), pq, 300)
     report = invertibility_threshold(params, pq, 299)
     verify_threshold_report(report)
     with pytest.raises(ConsistencyError, match="tail condition fails at n = 300"):
@@ -190,7 +176,7 @@ def test_reverify_refuses_a_report_no_scan_gives(field, value):
 def test_reverify_refuses_n0_past_the_scan(pq):
     # the zero at 300 ends the scan: the scan itself raises, and a report
     # of n0 = 301 listing that zero is refused, not passed
-    params = _zero_divisor(Rational(-7, 2), 300, pq)
+    params = zero_divisor(Rational(-7, 2), pq, 300)
     with pytest.raises(ScanExhaustedError):
         invertibility_threshold(params, pq, 300)
     report = invertibility_threshold(params, pq, 299)

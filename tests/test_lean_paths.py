@@ -3,9 +3,8 @@
 Each fast path is held against the general route it bypasses:
 
 * the quaternion builders against the ``Quaternion`` constructor;
-* the threshold, which reads the norm at a few indices, against a scan of
-  ``cleared_norm``, the norm's integer quadratic form kept here, at every
-  index;
+* the threshold, which reads the norm at a few indices, against the scan of
+  ``Quaternion.norm`` at every index in ``threshold_oracle``;
 * the folded closed-form numerators against a literal Rational
   transcription of the docstring formulas, kept here;
 * ``Quaternion.norm`` against ``Rational(cleared_norm(...), d1*d2*den^2)``.
@@ -18,18 +17,16 @@ from fibquat import (
     GenFibParams,
     Quaternion,
     Rational,
-    ScanExhaustedError,
     fib,
     fib_quat,
     gen_fib,
     gen_fib_quat,
-    invertibility_threshold,
     narayana,
     narayana_quat,
 )
 from fibquat import normforms
-from fibquat.sequences import TABLE_CAP, fib_values, gen_fib_values
-from fibquat.surd import residue_sign
+from fibquat.sequences import TABLE_CAP, fib_values
+from threshold_oracle import located, norm_scan
 
 rationals = st.builds(Rational, st.integers(-40, 40), st.integers(1, 12))
 algebras = st.builds(AlgebraParams, rationals, rationals)
@@ -64,21 +61,9 @@ def test_builders_match_the_constructor(params, pq, n):
 
 @settings(max_examples=60)
 @given(params=algebras, pq=st.none() | seeds, n_max=st.integers(1, 60))
-def test_threshold_matches_a_cleared_norm_scan(params, pq, n_max):
+def test_threshold_matches_a_norm_scan(params, pq, n_max):
     assume(pq != (0, 0))
-    values = fib_values(0, n_max + 4) if pq is None else gen_fib_values(pq, 0, n_max + 4)
-    signs = [cleared_norm(params, *values[n:n + 4]) for n in range(n_max + 1)]
-    signs = [(top > 0) - (top < 0) for top in signs]
-    target = residue_sign(*normforms._indicator(params, pq))
-    try:
-        report = invertibility_threshold(params, pq, n_max)
-    except ScanExhaustedError:
-        assert signs[n_max] != target
-        return
-    n0 = max((n + 1 for n in range(n_max + 1) if signs[n] != target), default=0)
-    assert report.sign_of_E == target
-    assert report.empirical_n0 == n0
-    assert report.zero_norm_indices == tuple(n for n in range(n0) if not signs[n])
+    assert located(params, pq, (n_max,)) == norm_scan(params, pq, (n_max,))
 
 
 # -- the docstring formulas, transcribed literally over Rationals -------------

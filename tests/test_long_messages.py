@@ -23,17 +23,13 @@ from fibquat import (
     gen_fib,
     invertibility_threshold,
 )
-from fibquat.sequences import fib_values
+from threshold_oracle import zero_divisor
 
 HUGE = 10**5000
 
-
-def zero_divisor(n):
-    """beta1 = -3 and the beta2 that gives F_n norm 0: -u_n/u_{n+2} with
-    u_m = f_m^2 - 3*f_{m+1}^2, whose parts have about 5,000 digits at n = 12,000."""
-    f = fib_values(n, n + 4)
-    u_n, u_n2 = (f[m] ** 2 - 3 * f[m + 1] ** 2 for m in (0, 2))
-    return AlgebraParams(-3, Rational(-u_n, u_n2))
+# beta1 = -3 and the beta2 that gives F_12000 norm 0, whose numerator and
+# denominator have about 5,000 digits each
+LONG_ALGEBRA = zero_divisor(Rational(-3), None, 12_000)
 
 
 def message(excinfo):
@@ -47,13 +43,13 @@ def message(excinfo):
 
 def test_a_threshold_past_n_max_raises_scan_exhausted():
     with pytest.raises(ScanExhaustedError) as excinfo:
-        invertibility_threshold(zero_divisor(12_000), None, 12_000)
+        invertibility_threshold(LONG_ALGEBRA, None, 12_000)
     assert message(excinfo).startswith("no sign threshold within [0, 12000] for <")
 
 
 def test_a_product_across_algebras_raises_algebra_mismatch():
     with pytest.raises(AlgebraMismatchError) as excinfo:
-        fib_quat(zero_divisor(12_000), 3) * fib_quat(AlgebraParams(1, 1), 1)
+        fib_quat(LONG_ALGEBRA, 3) * fib_quat(AlgebraParams(1, 1), 1)
     assert message(excinfo).endswith(" and H(1, 1)")
 
 
