@@ -97,7 +97,11 @@ class AlgebraParams(_FieldTuple):
         return f"AlgebraParams(beta1={self.beta1!r}, beta2={self.beta2!r})"
 
     def __str__(self):
-        return f"H({self.beta1}, {self.beta2})"
+        # each beta as Rational.__str__ renders it, from the stored integers
+        n1, d1, n2, d2 = self
+        beta1 = f"{n1}" if d1 == 1 else f"{n1}/{d1}"
+        beta2 = f"{n2}" if d2 == 1 else f"{n2}/{d2}"
+        return f"H({beta1}, {beta2})"
 
 
 class Quaternion(_FieldTuple):

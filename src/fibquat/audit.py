@@ -588,9 +588,9 @@ def _thm_2_2_ii(rng, n_max):
 def _formula_norms(params, pq, start, stop):
     """(n, closed-form norm of F_n or H^{p,q}_n) for n in [start, stop), the
     closed forms of ``norm_fib_formula`` and ``norm_genfib_formula`` read in
-    windows of _VERIFY_WINDOW indices."""
+    windows of _VERIFY_WINDOW indices, each V(n) over 5*d1*d2."""
     n1, d1, n2, d2 = params
-    bottom = d1 * d2
+    bottom = 5 * d1 * d2
     for low in range(start, stop, _VERIFY_WINDOW):
         tops = _formula_tops(params, pq, low, min(low + _VERIFY_WINDOW, stop))
         for n, top in enumerate(tops, low):

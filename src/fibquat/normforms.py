@@ -1,17 +1,17 @@
 """Closed-form norms of the quaternion sequences, the growth indicators
 E and E' in Q(sqrt 5), and invertibility thresholds.
 
-Every norm here is evaluated with denominators cleared.  With
-beta1 = n1/d1 and beta2 = n2/d2, d1*d2 times the norm of an integer
-quaternion is an integer with the norm's sign, so the threshold and its
-re-verification decide sign and zeroness on plain integers, and the
-public closed forms reduce one integer numerator over d1*d2.
+Every norm here is one integer, V(n) = 5*d1*d2 times the norm of F_n or
+H^{p,q}_n, with beta1 = n1/d1 and beta2 = n2/d2: the Binet form below.  It
+has the norm's sign, so the threshold and its re-verification decide sign
+and zeroness on V itself, and the public closed forms divide it once, by
+5*d1*d2, in the Rational they build.
 
 The closed forms evaluate h-values through h_{n+1} = p*f_n + q*f_{n+1},
 with the betas' numerators and denominators folded into one integer
-coefficient each of f_{2n+1}, f_{2n} and (-1)^n in 5*d1*d2 times the norm:
-the route independent of the integer recurrence and the quadratic form
-used by the direct norms.
+coefficient each of f_{2n+1}, f_{2n} and (-1)^n in V(n): the route
+independent of the integer recurrence and the quadratic form used by the
+direct norms.
 They are one fold, of n(H^{p,q}_n) (Theorem 2.5) over an index range, and
 n(F_n) (Theorem 2.4) is its case (p, q) = (0, 1), as F_n = H^{0,1}_n: the
 public single-index forms read one index, the threshold re-verification
@@ -21,23 +21,23 @@ public indicators reduce to a QuadraticSurd and the threshold and its
 re-verification read on the integers.
 
 The threshold reports what a scan of every n in [0, n_max] reports, from
-O(log n_max) single-index norms.  5*d1*d2 times the norm is V(n) =
-A*alpha^(2n) + sigma(A)*alpha^(-2n) + k*(-1)^n, with A from the indicator
-residue and k fitted to three norms (the fit is the proof, checked on
-every call).  With s = sign A, s*V(n) = G(n) + s*k*(-1)^r on each parity r
-of n, where G(x) = s*(A*alpha^(2x) + sigma(A)*alpha^(-2x)) is strictly
-convex and positive when sign sigma(A) = s (the convex case), else
-strictly increasing (the monotone case).  So the bad indices of parity r,
-where the norm is zero or has the sign opposite to E, s*V(n) <= 0, are one
-interval of the integers, bounded in the convex case and running to
--infinity in the monotone case.  A zero norm sits at an end of its
-interval, as a strictly convex or increasing sequence that is <= 0 on both
-sides of an index is < 0 there; so there are at most two zero norms over
-all of Z: in the convex case G > 0 leaves an interval only on the parity
-with -s*k*(-1)^r > 0, and in the monotone case each interval has one end.
-The threshold locates each parity's interval by galloping and bisection.
-Its re-verification reads every index of [0, n_max] by the closed forms
-instead, and shares only the indicator with it.
+O(log n_max) single-index norms.  V(n) = A*alpha^(2n) +
+sigma(A)*alpha^(-2n) + k*(-1)^n, with A from the indicator residue and k
+fitted to three norms (the fit is the proof, checked on every call).  With
+s = sign A, s*V(n) = G(n) + s*k*(-1)^r on each parity r of n, where G(x) =
+s*(A*alpha^(2x) + sigma(A)*alpha^(-2x)) is strictly convex and positive
+when sign sigma(A) = s (the convex case), else strictly increasing (the
+monotone case).  So the bad indices of parity r, where the norm is zero or
+has the sign opposite to E, s*V(n) <= 0, are one interval of the integers,
+bounded in the convex case and running to -infinity in the monotone case.
+A zero norm sits at an end of its interval, as a strictly convex or
+increasing sequence that is <= 0 on both sides of an index is < 0 there;
+so there are at most two zero norms over all of Z: in the convex case
+G > 0 leaves an interval only on the parity with -s*k*(-1)^r > 0, and in
+the monotone case each interval has one end.  The threshold locates each
+parity's interval by galloping and bisection.  Its re-verification reads
+every index of [0, n_max] by the closed forms instead, and shares only the
+indicator with it.
 """
 
 from functools import partial
@@ -58,7 +58,8 @@ from .surd import from_residue, mul, residue_sign
 
 
 def _genfib_formula_tops(params, pq, start, high):
-    """d1*d2 * n(H^{p,q}_n) by the closed form, for n = start, start+1, ...
+    """V(n) = 5*d1*d2 * n(H^{p,q}_n) by the closed form, for n = start,
+    start+1, ...
 
     high[i] must be f_{2*start+i}; index n reads only f_{2n} and f_{2n+1},
     and the range ends where the list does.  Seeds (0, 1) give n(F_n):
@@ -69,7 +70,7 @@ def _genfib_formula_tops(params, pq, start, high):
     f_{2n}, f_{2n+2} = f_{2n+1} + f_{2n}, f_{2n+3} = 2 f_{2n+1} + f_{2n},
     f_n f_{n+1} = f_{2n} - f_{n-1} f_n and f_{n+1} f_{n+2} = f_{n-1} f_n +
     f_{2n+1}, and then by 5 f_{n-1} f_n = 3 f_{2n} - f_{2n+1} + (-1)^n onto
-    f_{2n+1}, f_{2n} and (-1)^n, as 5 times the value.
+    f_{2n+1}, f_{2n} and (-1)^n, which is why V carries the factor 5.
     """
     n1, d1, n2, d2 = params
     p, q = _integer_seeds(*pq)
@@ -102,14 +103,13 @@ def _genfib_formula_tops(params, pq, start, high):
     even_c = 5 * (c1 - c0 + c3 + c4 - k6) + 3 * product_c
     units = cycle((product_c, -product_c) if start % 2 == 0 else (-product_c, product_c))
     return [
-        (odd_c * x1 + even_c * x0 + unit) // 5
-        for x0, x1, unit in zip(high[0::2], high[1::2], units)
+        odd_c * x1 + even_c * x0 + unit for x0, x1, unit in zip(high[0::2], high[1::2], units)
     ]
 
 
 def _formula_tops(params, pq, start, stop):
-    """d1*d2 times the closed-form norm of F_n (pq is None, the seeds (0, 1))
-    or H^{p,q}_n, for n in [start, stop), from one range of f-values."""
+    """V(n), 5*d1*d2 times the closed-form norm of F_n (pq is None, the seeds
+    (0, 1)) or H^{p,q}_n, for n in [start, stop), from one range of f-values."""
     return _genfib_formula_tops(params, pq or (0, 1), start, fib_values(2 * start, 2 * stop))
 
 
@@ -118,10 +118,10 @@ def norm_fib_formula(params, n):
 
     h^{1+2b2, 3b2}_{2n+2} + (b1-1) h^{1+2b2, b2}_{2n+3} - 2(b1-1)(1+b2) f_n f_{n+1}
 
-    the case (p, q) = (0, 1) of ``norm_genfib_formula``, over d1*d2.
+    the case (p, q) = (0, 1) of ``norm_genfib_formula``, as V(n) over 5*d1*d2.
     """
     n1, d1, n2, d2 = params
-    return Rational(_formula_tops(params, None, n, n + 1)[0], d1 * d2)
+    return Rational(_formula_tops(params, None, n, n + 1)[0], 5 * d1 * d2)
 
 
 def norm_genfib_formula(params, pq, n):
@@ -133,11 +133,11 @@ def norm_genfib_formula(params, pq, n):
     + h^{2pq*b1, 2pq*b1*b2}_{2n+1} + 2pq*b1*b2 (f_{2n} + f_{2n+3})
     + 2pq*b2(1-b1) f_{n+1} f_{n+2}
 
-    evaluated as one integer numerator over d1*d2.  Here h^{a,b}_m is
-    a f_{m-1} + b f_m, and f extends to negative indices.
+    evaluated as one integer numerator, V(n), over 5*d1*d2.  Here h^{a,b}_m
+    is a f_{m-1} + b f_m, and f extends to negative indices.
     """
     n1, d1, n2, d2 = params
-    return Rational(_formula_tops(params, pq, n, n + 1)[0], d1 * d2)
+    return Rational(_formula_tops(params, pq, n, n + 1)[0], 5 * d1 * d2)
 
 
 def swamy_norm_as_stated(pq, n):
@@ -178,27 +178,27 @@ def _indicator(params, pq):
     """5*d1*d2 times E (pq is None) or E', as an unreduced residue [c0, c1]
     of c0 + c1*alpha in Z[alpha]; its sign is that of the indicator.
 
-    E' is evaluated literally from powers of alpha and cross-checked against
-    (p + alpha*q)^2 * E; ConsistencyError when the two differ.
+    E' is evaluated literally, as (p + alpha*q)^2 times the bracket
+    d1*d2 [1 + b1 a^2 + b2 a^4 + b1 b2 a^6] from powers of alpha, and
+    cross-checked against (p + alpha*q)^2 * E: as Z[alpha] has no zero
+    divisors, the two differ exactly when the bracket differs from E's
+    residue and (p, q) != (0, 0), and then ConsistencyError shows both.
     """
     pair = _indicator_E_pair(params)
     if pq is None:
         return pair
     n1, d1, n2, d2 = params
-    # d1*d2 [1 + b1 a^2 + b2 a^4 + b1 b2 a^6]
     weights = (d1 * d2, n1 * d2, d1 * n2, n1 * n2)
     bracket = [sum(w * a[i] for w, a in zip(weights, _ALPHA_EVEN_POWERS)) for i in (0, 1)]
-    root = _integer_seeds(*pq)  # p + alpha*q
-    square = mul(root, root)
-    literal = mul(square, bracket)
-    reduced = mul(square, pair)
-    if literal != reduced:
+    p, q = _integer_seeds(*pq)
+    square = [p * p + q * q, (2 * p + q) * q]  # (p + alpha*q)^2, as alpha^2 = 1 + alpha
+    if bracket != pair and any(square):
         bottom = 5 * d1 * d2
         raise ConsistencyError(
-            f"growth indicator routes disagree: {from_residue(literal, bottom)} "
-            f"vs {from_residue(reduced, bottom)}"
+            f"growth indicator routes disagree: {from_residue(mul(square, bracket), bottom)} "
+            f"vs {from_residue(mul(square, pair), bottom)}"
         )
-    return literal
+    return mul(square, bracket)
 
 
 def growth_indicator_E(params):
@@ -247,18 +247,18 @@ class ThresholdReport(NamedTuple):
 
 
 def _fitted_constant(lead, tops):
-    """k with 5*tops[n] = Tr(lead*alpha^(2n)) + k*(-1)^n at n = 0, 1, 2.
+    """k with tops[n] = V(n) = Tr(lead*alpha^(2n)) + k*(-1)^n at n = 0, 1, 2.
 
     The norms of F_n and H^{p,q}_n satisfy one order-3 recurrence with roots
     alpha^2, alpha^-2 and -1, so three consecutive values fix them: the fit
-    holding at n = 0, 1, 2 proves 5*d1*d2*norm_n = lead*alpha^(2n) +
+    holding at n = 0, 1, 2 proves V(n) = lead*alpha^(2n) +
     sigma(lead)*alpha^(-2n) + k*(-1)^n for every n, sigma conjugating
     sqrt 5.  Raises ConsistencyError when it does not hold.
     """
     c0, c1 = lead
-    k = 5 * tops[0] - (2 * c0 + c1)  # Tr(c0 + c1*alpha) = 2 c0 + c1
+    k = tops[0] - (2 * c0 + c1)  # Tr(c0 + c1*alpha) = 2 c0 + c1
     # alpha^2 = 1 + alpha and alpha^4 = 2 + 3 alpha
-    if 5 * tops[1] != 3 * c0 + 4 * c1 - k or 5 * tops[2] != 7 * c0 + 11 * c1 + k:
+    if tops[1] != 3 * c0 + 4 * c1 - k or tops[2] != 7 * c0 + 11 * c1 + k:
         raise ConsistencyError(
             f"the norms do not fit the leading coefficient {c0} + {c1}*alpha"
         )
@@ -266,23 +266,22 @@ def _fitted_constant(lead, tops):
 
 
 class _SignedNorms(dict):
-    """n: s*d1*d2 times the norm of F_n (pq is None) or H^{p,q}_n, for a sign
-    s, read on first use: the integer quadratic form of ``Quaternion.norm``
-    on the four sequence values from n, as one read of the recurrence."""
+    """n: s*V(n) for F_n (pq is None) or H^{p,q}_n and a sign s, read on first
+    use: the integer quadratic form of ``Quaternion.norm`` on the four
+    sequence values from n, as one read of the recurrence, with the weights
+    5*s*(d1*d2, n1*d2, d1*n2, n1*n2) fixed at construction."""
 
-    __slots__ = ("_params", "_read", "_s")
+    __slots__ = ("_read", "_weights")
 
     def __init__(self, params, pq, s):
-        self._params = params
+        n1, d1, n2, d2 = params
         self._read = fib_values if pq is None else partial(gen_fib_values, pq)
-        self._s = s
+        self._weights = (5 * s * d1 * d2, 5 * s * n1 * d2, 5 * s * d1 * n2, 5 * s * n1 * n2)
 
     def __missing__(self, n):
         x1, x2, x3, x4 = self._read(n, n + 4)
-        n1, d1, n2, d2 = self._params
-        value = self[n] = self._s * (
-            d2 * (d1 * x1 * x1 + n1 * x2 * x2) + n2 * (d1 * x3 * x3 + n1 * x4 * x4)
-        )
+        w1, w2, w3, w4 = self._weights
+        value = self[n] = w1 * x1 * x1 + w2 * x2 * x2 + w3 * x3 * x3 + w4 * x4 * x4
         return value
 
 
@@ -350,14 +349,8 @@ def invertibility_threshold(params, pq=None, n_max=50):
         raise ScanExhaustedError(
             f"no sign threshold within [0, {n_max}] for {_shown(params)} with seeds {_shown(pq)}"
         )
-    return ThresholdReport(
-        params=params,
-        pq=pq,
-        sign_of_E=target,
-        empirical_n0=n0,
-        scanned_up_to=n_max,
-        zero_norm_indices=tuple(sorted(n for n in ends if not norms[n])),
-    )
+    zeros = tuple(sorted(n for n in ends if not norms[n])) if ends else ()
+    return ThresholdReport(params, pq, target, n0, n_max, zeros)
 
 
 # indices per closed-form read of the re-verification, and per range read of
@@ -368,38 +361,35 @@ _VERIFY_WINDOW = 256
 def verify_threshold_report(report):
     """Re-verify a ThresholdReport by an independent scan.
 
-    The scan evaluates d1*d2 times each norm through the closed-form route
-    instead of the quadratic form on recurrence values, at every index of
-    [0, scanned_up_to], read in windows of _VERIFY_WINDOW indices whose
-    signs alone are kept; it does not rely on the interval structure that
-    ``invertibility_threshold`` locates.
+    The scan evaluates each V(n), 5*d1*d2 times the norm, through the
+    closed-form route instead of the quadratic form on recurrence values, at
+    every index of [0, scanned_up_to], read in windows of _VERIFY_WINDOW
+    indices whose signs alone are kept, taken on V without dividing; it
+    does not rely on the interval structure that ``invertibility_threshold``
+    locates.
     It rechecks every invariant: sign_of_E is the indicator's, the tail
     is uniformly nonzero with sign sign_of_E, empirical_n0 is minimal and in
     [0, scanned_up_to], scanned_up_to >= 1, and zero_norm_indices lists
     exactly the zero norms below n0, over all of [0, scanned_up_to].  Raises
     ConsistencyError on any disagreement.
     """
-    params = report.params
-    pq = report.pq
-    if residue_sign(*_indicator(params, pq)) != report.sign_of_E:
+    params, pq, s, n0, n_max, listed = report
+    if residue_sign(*_indicator(params, pq)) != s:
         raise ConsistencyError("sign_of_E does not match the growth indicator")
-    n_max = report.scanned_up_to
-    n0 = report.empirical_n0
     if n_max < 1 or not 0 <= n0 <= n_max + 1:  # n_max + 1 is refused further down
         raise ConsistencyError(f"no scan reports n0 = {n0} scanning [0, {n_max}]")
     signs = []
     for start in range(0, n_max + 1, _VERIFY_WINDOW):
         tops = _formula_tops(params, pq, start, min(start + _VERIFY_WINDOW, n_max + 1))
         signs += [(top > 0) - (top < 0) for top in tops]
-    for n in range(n0, n_max + 1):
-        if signs[n] != report.sign_of_E:
-            raise ConsistencyError(f"tail condition fails at n = {n}")
-    if n0 > 0 and signs[n0 - 1] == report.sign_of_E:
+    tail = signs[n0:]
+    if tail.count(s) != len(tail):
+        n = next(n for n, sign in enumerate(tail, n0) if sign != s)
+        raise ConsistencyError(f"tail condition fails at n = {n}")
+    if n0 > 0 and signs[n0 - 1] == s:
         raise ConsistencyError("empirical_n0 is not minimal")
     if n0 > n_max:
         raise ConsistencyError(f"no scan reports n0 = {n0} scanning [0, {n_max}]")
     zeros = tuple(n for n in range(n0) if not signs[n])
-    if zeros != report.zero_norm_indices:
-        raise ConsistencyError(
-            f"zero norms disagree: {zeros} vs {report.zero_norm_indices}"
-        )
+    if zeros != listed:
+        raise ConsistencyError(f"zero norms disagree: {zeros} vs {listed}")

@@ -38,7 +38,7 @@ N = 60
 
 
 def batched(params, pq):
-    """d1*d2 * norm for n in [0, N] by the route verify_threshold_report takes."""
+    """V(n) = 5*d1*d2 * norm for n in [0, N] by the route verify_threshold_report takes."""
     f = [fib(m) for m in range(0, 2 * N + 2)]  # f[m] = f_m
     return normforms._genfib_formula_tops(params, pq or (0, 1), 0, f)
 
@@ -46,14 +46,14 @@ def batched(params, pq):
 @settings(max_examples=60)
 @given(params=algebras, pq=seeds)
 def test_batched_closed_forms_match_single_index(params, pq):
-    d1d2 = params.beta1.denominator * params.beta2.denominator
+    bottom = 5 * params.beta1.denominator * params.beta2.denominator
     fib_tops = batched(params, None)
     genfib_tops = batched(params, pq)
     for n in range(N + 1):
-        assert Rational(fib_tops[n], d1d2) == norm_fib_formula(params, n)
-        assert Rational(genfib_tops[n], d1d2) == norm_genfib_formula(params, pq, n)
+        assert Rational(fib_tops[n], bottom) == norm_fib_formula(params, n)
+        assert Rational(genfib_tops[n], bottom) == norm_genfib_formula(params, pq, n)
     # n = 0 takes the closed form too
-    assert Rational(genfib_tops[0], d1d2) == gen_fib_quat(params, pq, 0).norm()
+    assert Rational(genfib_tops[0], bottom) == gen_fib_quat(params, pq, 0).norm()
 
 
 def textbook_E(b1, b2):

@@ -1,10 +1,11 @@
 """The closed forms read at the doubled index only.
 
-5*d1*d2 times the norm of F_n or H^{p,q}_n is (2c0 + c1) f_{2n+1} +
+V(n), 5*d1*d2 times the norm of F_n or H^{p,q}_n, is (2c0 + c1) f_{2n+1} +
 (2c1 - c0) f_{2n} + k (-1)^n, with c0 + c1*alpha the Binet lead of the
 threshold (the indicator residue, times alpha^-2 = 2 - alpha for H) and k
-its fitted constant.  ``normforms._formula_tops`` folds Theorem 2.5 onto
-exactly these f-values, so each window reads one range, [2s, 2*stop).
+its fitted constant.  ``normforms._formula_tops`` returns V itself, folded
+from Theorem 2.5 onto exactly these f-values, so each window reads one
+range, [2s, 2*stop).
 """
 
 import random
@@ -33,7 +34,7 @@ def binet_lead_and_constant(params, pq):
         lead = mul(lead, [2, -1])  # times 2 - alpha = alpha^-2
     n1, d1, n2, d2 = params
     tops = [
-        d1 * d2 * (fib_quat(params, n) if pq is None else gen_fib_quat(params, pq, n)).norm()
+        5 * d1 * d2 * (fib_quat(params, n) if pq is None else gen_fib_quat(params, pq, n)).norm()
         for n in range(3)
     ]
     return lead, normforms._fitted_constant(lead, tops)
@@ -53,7 +54,7 @@ def test_the_fold_is_the_binet_form_at_the_doubled_index():
             for n, top in zip(INDICES, tops):
                 unit = 1 if n % 2 == 0 else -1
                 expected = (2 * c0 + c1) * fib(2 * n + 1) + (2 * c1 - c0) * fib(2 * n) + k * unit
-                assert 5 * top == expected, (params, pq, n)
+                assert top == expected, (params, pq, n)
 
 
 @pytest.mark.parametrize("pq", [None, GenFibParams(1, 2)], ids=str)

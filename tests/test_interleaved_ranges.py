@@ -77,12 +77,12 @@ def test_the_reverify_takes_at_most_two_powers(monkeypatch, powers, pq):
     powers.clear()
     verify_threshold_report(report)
     assert 0 < len(powers) <= 2
-    # the re-verify read every norm in [0, n_max], equal to the quadratic
-    # form d2*(d1*x1^2 + n1*x2^2) + n2*(d1*x3^2 + n1*x4^2), here d1 = d2 = 1
+    # the re-verify read every V(n) in [0, n_max], 5 times the quadratic form
+    # d2*(d1*x1^2 + n1*x2^2) + n2*(d1*x3^2 + n1*x4^2), here d1 = d2 = 1
     x = fib_values(0, n_max + 4) if pq is None else gen_fib_values(pq, 0, n_max + 4)
     squares = [value * value for value in x]
     u = [a + b for a, b in zip(squares, squares[1:])]
-    assert tops == [a + b for a, b in zip(u, u[2:])]
+    assert tops == [5 * (a + b) for a, b in zip(u, u[2:])]
 
 
 def plain(seeds, stop, start=0):
@@ -237,5 +237,5 @@ def test_windows_interleaved_with_builds_take_at_most_two_powers_each(monkeypatc
         builds = [fib_quat(params, n) for n in range(low, low + 256)]
         for n, top, q in zip(range(low, low + 256), tops, builds):
             assert (q.x1, q.x2, q.x3, q.x4) == tuple(xs[n - origin:n - origin + 4]), n
-            assert top == q.norm(), n
+            assert top == 5 * q.norm(), n  # V(n), with d1 = d2 = 1
     assert 0 < len(powers) <= 2 * windows

@@ -94,14 +94,14 @@ def literal_genfib_norm(b1, b2, p, q, n):
 @given(params=algebras, pq=seeds, s=st.integers(-40, 40), count=st.integers(1, 12))
 def test_folded_tops_match_the_docstring_formulas(params, pq, s, count):
     b1, b2 = params.beta1, params.beta2
-    d1d2 = b1.denominator * b2.denominator
+    bottom = 5 * b1.denominator * b2.denominator  # the tops are V(n)
     e = s + count - 1  # tops for n = s..e from one pair of value lists
     fib_tops = normforms._genfib_formula_tops(params, (0, 1), s, fib_values(2 * s, 2 * e + 2))
     genfib_tops = normforms._genfib_formula_tops(params, pq, s, fib_values(2 * s, 2 * e + 2))
     assert len(fib_tops) == len(genfib_tops) == count
     for n, fib_top, genfib_top in zip(range(s, e + 1), fib_tops, genfib_tops):
-        assert Rational(fib_top, d1d2) == literal_fib_norm(b1, b2, n)
-        assert Rational(genfib_top, d1d2) == literal_genfib_norm(b1, b2, pq.p, pq.q, n)
+        assert Rational(fib_top, bottom) == literal_fib_norm(b1, b2, n)
+        assert Rational(genfib_top, bottom) == literal_genfib_norm(b1, b2, pq.p, pq.q, n)
 
 
 def assert_norm_is_the_reduced_cleared_norm(q):

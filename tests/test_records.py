@@ -9,6 +9,7 @@ of their canonical fields that equal no plain tuple and are not ordered.
 
 import copy
 import pickle
+import random
 
 import pytest
 
@@ -205,6 +206,16 @@ def test_algebra_params_value_semantics():
     assert repr(HALF_THREE) == "AlgebraParams(beta1=Rational(1, 2), beta2=Rational(3, 1))"
     assert str(HALF_THREE) == "H(1/2, 3)"
     assert {HALF_THREE: 1}[same] == 1
+
+
+def test_algebra_params_str_renders_each_beta_as_its_rational():
+    # integral, negative and half-integer betas, and a few of every kind
+    rng = random.Random(2701)
+    betas = [Rational(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 7, 12))) for _ in range(60)]
+    betas += [Rational(4), Rational(-9), Rational(0), Rational(-5, 2), Rational(7, 2), Rational(-1, 2)]
+    for beta1, beta2 in zip(betas, reversed(betas)):
+        params = AlgebraParams(beta1, beta2)
+        assert str(params) == f"H({params.beta1}, {params.beta2})"
 
 
 def _report(**changes):
