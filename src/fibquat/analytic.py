@@ -85,7 +85,7 @@ def binet_fib(n):
     """f_n = (phi^n - psi^n)/sqrt(5), for |n| <= 70."""
     if abs(n) > FIB_INDEX_GUARD:
         raise PrecisionGuardError(
-            f"binet_fib holds its tolerance only for |n| <= {FIB_INDEX_GUARD}, got {n}"
+            f"binet_fib holds its tolerance only for |n| <= {FIB_INDEX_GUARD}, got {_shown(n)}"
         )
     return (_PHI**n - _PSI**n) / _SQRT5
 
@@ -99,7 +99,7 @@ def binet_narayana(n):
     if abs(n) > NARAYANA_INDEX_GUARD:
         raise PrecisionGuardError(
             f"binet_narayana holds its tolerance only for |n| <= "
-            f"{NARAYANA_INDEX_GUARD}, got {n}"
+            f"{NARAYANA_INDEX_GUARD}, got {_shown(n)}"
         )
     value = _narayana_symmetric(n)
     if abs(value.imag) >= _IMAG_RESIDUE_BOUND:
@@ -128,7 +128,7 @@ def binet_narayana_quat(params, n):
     if abs(n) > NARAYANA_INDEX_GUARD:
         raise PrecisionGuardError(
             f"binet_narayana_quat holds its tolerance only for |n| <= "
-            f"{NARAYANA_INDEX_GUARD}, got {n}"
+            f"{NARAYANA_INDEX_GUARD}, got {_shown(n)}"
         )
     roots = cubic_roots()
     a, b, g = roots.alpha, roots.beta, roots.gamma

@@ -47,6 +47,7 @@ from .errors import (
     ScanExhaustedError,
     SeriesMismatchError,
     UnknownIdentityError,
+    _shown,
 )
 from .normforms import (
     _VERIFY_WINDOW,
@@ -984,7 +985,7 @@ def audit(identity_id, *, seed=DEFAULT_SEED, n_max=None):
             first = Counterexample(inputs=_render_inputs(inputs), lhs=str(lhs), rhs=str(rhs))
     elapsed = time.perf_counter() - started
     if not instances:
-        raise DomainError(f"{check.id} ran no instances with n_max={n_max}")
+        raise DomainError(f"{check.id} ran no instances with n_max={_shown(n_max)}")
     return AuditReport(
         id=check.id,
         paper_ref=check.paper_ref,

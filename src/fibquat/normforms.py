@@ -377,7 +377,7 @@ def verify_threshold_report(report):
     if residue_sign(*_indicator(params, pq)) != s:
         raise ConsistencyError("sign_of_E does not match the growth indicator")
     if n_max < 1 or not 0 <= n0 <= n_max + 1:  # n_max + 1 is refused further down
-        raise ConsistencyError(f"no scan reports n0 = {n0} scanning [0, {n_max}]")
+        raise ConsistencyError(f"no scan reports n0 = {_shown(n0)} scanning [0, {_shown(n_max)}]")
     signs = []
     for start in range(0, n_max + 1, _VERIFY_WINDOW):
         tops = _formula_tops(params, pq, start, min(start + _VERIFY_WINDOW, n_max + 1))
@@ -389,7 +389,7 @@ def verify_threshold_report(report):
     if n0 > 0 and signs[n0 - 1] == s:
         raise ConsistencyError("empirical_n0 is not minimal")
     if n0 > n_max:
-        raise ConsistencyError(f"no scan reports n0 = {n0} scanning [0, {n_max}]")
+        raise ConsistencyError(f"no scan reports n0 = {_shown(n0)} scanning [0, {_shown(n_max)}]")
     zeros = tuple(n for n in range(n0) if not signs[n])
     if zeros != listed:
-        raise ConsistencyError(f"zero norms disagree: {zeros} vs {listed}")
+        raise ConsistencyError(f"zero norms disagree: {zeros} vs {_shown(listed)}")

@@ -1,13 +1,14 @@
 """Counts and first counterexamples of audit entries under injected faults.
 
 Each case replaces one name that ``fibquat.audit`` reads with a faulty
-version (an off-by-one range read, a quaternion shifted at n = 7, a
-threshold report one index late, a zero element, a series residual) and
-runs the entry with its default seed and domain.  Its instance, pass and
-failure counts and its first counterexample, rendered as the report
-renders them, must equal the record in ``tests/golden/counterexamples.json``.
-The error paths (``THM_2_6_THRESHOLD``, ``REMARK_2_7``, ``THM_3_2_GF``)
-are among them.  Running this file as a script prints the records.
+version (an off-by-one range read, ``sequence_oracle.off_by_one``, a
+quaternion shifted at n = 7, a threshold report one index late, a zero
+element, a series residual) and runs the entry with its default seed and
+domain.  Its instance, pass and failure counts and its first
+counterexample, rendered as the report renders them, must equal the record
+in ``tests/golden/counterexamples.json``.  The error paths
+(``THM_2_6_THRESHOLD``, ``REMARK_2_7``, ``THM_3_2_GF``) are among them.
+Running this file as a script prints the records.
 """
 
 import importlib
@@ -19,22 +20,11 @@ import pytest
 from fibquat import Quaternion
 from fibquat.audit import audit
 from fibquat.errors import SeriesMismatchError
+from sequence_oracle import off_by_one
 
 audit_module = importlib.import_module("fibquat.audit")  # fibquat.audit is also a function
 
 GOLDEN = Path(__file__).parent / "golden" / "counterexamples.json"
-
-
-def off_by_one(read, position):
-    """``read`` with the value at ``position`` of its list raised by one."""
-
-    def wrong(*args):
-        values = list(read(*args))
-        if len(values) > position:
-            values[position] += 1
-        return values
-
-    return wrong
 
 
 def shifted_at_seven(build):

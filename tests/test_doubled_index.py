@@ -2,10 +2,10 @@
 
 V(n), 5*d1*d2 times the norm of F_n or H^{p,q}_n, is (2c0 + c1) f_{2n+1} +
 (2c1 - c0) f_{2n} + k (-1)^n, with c0 + c1*alpha the Binet lead of the
-threshold (the indicator residue, times alpha^-2 = 2 - alpha for H) and k
-its fitted constant.  ``normforms._formula_tops`` returns V itself, folded
-from Theorem 2.5 onto exactly these f-values, so each window reads one
-range, [2s, 2*stop).
+threshold (``threshold_oracle.binet_lead``: the indicator residue, times
+alpha^-2 = 2 - alpha for H) and k its fitted constant.
+``normforms._formula_tops`` returns V itself, folded from Theorem 2.5 onto
+exactly these f-values, so each window reads one range, [2s, 2*stop).
 """
 
 import random
@@ -23,15 +23,13 @@ from fibquat import (
     verify_threshold_report,
 )
 from fibquat.sequences import fib
-from fibquat.surd import mul
+from threshold_oracle import binet_lead
 
 INDICES = list(range(-60, 61)) + [300, 5000]
 
 
 def binet_lead_and_constant(params, pq):
-    lead = normforms._indicator(params, pq)
-    if pq is not None:
-        lead = mul(lead, [2, -1])  # times 2 - alpha = alpha^-2
+    lead = binet_lead(params, pq)
     n1, d1, n2, d2 = params
     tops = [
         5 * d1 * d2 * (fib_quat(params, n) if pq is None else gen_fib_quat(params, pq, n)).norm()

@@ -9,7 +9,10 @@ quaternion builders' overlapping reads, [n + 1, n + 5) after [n, n + 4).
 Two runs interleaved on one engine take one power per switch, as the
 audit's THM_2_4 does past the cap when it builds F_n between its closed-form
 windows: at most two powers per window.  A range that starts inside the
-forward table and ends past the cap takes one power too.
+forward table and ends past the cap takes one power too.  Values are held
+to ``sequence_oracle.walk``; the ``powers`` fixture counts the powers, but
+the Hypothesis test spies on its own engine, as a fixture is not reset
+between examples.
 """
 
 import sys
@@ -28,15 +31,7 @@ from fibquat.sequences import (
     fib_values,
     gen_fib_values,
 )
-
-
-@pytest.fixture
-def powers(monkeypatch):
-    """The index of every power the engines take."""
-    power = _Recurrence._power
-    calls = []
-    monkeypatch.setattr(_Recurrence, "_power", lambda self, n: calls.append(n) or power(self, n))
-    return calls
+from sequence_oracle import walk
 
 
 @pytest.mark.parametrize("seeds", [(0, 1), (3, -7), (0, 1, 1)])
@@ -51,13 +46,10 @@ def test_two_interleaved_window_runs_take_one_power_each(powers, seeds):
         reads.append((start, stop + 1, engine.values(start, stop + 1)))
         reads.append((2 * start + 1, 2 * stop + 2, engine.values(2 * start + 1, 2 * stop + 2)))
     assert powers == [start for start, _, _ in reads]
-    k = len(seeds)
-    xs = list(seeds)
-    while len(xs) < reads[-1][1]:
-        xs.append(xs[-1] + xs[-k])
+    xs = walk(seeds, 0, reads[-1][1])
     for start, stop, values in reads:
         assert values == xs[start:stop], (start, stop)
-    assert len(engine._resume[1]) <= 3 * k
+    assert len(engine._resume[1]) <= 3 * len(seeds)
 
 
 @pytest.mark.parametrize("pq", [None, GenFibParams(1, 2)], ids=str)
@@ -85,23 +77,10 @@ def test_the_reverify_takes_at_most_two_powers(monkeypatch, powers, pq):
     assert tops == [5 * (a + b) for a, b in zip(u, u[2:])]
 
 
-def plain(seeds, stop, start=0):
-    """x_start, ..., x_{stop-1} for any signed start <= stop, by the
-    recurrence alone (backward by x_n = x_{n+k} - x_{n+k-1})."""
-    k = len(seeds)
-    xs, low = list(seeds), 0  # x_low, x_{low+1}, ...
-    while low > start:
-        xs.insert(0, xs[k - 1] - xs[k - 2])
-        low -= 1
-    while low + len(xs) < stop:
-        xs.append(xs[-1] + xs[-k])
-    return xs[start - low:stop - low]
-
-
 @pytest.mark.parametrize("seeds", [(0, 1), (3, -7), (0, 1, 1)])
 def test_a_range_leaving_the_table_runs_on_from_it(powers, seeds):
     # a range leaving the table runs on from one power at its start
-    xs = plain(seeds, TABLE_CAP + 3)
+    xs = walk(seeds, 0, TABLE_CAP + 3)
     engine = _Recurrence(*seeds)
     assert engine.values(0, TABLE_CAP + 3) == xs
     assert powers == [0]
@@ -111,19 +90,20 @@ def test_a_range_leaving_the_table_runs_on_from_it(powers, seeds):
     assert engine.values(3840, 4098) == xs[3840:4098]
     assert powers == [0, 3840] and len(engine._fwd) == TABLE_CAP + 1
     # a read that starts past the cap takes its power and leaves the table as it is
-    assert engine.values(3 * TABLE_CAP, 3 * TABLE_CAP + 5) == plain(seeds, 3 * TABLE_CAP + 5)[-5:]
+    assert engine.values(3 * TABLE_CAP, 3 * TABLE_CAP + 5) == walk(
+        seeds, 3 * TABLE_CAP, 3 * TABLE_CAP + 5)
     assert powers == [0, 3840, 3 * TABLE_CAP] and len(engine._fwd) == TABLE_CAP + 1
 
 
 @pytest.mark.parametrize("seeds", [(0, 1), (3, -7), (0, 1, 1)])
 def test_a_range_ending_at_the_cap_takes_no_power(powers, seeds):
-    assert _Recurrence(*seeds).values(-5, TABLE_CAP + 1)[5:] == plain(seeds, TABLE_CAP + 1)
+    assert _Recurrence(*seeds).values(-5, TABLE_CAP + 1)[5:] == walk(seeds, 0, TABLE_CAP + 1)
     assert powers == []
 
 
 def test_a_far_read_does_not_fill_the_table(powers):
     engine = _Recurrence(0, 1)
-    assert engine.values(TABLE_CAP + 1, TABLE_CAP + 3) == plain((0, 1), TABLE_CAP + 3)[-2:]
+    assert engine.values(TABLE_CAP + 1, TABLE_CAP + 3) == walk((0, 1), TABLE_CAP + 1, TABLE_CAP + 3)
     assert powers == [TABLE_CAP + 1] and engine._fwd == [0, 1]
 
 
@@ -135,7 +115,7 @@ def test_a_read_continues_the_kept_run_only_from_stop_less_2k_to_stop(powers, se
     expected = []
 
     def read(start, stop, power):
-        assert engine.values(start, stop) == plain(seeds, stop, start), (start, stop)
+        assert engine.values(start, stop) == walk(seeds, start, stop), (start, stop)
         if power:
             expected.append(start)
         assert powers == expected, (start, stop)
@@ -190,7 +170,7 @@ def test_each_read_takes_the_powers_of_the_one_run_rule(seeds, first, steps):
             start = reads[-1][1] + offset
         reads.append((start, start + length))
     for start, stop in reads:
-        assert engine.values(start, stop) == plain(seeds, stop, start), (start, stop)
+        assert engine.values(start, stop) == walk(seeds, start, stop), (start, stop)
     assert powers == oracle_powers(reads, k, CAP)
     assert len(engine._resume[1]) <= 3 * k
 
@@ -199,7 +179,7 @@ def test_each_read_takes_the_powers_of_the_one_run_rule(seeds, first, steps):
 def test_threads_reading_builder_windows_on_one_engine_see_the_recurrence(seeds):
     engine = _Recurrence(*seeds)
     low = TABLE_CAP + 100
-    xs = plain(seeds, low + 400, low)
+    xs = walk(seeds, low, low + 400)
     failures = []
 
     def worker(tag):
@@ -231,7 +211,7 @@ def test_windows_interleaved_with_builds_take_at_most_two_powers_each(monkeypatc
     monkeypatch.setattr(sequences._fib, "_resume", (0, ()))
     params = AlgebraParams(2, -3)
     origin, windows = 5000, 6
-    xs = plain((0, 1), origin + windows * 256 + 3, origin)
+    xs = walk((0, 1), origin, origin + windows * 256 + 3)
     for low in range(origin, origin + windows * 256, 256):
         tops = normforms._formula_tops(params, None, low, low + 256)
         builds = [fib_quat(params, n) for n in range(low, low + 256)]

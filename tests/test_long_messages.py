@@ -14,15 +14,20 @@ import pytest
 from fibquat import (
     AlgebraMismatchError,
     AlgebraParams,
+    ConsistencyError,
     DomainError,
     IndicatorDegenerateError,
+    PrecisionGuardError,
     Rational,
     ScanExhaustedError,
+    audit,
     binom,
     fib_quat,
     gen_fib,
     invertibility_threshold,
+    verify_threshold_report,
 )
+from fibquat.analytic import binet_fib, binet_narayana, binet_narayana_quat
 from threshold_oracle import zero_divisor
 
 HUGE = 10**5000
@@ -69,3 +74,33 @@ def test_a_negative_binomial_argument_raises_domain_error():
     with pytest.raises(DomainError) as excinfo:
         binom(HUGE, -1)
     assert message(excinfo).endswith(", -1)")
+
+
+def reverify(**fields):
+    """The re-verify of H(1, 1)'s report (n0 = 0 over [0, 50], no zero norm)
+    with ``fields`` replaced."""
+    report = invertibility_threshold(AlgebraParams(1, 1))
+    return lambda: verify_threshold_report(report._replace(**fields))
+
+
+@pytest.mark.parametrize("error, call, start", [
+    pytest.param(PrecisionGuardError, lambda: binet_fib(HUGE),
+                 "binet_fib holds its tolerance only for |n| <= 70, got ", id="binet_fib"),
+    pytest.param(PrecisionGuardError, lambda: binet_narayana(HUGE),
+                 "binet_narayana holds its tolerance only for |n| <= 90, got ", id="binet_narayana"),
+    pytest.param(PrecisionGuardError, lambda: binet_narayana_quat(AlgebraParams(1, 1), HUGE),
+                 "binet_narayana_quat holds its tolerance only for |n| <= 90, got ",
+                 id="binet_narayana_quat"),
+    pytest.param(DomainError, lambda: audit("EQ_1_1", n_max=-HUGE),
+                 "EQ_1_1 ran no instances with n_max=", id="audit"),
+    pytest.param(ConsistencyError, reverify(empirical_n0=HUGE),
+                 "no scan reports n0 = ", id="empirical_n0"),
+    pytest.param(ConsistencyError, reverify(scanned_up_to=-HUGE),
+                 "no scan reports n0 = 0 scanning [0, ", id="scanned_up_to"),
+    pytest.param(ConsistencyError, reverify(zero_norm_indices=(HUGE,)),
+                 "zero norms disagree: () vs ", id="zero_norm_indices"),
+])
+def test_a_long_argument_raises_the_library_error(error, call, start):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert message(excinfo).startswith(start)

@@ -8,7 +8,8 @@ must still fail its entry, no window grows past the constant, and the
 seeded audit output is byte for byte what it was when every value was read
 one index at a time (the digests in ``tests/golden/audit_digests.json``).
 Past its table cap an engine continues a range from where its last one
-ended, with the same values as a fresh power.
+ended, with the values of ``sequence_oracle.walk`` and no power of its
+own (the ``powers`` fixture).
 """
 
 import hashlib
@@ -23,22 +24,11 @@ from fibquat.audit import audit
 from fibquat.cli import run
 from fibquat.normforms import _VERIFY_WINDOW
 from fibquat.sequences import GENFIB_TABLE_CAP, TABLE_CAP, _Recurrence
+from sequence_oracle import off_by_one, walk
 
 audit_module = importlib.import_module("fibquat.audit")  # fibquat.audit is also a function
 
 DIGESTS = Path(__file__).parent / "golden" / "audit_digests.json"
-
-
-def off_by_one(read, position):
-    """``read`` with the value at ``position`` of its list raised by one."""
-
-    def wrong(*args):
-        values = list(read(*args))
-        if len(values) > position:
-            values[position] += 1
-        return values
-
-    return wrong
 
 
 @pytest.mark.parametrize(
@@ -143,57 +133,33 @@ def test_seeded_audit_json_digest(capsys, entry):
     assert hashlib.sha256(out.encode()).hexdigest() == entry["sha256"]
 
 
-def loop_values(seeds, start, stop):
-    """x_start, ..., x_{stop-1} by the recurrence alone, walking from the seeds."""
-    k = len(seeds)
-    if start >= 0:
-        xs = list(seeds)
-        while len(xs) < stop:
-            xs.append(xs[-1] + xs[-k])
-        return xs[start:stop]
-    back = list(seeds)  # x_{low}, ..., x_{k-1}, extended downward
-    low = 0
-    while low > start:
-        back.insert(0, back[k - 1] - back[k - 2])  # x_n = x_{n+k} - x_{n+k-1}
-        low -= 1
-    while low + len(back) < stop:
-        back.append(back[-1] + back[-k])
-    return back[start - low:stop - low]
-
-
 @pytest.mark.parametrize("seeds", [(0, 1), (3, -7), (0, 1, 1)])
 @pytest.mark.parametrize("origin", [TABLE_CAP + 10, -TABLE_CAP - 700])
-def test_consecutive_windows_past_the_cap_resume(monkeypatch, seeds, origin):
+def test_consecutive_windows_past_the_cap_resume(powers, seeds, origin):
     engine = _Recurrence(*seeds)
-    power = _Recurrence._power
-    calls = []
-    monkeypatch.setattr(_Recurrence, "_power", lambda self, n: calls.append(n) or power(self, n))
     # consecutive windows, one overlapping by one value, a lone index, an
     # empty range, then a range starting two values before the last one ends
     spans = [(origin, origin + 256), (origin + 256, origin + 300), (origin + 299, origin + 555),
              (origin + 555, origin + 556), (origin + 556, origin + 556),
              (origin + 556, origin + 560)]
     reads = [engine.values(start, stop) for start, stop in spans]
-    assert calls == [origin]
+    assert powers == [origin]
     reads.append(engine.values(origin + 558, origin + 561))
-    assert calls == [origin]
-    expected = loop_values(seeds, origin, origin + 561)
+    assert powers == [origin]
+    expected = walk(seeds, origin, origin + 561)
     for (start, stop), values in zip(spans + [(origin + 558, origin + 561)], reads):
         assert values == expected[start - origin:stop - origin], (start, stop)
     # a range that starts anywhere else takes a power of its own
     assert engine.values(origin + 100, origin + 103) == expected[100:103]
-    assert calls == [origin, origin + 100]
+    assert powers == [origin, origin + 100]
     # one kept run of at most 3k values: x_{stop-2k} .. x_{stop+k-1}
     assert len(engine._resume[1]) <= 3 * len(seeds)
 
 
-def test_genfib_windows_past_the_cap_take_one_power(monkeypatch):
-    power = _Recurrence._power
-    calls = []
-    monkeypatch.setattr(_Recurrence, "_power", lambda self, n: calls.append(n) or power(self, n))
+def test_genfib_windows_past_the_cap_take_one_power(powers):
     pq = (11, -13)
     start = GENFIB_TABLE_CAP + 1
     windows = [sequences.gen_fib_values(pq, n, n + 256) for n in range(start, start + 2560, 256)]
-    assert calls == [start]
+    assert powers == [start]
     assert sum(windows, []) == sequences.gen_fib_values(pq, start, start + 2560)
-    assert sum(windows, []) == loop_values(pq, start, start + 2560)
+    assert sum(windows, []) == walk(pq, start, start + 2560)

@@ -2,10 +2,10 @@
 
 Indices past TABLE_CAP take the jump route (powers of t modulo the
 characteristic polynomial; a range takes one power at its start, then the
-recurrence).  Both routes are held against each other and against references
-kept here: fast doubling for f_n, and plain recurrence loops for u_n and h_n.
-The bounded-memory tests check that no table or cache grows past its cap,
-and that a gen_fib seed engine stays small.
+recurrence).  Both routes are held against each other and against two
+references: fast doubling for f_n, kept here, and ``sequence_oracle.walk``
+for u_n and h_n.  The bounded-memory tests check that no table or cache
+grows past its cap, and that a gen_fib seed engine stays small.
 """
 
 import tracemalloc
@@ -23,6 +23,7 @@ from fibquat.sequences import (
     _Recurrence,
     _herd_figurate,
 )
+from sequence_oracle import walk
 
 BIG = 10**5
 
@@ -42,25 +43,6 @@ def fib_ref(n):
     return -f if n < 0 and n % 2 == 0 else f
 
 
-def loop_run(seeds, n, count=1):
-    """x_n, ..., x_{n+count-1} of x_n = x_{n-1} + x_{n-k}, k = len(seeds),
-    by a plain loop."""
-    window = list(seeds)  # x_i, ..., x_{i+k-1}, starting at i = 0
-    for _ in range(n):
-        window = window[1:] + [window[-1] + window[0]]
-    for _ in range(-n):
-        window = [window[-1] - window[-2]] + window[:-1]
-    out = []
-    for _ in range(count):
-        out.append(window[0])
-        window = window[1:] + [window[-1] + window[0]]
-    return out
-
-
-def loop_ref(seeds, n):
-    return loop_run(seeds, n)[0]
-
-
 STRADDLE = [s * (TABLE_CAP + d) for s in (1, -1) for d in (-3, -1, 0, 1, 2, 5)]
 FAR = [BIG, BIG + 1, BIG + 3, BIG + 65, BIG - 2, 2 * BIG + 3]
 FAR += [-n for n in FAR]
@@ -73,10 +55,10 @@ def test_fib_matches_fast_doubling(n):
 
 def test_narayana_matches_loop():
     for n in STRADDLE:
-        assert narayana(n) == loop_ref((0, 1, 1), n)
-    ahead = loop_run((0, 1, 1), BIG, 66)
+        assert [narayana(n)] == walk((0, 1, 1), n, n + 1)
+    ahead = walk((0, 1, 1), BIG, BIG + 66)
     assert [narayana(BIG + i) for i in (0, 2, 65, 1)] == [ahead[i] for i in (0, 2, 65, 1)]
-    behind = loop_run((0, 1, 1), -BIG - 5, 7)
+    behind = walk((0, 1, 1), -BIG - 5, -BIG + 2)
     assert [narayana(-BIG + i) for i in (0, -5, 1)] == [behind[5 + i] for i in (0, -5, 1)]
 
 
@@ -84,14 +66,15 @@ def test_narayana_matches_loop():
 @given(p=st.integers(-10**6, 10**6), q=st.integers(-10**6, 10**6),
        n=st.integers(TABLE_CAP - 4, 2 * TABLE_CAP) | st.integers(-2 * TABLE_CAP, -TABLE_CAP + 4))
 def test_gen_fib_matches_loop(p, q, n):
-    assert gen_fib((p, q), n) == loop_ref((p, q), n)
-    assert gen_fib((p, q), n + 1) == loop_ref((p, q), n + 1)
+    xs = walk((p, q), n, n + 2)
+    assert gen_fib((p, q), n) == xs[0]
+    assert gen_fib((p, q), n + 1) == xs[1]
 
 
 @pytest.mark.parametrize("n", [BIG, -BIG, TABLE_CAP + 1, -TABLE_CAP - 1, 3 * TABLE_CAP + 7,
                                -3 * TABLE_CAP - 7])
 def test_gen_fib_far_matches_loop(n):
-    assert gen_fib((3, -7), n) == loop_ref((3, -7), n)
+    assert [gen_fib((3, -7), n)] == walk((3, -7), n, n + 1)
 
 
 @pytest.mark.parametrize("seeds", [(0, 1), (5, -7), (0, 1, 1), (2, 3, 4), (-4, 0, 9),
@@ -113,15 +96,15 @@ def test_indices_within_cap_are_tabled():
     # one step past the cap takes a power and keeps nothing
     engine = _Recurrence(0, 1, 1)
     for edge in (TABLE_CAP, TABLE_CAP + 1):
-        assert [engine.value(edge), engine.value(-edge)] == [
-            loop_ref((0, 1, 1), edge), loop_ref((0, 1, 1), -edge)]
+        assert [engine.value(edge), engine.value(-edge)] == (
+            walk((0, 1, 1), edge, edge + 1) + walk((0, 1, 1), -edge, -edge + 1))
         assert len(engine._fwd) == len(engine._bwd) == TABLE_CAP + 1
 
 
 def test_bounded_memory_after_large_indices():
     fib(10**6)
     narayana(-BIG)
-    assert gen_fib((3, -7), BIG) == loop_ref((3, -7), BIG)
+    assert [gen_fib((3, -7), BIG)] == walk((3, -7), BIG, BIG + 1)
     engines = [sequences._fib, sequences._narayana, sequences._genfib_engine(3, -7)]
     assert all(table_sizes_bounded(engine) for engine in engines)
     info = sequences._genfib_engine.cache_info()
@@ -135,11 +118,11 @@ def test_genfib_seed_tables_end_at_their_cap():
     engine = sequences._genfib_engine(5, -2)
     assert engine._cap == GENFIB_TABLE_CAP < TABLE_CAP
     for n in (GENFIB_TABLE_CAP, GENFIB_TABLE_CAP + 1, TABLE_CAP, TABLE_CAP + 1, 3 * TABLE_CAP + 7):
-        assert [gen_fib((5, -2), n), gen_fib((5, -2), -n)] == [
-            loop_ref((5, -2), n), loop_ref((5, -2), -n)]
+        assert [gen_fib((5, -2), n), gen_fib((5, -2), -n)] == (
+            walk((5, -2), n, n + 1) + walk((5, -2), -n, -n + 1))
         assert len(engine._fwd) == len(engine._bwd) == GENFIB_TABLE_CAP + 1
-    assert gen_fib_values((5, -2), GENFIB_TABLE_CAP - 2, GENFIB_TABLE_CAP + 3) == loop_run(
-        (5, -2), GENFIB_TABLE_CAP - 2, 5)
+    assert gen_fib_values((5, -2), GENFIB_TABLE_CAP - 2, GENFIB_TABLE_CAP + 3) == walk(
+        (5, -2), GENFIB_TABLE_CAP - 2, GENFIB_TABLE_CAP + 3)
     assert len(engine._fwd) == GENFIB_TABLE_CAP + 1
 
 
@@ -163,7 +146,7 @@ def test_genfib_seed_engine_memory():
 def test_genfib_seed_engines_bounded():
     sequences._genfib_engine.cache_clear()
     for p in range(GENFIB_CACHE_CAP + 10):
-        assert gen_fib((p, 1), 10) == loop_ref((p, 1), 10)
+        assert [gen_fib((p, 1), 10)] == walk((p, 1), 10, 11)
     info = sequences._genfib_engine.cache_info()
     assert info.currsize == info.maxsize == GENFIB_CACHE_CAP
     assert info.misses == GENFIB_CACHE_CAP + 10
@@ -175,8 +158,8 @@ def test_reread_seed_keeps_its_engine():
     sequences._genfib_engine.cache_clear()
     kept = sequences._genfib_engine(7, -3)
     for p in range(GENFIB_CACHE_CAP + 10):
-        assert gen_fib((p, 1), 3) == loop_ref((p, 1), 3)
-        assert gen_fib((7, -3), 5) == loop_ref((7, -3), 5)
+        assert [gen_fib((p, 1), 3)] == walk((p, 1), 3, 4)
+        assert [gen_fib((7, -3), 5)] == walk((7, -3), 5, 6)
     assert sequences._genfib_engine(7, -3) is kept
 
 
@@ -189,7 +172,7 @@ def test_gen_fib_takes_exactly_two_seeds(seeds):
 
 
 def test_herd_reads_shifted_narayana_across_cap():
-    herd = loop_run((2, 3, 4), 0, TABLE_CAP + 5)  # x_1, x_2, ... from position 0
+    herd = walk((2, 3, 4), 0, TABLE_CAP + 5)  # x_1, x_2, ... from position 0
     for year in list(range(1, 301)) + list(range(TABLE_CAP - 5, TABLE_CAP + 6)):
         assert herd_total(year) == narayana(year + 3) == _herd_figurate(year) == herd[year - 1]
 
@@ -202,7 +185,7 @@ def test_jump_states_shared_by_threads():
     # far reads take powers in between
     engine = _Recurrence(0, 1, 1)
     indices = [TABLE_CAP, -TABLE_CAP, 3, 2000, -9, 5 * TABLE_CAP, 40, -2500, 1, -5 * TABLE_CAP]
-    expected = [loop_ref((0, 1, 1), n) for n in indices]
+    expected = [walk((0, 1, 1), n, n + 1)[0] for n in indices]
     results = {}
 
     def worker(tag):
@@ -251,7 +234,7 @@ def test_fresh_engine_ranges_match_single_reads(seeds, start, length):
     by_index = _Recurrence(*seeds)
     assert by_range == [by_index.value(m) for m in range(start, stop)]
     if abs(start) < 100:
-        assert by_range == loop_run(seeds, start, length)
+        assert by_range == walk(seeds, start, stop)
 
 
 def test_value_ranges_are_copies():
@@ -260,12 +243,9 @@ def test_value_ranges_are_copies():
     assert fib(3) == 2
 
 
-def test_builder_loops_past_the_cap_reuse_the_kept_ends(monkeypatch):
+def test_builder_loops_past_the_cap_reuse_the_kept_ends(monkeypatch, powers):
     # consecutive single reads, and the builders' [n, n+4) after [n-1, n+3),
     # continue the run the engine keeps instead of taking a power each
-    power = _Recurrence._power
-    powers = []
-    monkeypatch.setattr(_Recurrence, "_power", lambda self, n: powers.append(n) or power(self, n))
     for engine in (sequences._fib, sequences._narayana, sequences._genfib_engine(1039, 1049)):
         monkeypatch.setattr(engine, "_resume", (0, ()))  # forget earlier reads
     for name, read, seeds, start in (
@@ -274,7 +254,7 @@ def test_builder_loops_past_the_cap_reuse_the_kept_ends(monkeypatch):
         ("gen_fib", lambda n: gen_fib((1031, -1033), n), (1031, -1033), 600),
     ):
         powers.clear()
-        assert [read(n) for n in range(start, start + 100)] == loop_run(seeds, start, 100), name
+        assert [read(n) for n in range(start, start + 100)] == walk(seeds, start, start + 100), name
         assert powers == [start], name
     params = AlgebraParams(2, -3)
     for name, build, seeds, start, count in (
@@ -282,7 +262,7 @@ def test_builder_loops_past_the_cap_reuse_the_kept_ends(monkeypatch):
         ("fib_quat", lambda n: fib_quat(params, n), (0, 1), 5000, 400),
     ):
         powers.clear()
-        xs = loop_run(seeds, start, count + 3)
+        xs = walk(seeds, start, start + count + 3)
         for n in range(start, start + count):
             q = build(n)
             assert (q.x1, q.x2, q.x3, q.x4, q.den) == (*xs[n - start:n - start + 4], 1), (name, n)

@@ -1,5 +1,6 @@
 """Integer sequences: pinned values, recurrences both ways, closed-form
-relations, divisibility patterns, and the herd computation."""
+relations, divisibility patterns, and the herd computation, whose yearly
+totals are held to ``sequence_oracle.walk``."""
 
 import math
 from fractions import Fraction
@@ -23,6 +24,7 @@ from fibquat import (
     norm_genfib_formula,
 )
 from fibquat.sequences import _genfib_engine, gen_fib_values
+from sequence_oracle import walk
 
 
 def prefix_sum_oracle(n, m):
@@ -221,10 +223,8 @@ class TestHerd:
 
     def test_routes_agree_over_range(self):
         # herd_total cross-checks internally; also pin the recurrence here
-        xs = [2, 3, 4]
+        xs = walk((2, 3, 4), 0, 60)
         for year in range(1, 61):
-            while len(xs) < year:
-                xs.append(xs[-1] + xs[-3])
             assert herd_total(year) == xs[year - 1]
 
     def test_matches_shifted_narayana(self):

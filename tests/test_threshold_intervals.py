@@ -30,7 +30,8 @@ interval (the ``normforms`` module docstring).  The sets:
 
 Apart from the scan, the Binet form itself, in QuadraticSurd arithmetic up
 to the least index past which every norm has the sign of E
-(``binet_norms``), gives the report at any n_max.
+(``binet_norms``, on ``threshold_oracle.binet_lead``), gives the report at
+any n_max.
 """
 
 import random
@@ -51,9 +52,9 @@ from fibquat import (
     verify_threshold_report,
 )
 from fibquat import normforms
-from fibquat.sequences import _Recurrence, fib_values
-from fibquat.surd import ALPHA, QuadraticSurd, from_residue, mul
-from threshold_oracle import located, norm_scan, zero_divisor
+from fibquat.sequences import fib_values
+from fibquat.surd import ALPHA, QuadraticSurd, from_residue
+from threshold_oracle import binet_lead, located, norm_scan, zero_divisor
 
 N_MAXES = (1, 2, 3, 50, 300)
 
@@ -249,13 +250,6 @@ def test_every_norm_past_the_bound_has_the_sign_of_E():
             assert norm_scan(params, kind, (n_max,)) == [scanned], (params, kind)
 
 
-def binet_lead(params, pq):
-    """5*d1*d2 times the coefficient of alpha^(2n) in the norm: the indicator
-    residue, times alpha^-2 = 2 - alpha for H^{p,q}_n."""
-    lead = normforms._indicator(params, pq)
-    return lead if pq is None else mul(lead, [2, -1])
-
-
 def binet_norms(params, pq):
     """5*d1*d2 times the norm at n = 0, 1, ..., N by the Binet form
     A*alpha^(2n) + sigma(A)*alpha^(-2n) + k*(-1)^n in QuadraticSurd
@@ -342,19 +336,16 @@ def test_a_deep_zero_divisor_reports_its_zero():
     assert report.empirical_n0 == 901 and 900 in report.zero_norm_indices
 
 
-def test_the_search_reads_few_powers_far_out(monkeypatch):
+def test_the_search_reads_few_powers_far_out(powers):
     # at n = 6,000 and 12,000 a scan takes seconds; galloping and bisecting
     # read about 2*log2(n/2048) engine powers instead, the f-table serving
     # indices to 4,093
-    power = _Recurrence._power
-    calls = []
-    monkeypatch.setattr(_Recurrence, "_power", lambda self, n: calls.append(n) or power(self, n))
     for n in (6000, 12000):
         params = zero_divisor(Rational(-3), None, n)
-        calls.clear()
+        powers.clear()
         report = invertibility_threshold(params, None, 10**6)
         assert report.empirical_n0 == n + 1 and report.zero_norm_indices == (n,)
-        assert 0 < len(calls) <= 2 * (n // 32).bit_length() + 4, (n, len(calls))
+        assert 0 < len(powers) <= 2 * (n // 32).bit_length() + 4, (n, len(powers))
 
 
 def test_a_zero_at_8000_costs_little_memory():

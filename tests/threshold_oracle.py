@@ -4,8 +4,10 @@
 of [0, n_max], takes the sign of its ``Quaternion.norm``, and derives the
 report that a scan of the range gives.  ``located`` is the library's side
 of the same comparison, and ``zero_divisor`` builds the algebras that put a
-zero norm, and so an end of a bad interval, at a chosen index.  pytest does
-not collect this module; the threshold tests import it.
+zero norm, and so an end of a bad interval, at a chosen index.
+``binet_lead`` is the coefficient of alpha^(2n) in the Binet form of the
+norm, which the closed-form tests fit against.  pytest does not collect
+this module; the threshold tests import it.
 """
 
 from fibquat import (
@@ -18,9 +20,11 @@ from fibquat import (
     growth_indicator_E,
     growth_indicator_Eprime,
     invertibility_threshold,
+    normforms,
     verify_threshold_report,
 )
 from fibquat.sequences import fib_values, gen_fib_values
+from fibquat.surd import mul
 
 
 def norm_scan(params, pq, n_maxes):
@@ -72,3 +76,10 @@ def zero_divisor(beta1, pq, n):
     x = fib_values(n, n + 4) if pq is None else gen_fib_values(pq, n, n + 4)
     u_n, u_n2 = (x[m] ** 2 + beta1 * x[m + 1] ** 2 for m in (0, 2))
     return AlgebraParams(beta1, -u_n / u_n2) if u_n2 else None
+
+
+def binet_lead(params, pq):
+    """5*d1*d2 times the coefficient of alpha^(2n) in the norm: the indicator
+    residue, times alpha^-2 = 2 - alpha for H^{p,q}_n."""
+    lead = normforms._indicator(params, pq)
+    return lead if pq is None else mul(lead, [2, -1])
