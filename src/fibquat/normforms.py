@@ -195,8 +195,9 @@ def _indicator(params, pq):
     if bracket != pair and any(square):
         bottom = 5 * d1 * d2
         raise ConsistencyError(
-            f"growth indicator routes disagree: {from_residue(mul(square, bracket), bottom)} "
-            f"vs {from_residue(mul(square, pair), bottom)}"
+            "growth indicator routes disagree: "
+            f"{_shown(from_residue(mul(square, bracket), bottom))} "
+            f"vs {_shown(from_residue(mul(square, pair), bottom))}"
         )
     return mul(square, bracket)
 
@@ -260,7 +261,7 @@ def _fitted_constant(lead, tops):
     # alpha^2 = 1 + alpha and alpha^4 = 2 + 3 alpha
     if tops[1] != 3 * c0 + 4 * c1 - k or tops[2] != 7 * c0 + 11 * c1 + k:
         raise ConsistencyError(
-            f"the norms do not fit the leading coefficient {c0} + {c1}*alpha"
+            f"the norms do not fit the leading coefficient {_shown(c0)} + {_shown(c1)}*alpha"
         )
     return k
 

@@ -253,8 +253,8 @@ def herd_total(years):
     by_figurate = _herd_figurate(years)
     if by_recurrence != by_figurate:
         raise ConsistencyError(
-            f"herd routes disagree at year {years}: "
-            f"recurrence {by_recurrence}, figurate {by_figurate}"
+            f"herd routes disagree at year {_shown(years)}: "
+            f"recurrence {_shown(by_recurrence)}, figurate {_shown(by_figurate)}"
         )
     return by_recurrence
 

@@ -1,16 +1,9 @@
-"""Fixtures shared by the test modules: ``R``, the Rational class, and
-``powers``, the index of every power of t the recurrence engines take."""
+"""The fixture shared by the test modules: ``powers``, the index of every
+power of t the recurrence engines take."""
 
 import pytest
 
-from fibquat import KERNEL_BACKEND, Rational
 from fibquat.sequences import _Recurrence
-
-
-@pytest.fixture(scope="session", params=[Rational], ids=[KERNEL_BACKEND])
-def R(request):
-    # the Rational class; test ids name the kernel backend, e.g. test_pow[pure-python]
-    return request.param
 
 
 @pytest.fixture

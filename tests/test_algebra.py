@@ -1,5 +1,5 @@
 """Quaternion algebra kernel: multiplication table, conjugation, trace, norm,
-inverses, and the composition-algebra properties."""
+inverses, scaling and reduction, and the composition-algebra properties."""
 
 import random
 
@@ -249,3 +249,8 @@ class TestCompositionAlgebra:
         a = Quaternion(1, 2, 3, 4, H11)
         assert 2 * a == a * 2 == a.scale(2)
         assert Rational(1, 2) * a == Quaternion(Rational(1, 2), 1, Rational(3, 2), 2, H11)
+        # every scale ends in one reduction, which over den = 1 keeps the
+        # numerators as given, common factor and all
+        assert tuple(algebra._reduced(6, -4, 10, 8, 1, H11)) == (6, -4, 10, 8, 1, H11)
+        assert tuple(algebra._reduced(6, -4, 10, 8, 2, H11)) == (3, -2, 5, 4, 1, H11)
+        assert tuple(algebra._reduced(0, 0, 0, 0, 5, H11)) == (0, 0, 0, 0, 1, H11)

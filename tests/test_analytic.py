@@ -1,4 +1,5 @@
-"""Cubic roots, Binet evaluations against the exact sequences, and the
+"""Cubic roots, found by integer bisection on the doubles and held to a
+residual guard; Binet evaluations against the exact sequences; and the
 exact generating-function convolution."""
 
 import math
@@ -8,6 +9,7 @@ import pytest
 
 from fibquat import (
     AlgebraParams,
+    ConsistencyError,
     DomainError,
     PrecisionGuardError,
     SeriesMismatchError,
@@ -20,7 +22,7 @@ from fibquat import (
     narayana,
     narayana_quat,
 )
-from fibquat import sequences
+from fibquat import analytic, sequences
 from fibquat.analytic import FIB_INDEX_GUARD, NARAYANA_INDEX_GUARD
 
 H11 = AlgebraParams(1, 1)
@@ -70,6 +72,36 @@ class TestCubicRoots:
 
     def test_cached_instance(self):
         assert cubic_roots() is cubic_roots()
+
+
+def test_cubic_gap_is_the_exact_residual():
+    for m in (1 << 52, (1 << 52) + 12345, 6601209640718589, (1 << 53) - 1, 1 << 53):
+        t = Fraction(m, 1 << 52)
+        assert analytic._cubic_gap(m) == (t**3 - t**2 - 1) * 2**156
+
+
+def test_bisection_keeps_the_nearer_bracketing_double():
+    alpha = analytic._solve_cubic().alpha
+    m = int(alpha * 2**52)
+    assert analytic._cubic_gap(m - 1) < 0 < analytic._cubic_gap(m + 1)
+    assert abs(analytic._cubic_gap(m)) < min(
+        abs(analytic._cubic_gap(m - 1)), abs(analytic._cubic_gap(m + 1))
+    )
+    assert analytic._solve_cubic() == analytic.cubic_roots()
+
+
+def test_the_residual_guard_reads_the_normalised_residuals(monkeypatch):
+    # the guard divides each |t^3 - t^2 - 1| by max(1, |t|^3); the largest
+    # of the three passes as the bound and fails just below it
+    roots = analytic.cubic_roots()
+    worst = max(
+        abs(t**3 - t**2 - 1) / max(1.0, abs(t) ** 3) for t in (roots.alpha, roots.beta, roots.gamma)
+    )
+    monkeypatch.setattr(analytic, "_RESIDUAL_BOUND", worst)
+    assert analytic._solve_cubic().alpha == roots.alpha
+    monkeypatch.setattr(analytic, "_RESIDUAL_BOUND", math.nextafter(worst, 0.0))
+    with pytest.raises(ConsistencyError, match="exceeds bound"):
+        analytic._solve_cubic()
 
 
 class TestBinetFib:

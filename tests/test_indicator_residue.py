@@ -3,15 +3,13 @@
 ``invertibility_threshold`` and ``verify_threshold_report`` take the sign of
 E (or E') and the Binet lead from the residue 5*d1*d2*E of Z[alpha] that
 ``normforms._indicator`` returns, and build no QuadraticSurd; the public
-growth indicators reduce the same residue.  The re-verification reads the
-closed forms in windows, so its memory does not grow with the square of
-n_max; and the Narayana root is found by integer bisection on the doubles.
+growth indicators reduce the same residue, and every route to E' runs the
+cross-check against E.  The re-verification reads the closed forms in
+windows, so its memory does not grow with the square of n_max.
 """
 
-import math
 import random
 import tracemalloc
-from fractions import Fraction
 
 import pytest
 
@@ -27,7 +25,7 @@ from fibquat import (
     invertibility_threshold,
     verify_threshold_report,
 )
-from fibquat import analytic, normforms
+from fibquat import normforms
 from fibquat.surd import ALPHA, from_residue
 from threshold_oracle import located, zero_divisor
 
@@ -77,9 +75,13 @@ def test_indicators_reduce_the_residue():
                 assert report.sign_of_E == value.sign()
 
 
-@pytest.mark.parametrize("betas", [(1, 1), (Rational(-3, 2), Rational(5, 4))])
+@pytest.mark.parametrize(
+    "betas",
+    [(1, 1), (Rational(-3, 2), Rational(5, 4)), (0, 0), (-1, Rational(-1, 3)), (Rational(7, 4), -3)],
+)
 def test_zero_seeds_raise_with_the_same_message(betas):
     params = AlgebraParams(*betas)
+    assert growth_indicator_Eprime(params, GenFibParams(0, 0)).is_zero()
     with pytest.raises(IndicatorDegenerateError) as caught:
         invertibility_threshold(params, GenFibParams(0, 0))
     assert str(caught.value) == (
@@ -99,7 +101,8 @@ def test_the_cross_check_runs_on_every_threshold_call(monkeypatch):
     )
     monkeypatch.setattr(normforms, "_indicator_E_pair", lambda p: wrong)
     for call in (lambda: invertibility_threshold(params, GenFibParams(1, 2)),
-                 lambda: verify_threshold_report(report)):
+                 lambda: verify_threshold_report(report),
+                 lambda: growth_indicator_Eprime(params, GenFibParams(1, 2))):
         with pytest.raises(ConsistencyError) as caught:
             call()
         assert str(caught.value) == message
@@ -185,33 +188,3 @@ def test_reverify_refuses_n0_past_the_scan(pq):
     )
     with pytest.raises(ConsistencyError, match="no scan reports n0 = 301"):
         verify_threshold_report(late)
-
-
-def test_cubic_gap_is_the_exact_residual():
-    for m in (1 << 52, (1 << 52) + 12345, 6601209640718589, (1 << 53) - 1, 1 << 53):
-        t = Fraction(m, 1 << 52)
-        assert analytic._cubic_gap(m) == (t**3 - t**2 - 1) * 2**156
-
-
-def test_bisection_keeps_the_nearer_bracketing_double():
-    alpha = analytic._solve_cubic().alpha
-    m = int(alpha * 2**52)
-    assert analytic._cubic_gap(m - 1) < 0 < analytic._cubic_gap(m + 1)
-    assert abs(analytic._cubic_gap(m)) < min(
-        abs(analytic._cubic_gap(m - 1)), abs(analytic._cubic_gap(m + 1))
-    )
-    assert analytic._solve_cubic() == analytic.cubic_roots()
-
-
-def test_the_residual_guard_reads_the_normalised_residuals(monkeypatch):
-    # the guard divides each |t^3 - t^2 - 1| by max(1, |t|^3); the largest
-    # of the three passes as the bound and fails just below it
-    roots = analytic.cubic_roots()
-    worst = max(
-        abs(t**3 - t**2 - 1) / max(1.0, abs(t) ** 3) for t in (roots.alpha, roots.beta, roots.gamma)
-    )
-    monkeypatch.setattr(analytic, "_RESIDUAL_BOUND", worst)
-    assert analytic._solve_cubic().alpha == roots.alpha
-    monkeypatch.setattr(analytic, "_RESIDUAL_BOUND", math.nextafter(worst, 0.0))
-    with pytest.raises(ConsistencyError, match="exceeds bound"):
-        analytic._solve_cubic()

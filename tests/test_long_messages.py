@@ -3,11 +3,13 @@
 CPython refuses to convert an int of more than 4,300 decimal digits to text
 (``sys.set_int_max_str_digits``), and a message built from such a value would
 raise that ValueError in place of the library's own exception.  Each case
-here must raise its own type, with a message that can itself be printed.
+here must raise its own type, with a message that can itself be printed;
+the three failed cross-checks are forced by stubbing one of their routes.
 The limit is the interpreter's default; no test changes it.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -24,9 +26,11 @@ from fibquat import (
     binom,
     fib_quat,
     gen_fib,
+    herd_total,
     invertibility_threshold,
     verify_threshold_report,
 )
+from fibquat import normforms, sequences
 from fibquat.analytic import binet_fib, binet_narayana, binet_narayana_quat
 from threshold_oracle import zero_divisor
 
@@ -83,6 +87,25 @@ def reverify(**fields):
     return lambda: verify_threshold_report(report._replace(**fields))
 
 
+def off_by_one_E(pq):
+    """The threshold of H(HUGE, 1) with the residue of E one off in c1: for
+    F_n the norms then do not fit the lead, and for H^{p,q}_n the two routes
+    to E' disagree."""
+    pair = normforms._indicator_E_pair
+
+    def call():
+        with mock.patch.object(normforms, "_indicator_E_pair",
+                               lambda p: [pair(p)[0], pair(p)[1] + 1]):
+            invertibility_threshold(AlgebraParams(HUGE, 1), pq)
+    return call
+
+
+def herd_with_a_wrong_figurate():
+    # u_30003, the herd after 30,000 years, has about 5,000 digits
+    with mock.patch.object(sequences, "_herd_figurate", lambda years: 0):
+        herd_total(30_000)
+
+
 @pytest.mark.parametrize("error, call, start", [
     pytest.param(PrecisionGuardError, lambda: binet_fib(HUGE),
                  "binet_fib holds its tolerance only for |n| <= 70, got ", id="binet_fib"),
@@ -99,6 +122,12 @@ def reverify(**fields):
                  "no scan reports n0 = 0 scanning [0, ", id="scanned_up_to"),
     pytest.param(ConsistencyError, reverify(zero_norm_indices=(HUGE,)),
                  "zero norms disagree: () vs ", id="zero_norm_indices"),
+    pytest.param(ConsistencyError, off_by_one_E(None),
+                 "the norms do not fit the leading coefficient ", id="fitted_constant"),
+    pytest.param(ConsistencyError, off_by_one_E((1, 2)),
+                 "growth indicator routes disagree: ", id="indicator_routes"),
+    pytest.param(ConsistencyError, herd_with_a_wrong_figurate,
+                 "herd routes disagree at year 30000: recurrence ", id="herd_routes"),
 ])
 def test_a_long_argument_raises_the_library_error(error, call, start):
     with pytest.raises(error) as excinfo:

@@ -1,8 +1,14 @@
-"""Closed-form norms, growth indicators, and invertibility threshold scans."""
+"""Closed-form norms, growth indicators, and invertibility threshold scans.
+
+The closed forms are held against the direct norm at n in [-30, 60], and
+their folded integer tops, the batch that ``verify_threshold_report`` reads,
+against a literal Rational transcription of the docstring formulas.
+"""
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fibquat import (
     AlgebraParams,
@@ -25,6 +31,8 @@ from fibquat import (
     swamy_norm_corrected,
     verify_threshold_report,
 )
+from fibquat import normforms
+from fibquat.sequences import fib_values
 from fibquat.surd import ALPHA
 
 H11 = AlgebraParams(1, 1)
@@ -51,7 +59,7 @@ class TestFibNormFormula:
         rng = random.Random(21)
         for _ in range(10):
             params = rand_params(rng)
-            for n in range(0, 61):
+            for n in range(-30, 61):
                 assert norm_fib_formula(params, n) == fib_quat(params, n).norm()
 
 
@@ -74,10 +82,53 @@ class TestGenFibNormFormula:
         for _ in range(10):
             params = rand_params(rng)
             pq = GenFibParams(rng.randint(-9, 9), rng.randint(-9, 9))
-            for n in range(1, 61):
+            for n in range(-30, 61):
                 assert norm_genfib_formula(params, pq, n) == gen_fib_quat(
                     params, pq, n
                 ).norm()
+
+
+# -- the docstring formulas, transcribed literally over Rationals -------------
+
+def h(a, b, m):
+    """h^{a,b}_m = a f_{m-1} + b f_m."""
+    return a * fib(m - 1) + b * fib(m)
+
+
+def literal_fib_norm(b1, b2, n):
+    return (h(1 + 2 * b2, 3 * b2, 2 * n + 2) + (b1 - 1) * h(1 + 2 * b2, b2, 2 * n + 3)
+            - 2 * (b1 - 1) * (1 + b2) * fib(n) * fib(n + 1))
+
+
+def literal_genfib_norm(b1, b2, p, q, n):
+    return (p**2 * h(1 + 2 * b2, 3 * b2, 2 * n)
+            + p**2 * (b1 - 1) * h(1 + 2 * b2, b2, 2 * n + 1)
+            + q**2 * h(1 + 2 * b2, 3 * b2, 2 * n + 2)
+            + q**2 * (b1 - 1) * h(1 + 2 * b2, b2, 2 * n + 3)
+            - 2 * p * (b1 - 1) * (p * b2 + p + q) * fib(n - 1) * fib(n)
+            - 2 * q**2 * (b1 - 1) * (1 + b2) * fib(n) * fib(n + 1)
+            + h(2 * p * q * b1, 2 * p * q * b1 * b2, 2 * n + 1)
+            + 2 * p * q * b1 * b2 * (fib(2 * n) + fib(2 * n + 3))
+            + 2 * p * q * b2 * (1 - b1) * fib(n + 1) * fib(n + 2))
+
+
+rationals = st.builds(Rational, st.integers(-40, 40), st.integers(1, 12))
+algebras = st.builds(AlgebraParams, rationals, rationals)
+seeds = st.builds(GenFibParams, st.integers(-20, 20), st.integers(-20, 20))
+
+
+@settings(max_examples=40)
+@given(params=algebras, pq=seeds, s=st.integers(-40, 40), count=st.integers(1, 12))
+def test_folded_tops_match_the_docstring_formulas(params, pq, s, count):
+    b1, b2 = params.beta1, params.beta2
+    bottom = 5 * b1.denominator * b2.denominator  # the tops are V(n)
+    e = s + count - 1  # tops for n = s..e from one pair of value lists
+    fib_tops = normforms._genfib_formula_tops(params, (0, 1), s, fib_values(2 * s, 2 * e + 2))
+    genfib_tops = normforms._genfib_formula_tops(params, pq, s, fib_values(2 * s, 2 * e + 2))
+    assert len(fib_tops) == len(genfib_tops) == count
+    for n, fib_top, genfib_top in zip(range(s, e + 1), fib_tops, genfib_tops):
+        assert Rational(fib_top, bottom) == literal_fib_norm(b1, b2, n)
+        assert Rational(genfib_top, bottom) == literal_genfib_norm(b1, b2, pq.p, pq.q, n)
 
 
 class TestSwamyTranscriptions:
@@ -106,16 +157,6 @@ class TestGrowthIndicators:
         e_neg = growth_indicator_E(AlgebraParams(-1, 1))
         assert e_neg == QuadraticSurd(Rational(-6, 5), Rational(-3, 5))
         assert e_neg.sign() == -1
-
-    def test_e_equals_alpha_power_form(self):
-        rng = random.Random(24)
-        for _ in range(300):
-            params = rand_params(rng, bound=10)
-            b1, b2 = params.beta1, params.beta2
-            via_alpha = Rational(1, 5) * (
-                1 + b1 * ALPHA**2 + b2 * ALPHA**4 + (b1 * b2) * ALPHA**6
-            )
-            assert growth_indicator_E(params) == via_alpha
 
     def test_e_nonzero_on_grid(self):
         half = Rational(1, 2)

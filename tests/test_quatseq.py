@@ -1,8 +1,10 @@
-"""Quaternion sequence builders and their componentwise recurrences."""
+"""Quaternion sequence builders against the ``Quaternion`` constructor on
+the sequence values, and their componentwise recurrences."""
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fibquat import (
     AlgebraParams,
@@ -88,6 +90,32 @@ def test_coefficients_independent_of_params():
     for n in range(-10, 21):
         assert fib_quat(H11, n).coefficients == fib_quat(H23, n).coefficients
         assert narayana_quat(H11, n).coefficients == narayana_quat(H23, n).coefficients
+
+
+rationals = st.builds(Rational, st.integers(-40, 40), st.integers(1, 12))
+algebras = st.builds(AlgebraParams, rationals, rationals)
+seeds = st.builds(GenFibParams, st.integers(-20, 20), st.integers(-20, 20))
+
+
+def parts(q):
+    return (q.x1, q.x2, q.x3, q.x4, q.den)
+
+
+@settings(max_examples=60)
+@given(params=algebras, pq=seeds, n=st.integers(-TABLE_CAP - 6, TABLE_CAP + 6))
+def test_builders_match_the_constructor(params, pq, n):
+    # the constructor takes the four sequence values as ints and as Rationals
+    for built, values in (
+        (fib_quat(params, n), [fib(n + i) for i in range(4)]),
+        (gen_fib_quat(params, pq, n), [gen_fib(pq, n + i) for i in range(4)]),
+        (narayana_quat(params, n), [narayana(n + i) for i in range(4)]),
+    ):
+        by_ints = Quaternion(*values, params)
+        by_rationals = Quaternion(*map(Rational, values), params)
+        assert type(built) is Quaternion and built.params is params
+        assert parts(built) == parts(by_ints) == parts(by_rationals) and built.den == 1
+        assert built == by_ints == by_rationals
+        assert hash(built) == hash(by_ints) == hash(by_rationals)
 
 
 # -- the table-hit fast path against the range route, at every table edge -----

@@ -3,8 +3,9 @@ over one positive denominator, with no common factor.
 
 Every operation is held against a reference kept here that stores four
 Rationals and multiplies by the product table of the ``algebra`` module
-docstring.  Results must be canonical, and equal values built by different
-routes must compare and hash equal.
+docstring, over rational and over all-integer coefficients (den = 1), and
+with scales by a Rational, an int and a bool.  Results must be canonical,
+and equal values built by different routes must compare and hash equal.
 """
 
 from math import gcd
@@ -16,16 +17,10 @@ from fibquat import (
     AlgebraParams,
     NotInvertibleError,
     Quaternion,
+    Rational,
     basis,
     combine,
-    fib,
-    fib_quat,
-    gen_fib,
-    gen_fib_quat,
-    narayana,
-    narayana_quat,
 )
-from fibquat import algebra
 
 
 # -- the reference: four Rationals and the docstring's product table ---------
@@ -45,8 +40,8 @@ def product_table(b1, b2):
     return table
 
 
-def ref_mul(a, c, b1, b2, R):
-    out = [R(0)] * 4
+def ref_mul(a, c, b1, b2):
+    out = [Rational(0)] * 4
     for (i, j), (coefficient, k) in product_table(b1, b2).items():
         out[k - 1] = out[k - 1] + coefficient * (a[i - 1] * c[j - 1])
     return tuple(out)
@@ -80,29 +75,35 @@ SPECIAL_BETAS = [(0, 1, 0, 1), (-1, 1, -1, 3), (1, 1, -1, 1), (1, 1, 1, 1), (2, 
 
 
 @st.composite
-def cases(draw, R, count):
-    """(params, [coefficient tuples]) with beta denominators up to 7 and
-    H(0,0), split and Hamilton algebras drawn by name."""
-    small = st.builds(R, st.integers(-30, 30), st.integers(1, 7))
+def cases(draw, count):
+    """(params, [coefficient tuples]) with beta denominators up to 7,
+    H(0,0), split and Hamilton algebras drawn by name, and in half the
+    draws all-integer coefficients."""
+    small = st.builds(Rational, st.integers(-30, 30), st.integers(1, 7))
     if draw(st.booleans()):
         n1, d1, n2, d2 = draw(st.sampled_from(SPECIAL_BETAS))
-        b1, b2 = R(n1, d1), R(n2, d2)
+        b1, b2 = Rational(n1, d1), Rational(n2, d2)
     else:
         b1, b2 = draw(small), draw(small)
-    coefficient = st.one_of(
-        small,
-        st.builds(R, st.integers(-10**30, 10**30), st.integers(1, 10**12)),
-        st.just(R(0)),
-    )
+    if draw(st.booleans()):
+        coefficient = st.builds(Rational, st.integers(-30, 30) | st.integers(-10**30, 10**30))
+    else:
+        coefficient = st.one_of(
+            small,
+            st.builds(Rational, st.integers(-10**30, 10**30), st.integers(1, 10**12)),
+            st.just(Rational(0)),
+        )
     tuples = [tuple(draw(coefficient) for _ in range(4)) for _ in range(count)]
     return (b1, b2), tuples
 
 
 @settings(max_examples=150)
 @given(data=st.data())
-def test_operations_match_reference(R, data):
-    (b1, b2), (a, c) = data.draw(cases(R, 2))
-    k = data.draw(st.builds(R, st.integers(-40, 40), st.integers(1, 9)))
+def test_operations_match_reference(data):
+    (b1, b2), (a, c) = data.draw(cases(2))
+    k = data.draw(st.builds(Rational, st.integers(-40, 40), st.integers(1, 9)))
+    j = data.draw(st.integers(-50, 50))
+    flag = data.draw(st.booleans())
     params = AlgebraParams(b1, b2)
     x = Quaternion(*a, params)
     y = Quaternion(*c, params)
@@ -110,14 +111,15 @@ def test_operations_match_reference(R, data):
     assert_value(x + y, [u + v for u, v in zip(a, c)])
     assert_value(x - y, [u - v for u, v in zip(a, c)])
     assert_value(-x, [-u for u in a])
-    assert_value(x * y, ref_mul(a, c, b1, b2, R))
-    assert_value(x.square(), ref_mul(a, a, b1, b2, R))
-    assert_value(x.scale(k), [k * u for u in a])
-    assert_value(k * x, [k * u for u in a])
+    assert_value(x * y, ref_mul(a, c, b1, b2))
+    assert_value(x.square(), ref_mul(a, a, b1, b2))
+    for factor in (k, j, flag):
+        assert_value(x.scale(factor), [factor * u for u in a])
+        assert_value(factor * x, [factor * u for u in a])
     assert_value(x.conj(), ref_conj(a))
     assert_value(combine(x, y, k, -3), [k * u - 3 * v for u, v in zip(a, c)])
     norm = x.norm()
-    assert type(norm) is R
+    assert type(norm) is Rational
     assert norm == ref_norm(a, b1, b2)
     assert x.trace() == 2 * a[0]
     if norm:
@@ -130,11 +132,13 @@ def test_operations_match_reference(R, data):
 
 @settings(max_examples=80)
 @given(data=st.data())
-def test_equal_values_by_different_routes(R, data):
-    (b1, b2), (a, c) = data.draw(cases(R, 2))
-    k = data.draw(st.builds(R, st.integers(1, 40), st.integers(1, 9)))
+def test_equal_values_by_different_routes(data):
+    (b1, b2), (a, c) = data.draw(cases(2))
+    k = data.draw(st.builds(Rational, st.integers(1, 40), st.integers(1, 9)))
     params = AlgebraParams(b1, b2)
-    twin = AlgebraParams(R(b1.numerator, b1.denominator), R(b2.numerator, b2.denominator))
+    twin = AlgebraParams(
+        Rational(b1.numerator, b1.denominator), Rational(b2.numerator, b2.denominator)
+    )
     x = Quaternion(*a, params)
     y = Quaternion(*c, params)
     routes = [
@@ -155,57 +159,38 @@ def test_equal_values_by_different_routes(R, data):
         assert hash(value) == hash(x)
 
 
-def test_builders_agree_with_the_constructor(R):
-    params = AlgebraParams(R(-1), R(-1, 3))
-    for n in (-9, 0, 7, 5000):
-        values = [fib(n + i) for i in range(4)]
-        by_ints = Quaternion(*values, params)
-        by_rationals = Quaternion(*(R(v) for v in values), params)
-        built = fib_quat(params, n)
-        assert built == by_ints == by_rationals
-        assert hash(built) == hash(by_ints) == hash(by_rationals)
-        assert (built.den, by_rationals.den) == (1, 1)
-    for n in (-4, 3, 4200):
-        assert gen_fib_quat(params, (2, -5), n) == Quaternion(
-            *(gen_fib((2, -5), n + i) for i in range(4)), params
-        )
-        assert narayana_quat(params, n) == Quaternion(
-            *(narayana(n + i) for i in range(4)), params
-        )
-
-
-def test_scalars_and_basis_are_canonical(R):
-    params = AlgebraParams(R(2, 3), R(0))
+def test_scalars_and_basis_are_canonical():
+    params = AlgebraParams(Rational(2, 3), Rational(0))
     one, e2, e3, e4 = basis(params)
-    assert Quaternion.scalar(R(6, 4), params) == Quaternion(R(3, 2), 0, 0, 0, params)
-    assert Quaternion.zero(params) == Quaternion(R(0, 5), 0, 0, 0, params)
+    assert Quaternion.scalar(Rational(6, 4), params) == Quaternion(Rational(3, 2), 0, 0, 0, params)
+    assert Quaternion.zero(params) == Quaternion(Rational(0, 5), 0, 0, 0, params)
     assert Quaternion.zero(params).den == 1
-    assert e2.scale(R(0)) == Quaternion.zero(params)
+    assert e2.scale(Rational(0)) == Quaternion.zero(params)
     assert one == Quaternion.one(params)
-    for q in (one, e2, e3, e4, Quaternion.scalar(R(-7, 9), params), e4 * e4):
+    for q in (one, e2, e3, e4, Quaternion.scalar(Rational(-7, 9), params), e4 * e4):
         assert_canonical(q)
 
 
 def test_coefficient_views_are_reduced():
-    q = Quaternion(algebra.Rational(1, 2), algebra.Rational(1, 3), 0, 4, AlgebraParams(1, 1))
+    q = Quaternion(Rational(1, 2), Rational(1, 3), 0, 4, AlgebraParams(1, 1))
     assert (q.x1, q.x2, q.x3, q.x4, q.den) == (3, 2, 0, 24, 6)
     assert [(c.numerator, c.denominator) for c in q.coefficients] == [
         (1, 2), (1, 3), (0, 1), (4, 1),
     ]
-    assert q.scalar_part == algebra.Rational(1, 2)
+    assert q.scalar_part == Rational(1, 2)
 
 
 def test_params_cleared_is_derived_and_not_compared():
-    params = AlgebraParams(algebra.Rational(-6, 4), 5)
+    params = AlgebraParams(Rational(-6, 4), 5)
     assert params.cleared == (-3, 2, 5, 1)
-    assert params == AlgebraParams(algebra.Rational(-3, 2), algebra.Rational(5))
-    assert hash(params) == hash(AlgebraParams(algebra.Rational(-3, 2), 5))
+    assert params == AlgebraParams(Rational(-3, 2), Rational(5))
+    assert hash(params) == hash(AlgebraParams(Rational(-3, 2), 5))
     assert "cleared" not in repr(params)
 
 
 @given(data=st.data())
 def test_unequal_values_stay_unequal(data):
-    (b1, b2), (a, c) = data.draw(cases(algebra.Rational, 2))
+    (b1, b2), (a, c) = data.draw(cases(2))
     assume(a != c)
     params = AlgebraParams(b1, b2)
     assert Quaternion(*a, params) != Quaternion(*c, params)

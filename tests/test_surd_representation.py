@@ -153,16 +153,3 @@ def test_rational_surds_collapse_with_ints_and_rationals_in_sets():
     assert len({QuadraticSurd(3, 0), 3}) == 1
     assert len({QuadraticSurd(Rational(1, 2), 0), Rational(1, 2)}) == 1
     assert {QuadraticSurd(3, 0): "surd"}[3] == "surd"
-
-
-@settings(max_examples=100)
-@given(b1=small, b2=small, p=st.integers(-20, 20), q=st.integers(-20, 20))
-def test_indicator_routes_agree(b1, b2, p, q):
-    params = AlgebraParams(b1, b2)
-    E = growth_indicator_E(params)
-    Eprime = growth_indicator_Eprime(params, GenFibParams(p, q))
-    weighted = QuadraticSurd(p) + q * QuadraticSurd(Rational(1, 2), Rational(1, 2))
-    unweighted = growth_indicator_Eprime(params, (1, 0))
-    for value, other in ((Eprime, weighted ** 2 * E), (unweighted, E)):
-        assert value == other
-        assert hash(value) == hash(other)

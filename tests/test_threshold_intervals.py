@@ -11,7 +11,11 @@ interval (the ``normforms`` module docstring).  The sets:
 
 * the 41x41 lattice beta = (i/2, j/2), |i|, |j| <= 20, for F_n and
   H^{1,2}_n, at n_max in {1, 2, 3, 50, 300};
-* 200 seeded rational algebras, each with seeds (p, q), at the same n_max;
+* 200 seeded rational algebras, each with seeds (p, q), and the algebras
+  H(-1, -1/3) and H(0, 0), where F_0 has norm 0, with seeds (2, -1) and
+  (-3, 2), at the same n_max;
+* Hypothesis draws of betas i/d with |i| <= 40 and d <= 12, for F_n and
+  for H^{p,q}_n with seeds in [-20, 20]^2, at n_max in [1, 60];
 * 1,000 constructed zero divisors for F_n and 1,000 for H^{p,q}_n, 250 for
   each of (p, q) = (1, 2), (-3, 5), (2, 3), (5, -7): beta1 = i/d with
   |i| <= 12 and d <= 3, and beta2 = -u_n/u_{n+2} (``zero_divisor``), which
@@ -38,6 +42,7 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fibquat import (
     AlgebraParams,
@@ -98,10 +103,30 @@ def test_the_lattice_matches_a_norm_scan(pq):
             assert located(params, pq, N_MAXES) == norm_scan(params, pq, N_MAXES), params
 
 
+# F_0 has norm 1 - 1/3 - 2/3 = 0 in H(-1, -1/3), and f_0^2 = 0 in H(0, 0)
+ZERO_NORM_ALGEBRAS = [
+    (params, pq)
+    for params in (AlgebraParams(-1, Rational(-1, 3)), AlgebraParams(0, 0))
+    for pq in (GenFibParams(2, -1), GenFibParams(-3, 2))
+]
+
+
 def test_seeded_algebras_match_a_norm_scan():
-    for params, pq in _seeded_algebras(200, seed=2222):
+    for params, pq in _seeded_algebras(200, seed=2222) + ZERO_NORM_ALGEBRAS:
         for kind in (None, pq):
             assert located(params, kind, N_MAXES) == norm_scan(params, kind, N_MAXES), (params, kind)
+
+
+rationals = st.builds(Rational, st.integers(-40, 40), st.integers(1, 12))
+algebras = st.builds(AlgebraParams, rationals, rationals)
+seeds = st.builds(GenFibParams, st.integers(-20, 20), st.integers(-20, 20))
+
+
+@settings(max_examples=60)
+@given(params=algebras, pq=st.none() | seeds, n_max=st.integers(1, 60))
+def test_threshold_matches_a_norm_scan(params, pq, n_max):
+    assume(pq != (0, 0))
+    assert located(params, pq, (n_max,)) == norm_scan(params, pq, (n_max,))
 
 
 @pytest.mark.parametrize(
