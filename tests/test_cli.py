@@ -1,6 +1,10 @@
-"""CLI surface: subcommand outputs, formats, exit codes, determinism.  The
-closed-pipe check's interpreter inherits the environment, so it runs the
-``fibquat`` on the path: ``src`` or an installed wheel."""
+"""CLI behaviour that one invocation's bytes cannot show: which norm route
+runs, repeat runs and filtered runs agreeing, a library failure made a usage
+error, big-integer rendering and the closed pipe.  The bytes, stderr and exit
+code of each invocation are pinned once, in ``tests/golden/cli_formats.txt``
+(``test_cli_formats.py``).  The closed-pipe check's interpreter inherits the
+environment, so it runs the ``fibquat`` on the path: ``src`` or an installed
+wheel."""
 
 import json
 import math
@@ -50,10 +54,6 @@ class TestSeq:
         assert lines[0] == "n,value"
         assert lines[1] == "0,2"
         assert lines[-1] == "5,11"
-
-    def test_bad_range(self, capsys):
-        code, _, err = invoke(capsys, "seq", "--kind", "fib", "--from", "5", "--to", "1")
-        assert code == 2
 
     def test_stray_seed_is_a_usage_error(self, capsys):
         code, out, err = invoke(
@@ -170,14 +170,6 @@ class TestNorm:
         expected = "510" if "genfib" in argv else "102"
         assert out.strip() == expected
 
-    def test_zero_norm_is_reportable(self, capsys):
-        code, out, _ = invoke(
-            capsys, "norm", "--kind", "fib", "--n", "0",
-            "--beta1=-1", "--beta2=-1/3",
-        )
-        assert code == 0
-        assert out.strip() == "0"
-
     def test_bad_rational_flag(self, capsys):
         code, _, err = invoke(
             capsys, "norm", "--kind", "fib", "--n", "0", "--beta1", "x/y"
@@ -254,12 +246,6 @@ class TestAudit:
         _, out1, _ = invoke(capsys, *args)
         _, out2, _ = invoke(capsys, *args)
         assert out1 == out2
-
-    def test_list(self, capsys):
-        code, out, _ = invoke(capsys, "audit", "--list")
-        assert code == 0
-        assert "SWAMY_AS_STATED" in out
-        assert "corrected-variant" in out
 
     def test_provenance_filter(self, capsys):
         code, out, _ = invoke(
@@ -340,64 +326,14 @@ class TestAudit:
         assert json.loads(out)["seed"] == 7
 
 
-class TestThreshold:
-    def test_division_algebra(self, capsys):
-        code, out, _ = invoke(capsys, "threshold", "--n-max", "50", "--format", "json")
-        assert code == 0
-        document = json.loads(out)
-        assert document["sign_of_E"] == 1
-        assert document["empirical_n0"] == 0
-        assert document["zero_norm_indices"] == []
-
-    def test_split_algebra(self, capsys):
-        code, out, _ = invoke(
-            capsys, "threshold", "--beta1=-1", "--beta2=-1/3",
-            "--n-max", "50", "--format", "json",
-        )
-        assert code == 0
-        document = json.loads(out)
-        assert document["empirical_n0"] == 1
-        assert document["zero_norm_indices"] == [0]
-
-    def test_degenerate_seeds(self, capsys):
-        code, _, err = invoke(capsys, "threshold", "--p", "0", "--q", "0")
-        assert code == 1
-        assert "vanishes" in err
-
-    def test_exhausted_scan(self, capsys):
-        code, _, err = invoke(
-            capsys, "threshold", "--beta1=-1", "--beta2", "0", "--n-max", "1"
-        )
-        assert code == 1
-
-
 class TestCows:
-    def test_twenty_years(self, capsys):
-        code, out, _ = invoke(capsys, "cows", "--years", "20")
-        assert code == 0
-        assert out.strip() == "2745"
-
     def test_json(self, capsys):
         code, out, _ = invoke(capsys, "cows", "--years", "7", "--format", "json")
         assert code == 0
         assert json.loads(out) == {"years": 7, "herd": 19}
 
-    def test_rejects_non_positive(self, capsys):
-        code, _, _ = invoke(capsys, "cows", "--years", "0")
-        assert code == 2
-
 
 class TestGf:
-    def test_default_degree(self, capsys):
-        code, out, _ = invoke(capsys, "gf", "--format", "json")
-        assert code == 0
-        document = json.loads(out)
-        assert document == {
-            "degree_checked": 300,
-            "max_abs_residual_coefficient": [0, 0, 0, 0],
-            "ok": True,
-        }
-
     def test_degree_too_small(self, capsys):
         code, _, err = invoke(capsys, "gf", "--degree", "1")
         assert code == 2

@@ -6,19 +6,18 @@ alive.  ``run()`` and the library leave the collector alone.
 
 The subprocess checks run in a fresh interpreter that inherits this process's
 environment, so they hold whichever ``fibquat`` is on the path: the source
-tree under ``PYTHONPATH=src``, or an installed wheel.
+tree under ``PYTHONPATH=src``, or an installed wheel.  The dev-mode audit must
+print what ``run()`` prints in-process, whose bytes the transcript
+``tests/golden/cli_formats.txt`` pins.
 """
 
 import gc
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from fibquat.cli import run
-
-GOLDEN = Path(__file__).parent / "golden"
 
 AUDIT_ALL = ["audit", "--all", "--format", "json", "--no-timing"]
 BY_CODE = [
@@ -36,14 +35,15 @@ fibquat.cli.main()
 """
 
 
-def test_dev_mode_audit_is_golden_and_quiet():
+def test_dev_mode_audit_is_golden_and_quiet(capsys):
     done = subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error", "-m", "fibquat.cli", *AUDIT_ALL],
         capture_output=True,
     )
     assert done.stderr == b""
     assert done.returncode == 0
-    assert done.stdout == (GOLDEN / "audit_all.json").read_bytes()
+    assert run(AUDIT_ALL) == 0
+    assert done.stdout == capsys.readouterr().out.encode()
 
 
 @pytest.mark.parametrize("argv, code", BY_CODE)

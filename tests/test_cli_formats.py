@@ -6,6 +6,9 @@ when there is any, then ``[exit N]``.  The test replays every invocation and
 compares the whole transcript byte for byte.  ``binet`` is left out: its
 floats come from the platform's libm.
 
+This is the one pin of CLI bytes: a new output, or a new case of an old one,
+adds an invocation line here, not a golden file or a test of its own.
+
 Regenerate the file (only when an output change is intended) with
 ``PYTHONPATH=src python tests/test_cli_formats.py``.
 """

@@ -107,34 +107,6 @@ def test_a_far_read_does_not_fill_the_table(powers):
     assert powers == [TABLE_CAP + 1] and engine._fwd == [0, 1]
 
 
-@pytest.mark.parametrize("seeds", [(0, 1), (3, -7), (0, 1, 1)])
-@pytest.mark.parametrize("origin", [TABLE_CAP + 10, -TABLE_CAP - 700])
-def test_a_read_continues_the_kept_run_only_from_stop_less_2k_to_stop(powers, seeds, origin):
-    k = len(seeds)
-    engine = _Recurrence(*seeds)
-    expected = []
-
-    def read(start, stop, power):
-        assert engine.values(start, stop) == walk(seeds, start, stop), (start, stop)
-        if power:
-            expected.append(start)
-        assert powers == expected, (start, stop)
-        return stop
-
-    stop = read(origin, origin + 20, True)
-    stop = read(stop, stop + 20, False)  # starts at stop
-    stop = read(stop - 2 * k, stop + 7, False)  # starts at stop - 2k
-    stop = read(stop - 2 * k - 1, stop + 9, True)  # one before stop - 2k
-    stop = read(stop + 1, stop + 30, True)  # one past stop
-    # a read shorter than 2k keeps x_start .. x_{stop+k-1} only, so a read
-    # starting before its start takes a power, though after stop - 2k
-    start = stop
-    stop = read(start, start + 1, False)
-    stop = read(start - 1, start + 3, True)
-    read(stop, stop, False)
-    assert len(engine._resume[1]) <= 3 * k
-
-
 def oracle_powers(reads, k, cap):
     """The start of every read that takes a power under the one-run rule."""
     out, kept = [], None  # kept: the starts that continue the last run

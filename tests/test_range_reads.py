@@ -23,7 +23,7 @@ from fibquat import sequences
 from fibquat.audit import audit
 from fibquat.cli import run
 from fibquat.normforms import _VERIFY_WINDOW
-from fibquat.sequences import GENFIB_TABLE_CAP, TABLE_CAP, _Recurrence
+from fibquat.sequences import GENFIB_TABLE_CAP
 from sequence_oracle import off_by_one, walk
 
 audit_module = importlib.import_module("fibquat.audit")  # fibquat.audit is also a function
@@ -131,29 +131,6 @@ def test_seeded_audit_json_digest(capsys, entry):
     assert run(entry["argv"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == entry["sha256"]
-
-
-@pytest.mark.parametrize("seeds", [(0, 1), (3, -7), (0, 1, 1)])
-@pytest.mark.parametrize("origin", [TABLE_CAP + 10, -TABLE_CAP - 700])
-def test_consecutive_windows_past_the_cap_resume(powers, seeds, origin):
-    engine = _Recurrence(*seeds)
-    # consecutive windows, one overlapping by one value, a lone index, an
-    # empty range, then a range starting two values before the last one ends
-    spans = [(origin, origin + 256), (origin + 256, origin + 300), (origin + 299, origin + 555),
-             (origin + 555, origin + 556), (origin + 556, origin + 556),
-             (origin + 556, origin + 560)]
-    reads = [engine.values(start, stop) for start, stop in spans]
-    assert powers == [origin]
-    reads.append(engine.values(origin + 558, origin + 561))
-    assert powers == [origin]
-    expected = walk(seeds, origin, origin + 561)
-    for (start, stop), values in zip(spans + [(origin + 558, origin + 561)], reads):
-        assert values == expected[start - origin:stop - origin], (start, stop)
-    # a range that starts anywhere else takes a power of its own
-    assert engine.values(origin + 100, origin + 103) == expected[100:103]
-    assert powers == [origin, origin + 100]
-    # one kept run of at most 3k values: x_{stop-2k} .. x_{stop+k-1}
-    assert len(engine._resume[1]) <= 3 * len(seeds)
 
 
 def test_genfib_windows_past_the_cap_take_one_power(powers):

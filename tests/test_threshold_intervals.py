@@ -36,6 +36,10 @@ Apart from the scan, the Binet form itself, in QuadraticSurd arithmetic up
 to the least index past which every norm has the sign of E
 (``binet_norms``, on ``threshold_oracle.binet_lead``), gives the report at
 any n_max.
+
+These tests are the one pin of the reports: each is held to its scan, not to
+a stored digest.  The CLI's rendering of a report is pinned by the transcript
+``tests/golden/cli_formats.txt``.
 """
 
 import random
