@@ -104,6 +104,14 @@ class AlgebraParams(_FieldTuple):
         return f"H({beta1}, {beta2})"
 
 
+def _integer_params(n1, d1, n2, d2):
+    """The algebra H(n1/d1, n2/d2) from ints with d1, d2 > 0: each beta
+    reduced by one gcd into the canonical fields, with no Rational built."""
+    g1 = gcd(n1, d1)
+    g2 = gcd(n2, d2)
+    return _tuple_new(AlgebraParams, (n1 // g1, d1 // g1, n2 // g2, d2 // g2))
+
+
 class Quaternion(_FieldTuple):
     """a1*1 + a2*e2 + a3*e3 + a4*e4 with exact rational coefficients.
 

@@ -29,8 +29,8 @@ from functools import partial
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from ._kernel import Rational
-from .algebra import AlgebraParams, Quaternion, _linear, basis
+from ._kernel import Rational, _reduced
+from .algebra import AlgebraParams, Quaternion, _integer_params, _linear, basis
 from .analytic import (
     FIB_INDEX_GUARD,
     NARAYANA_INDEX_GUARD,
@@ -202,11 +202,14 @@ def _draw(rng, low, high):
 
 
 def _rand_rational(rng):
-    return Rational(_draw(rng, -8, 8), _draw(rng, 1, 4))
+    return _reduced(_draw(rng, -8, 8), _draw(rng, 1, 4))
 
 
 def _rand_params(rng):
-    return AlgebraParams(_rand_rational(rng), _rand_rational(rng))
+    # beta1's numerator and denominator, then beta2's, as _rand_rational draws them
+    return _integer_params(
+        _draw(rng, -8, 8), _draw(rng, 1, 4), _draw(rng, -8, 8), _draw(rng, 1, 4)
+    )
 
 
 def _rand_pq(rng):
@@ -526,7 +529,9 @@ def _thm_2_1(rng, n_max):
     for _ in range(count):
         params = _rand_params(rng)
         # a and b, then the seed pairs (p, q) and (p', q'), as _rand_pq draws them
-        a, b, p, q, p2, q2 = [_draw(rng, -9, 9) for _ in range(6)]
+        a, b = _draw(rng, -9, 9), _draw(rng, -9, 9)
+        p, q = _draw(rng, -9, 9), _draw(rng, -9, 9)
+        p2, q2 = _draw(rng, -9, 9), _draw(rng, -9, 9)
         n = _draw(rng, -20, 80)
         lhs = _linear(
             gen_fib_quat(params, (p, q), n), a, 1, gen_fib_quat(params, (p2, q2), n), b, 1
@@ -595,7 +600,7 @@ def _formula_norms(params, pq, start, stop):
     for low in range(start, stop, _VERIFY_WINDOW):
         tops = _formula_tops(params, pq, low, min(low + _VERIFY_WINDOW, stop))
         for n, top in enumerate(tops, low):
-            yield n, Rational(top, bottom)
+            yield n, _reduced(top, bottom)
 
 
 @_identity(

@@ -9,8 +9,10 @@ the recurrence (backward for negative n); a larger one comes from one power
 of t modulo the characteristic polynomial t^k - t^(k-1) - 1 (O(log n)
 multiplications in the residue ring of ``surd``, the companion-matrix power
 held as k numbers), and a range past the tables from one such power at its
-start, then the recurrence forward.  Each engine keeps one run, the last 3k
-values of its last such range [start, stop), and a range that starts in
+start, then the recurrence forward.  Every forward extension is one walk
+that carries the running value, x_{i+k} = x_{i+k-1} + x_i, so each step
+reads one earlier entry.  Each engine keeps one run, the last 3k values of
+its last such range [start, stop), and a range that starts in
 [stop - 2k, stop] continues it instead, so a run of windows or of the
 builders' overlapping reads takes one power.  Every route gives the same
 values.
@@ -45,6 +47,17 @@ GENFIB_TABLE_CAP = 512
 GENFIB_CACHE_CAP = 4096  # largest number of (p, q) seed engines kept
 
 
+def _walk(xs, k, size):
+    """Extend ``xs``, k or more consecutive values of a recurrence of order k,
+    to ``size`` values by one forward walk that carries the running value:
+    x_{i+k} = x_{i+k-1} + x_i, so each step reads one earlier entry."""
+    last = xs[-1]
+    append = xs.append
+    for i in range(len(xs) - k, size - k):
+        last += xs[i]
+        append(last)
+
+
 class _Recurrence:
     """x_n = x_{n-1} + x_{n-k} for k = len(seeds), 2 or 3, extended both ways
     from the seeds x_0, ..., x_{k-1}.
@@ -59,15 +72,20 @@ class _Recurrence:
     range is shorter).  The next range past the cap continues the kept run
     when it starts in [stop - 2k, stop], and else takes one power: so the
     quaternion builders' [n, n+4) after [n-1, n+3) continues, as do
-    consecutive windows.
+    consecutive windows.  Every forward extension, of the table, of such a
+    run and of the seeds for a power, is one ``_walk`` that carries the
+    running value.
     """
 
     def __init__(self, *seeds, cap=TABLE_CAP):
         k = self._k = len(seeds)
         self._cap = cap
         self._fwd = list(seeds)  # x_0, x_1, ...
-        # x_0, x_-1, x_-2, ...: x_-1 .. x_-(k-1) come from the seeds alone
-        self._bwd = [seeds[0]] + [seeds[k - i] - seeds[k - i - 1] for i in range(1, k)]
+        # x_0, x_-1, x_-2, ...: x_-1 .. x_-(k-1) come from the seeds alone,
+        # x_{i-k} = x_i - x_{i-1} for i = k-1 down to 1
+        bwd = self._bwd = [seeds[0]]
+        for i in range(k - 1, 0, -1):
+            bwd.append(seeds[i] - seeds[i - 1])
         # (i, (x_i, x_{i+1}, ...)): the kept run of the last range past the cap
         self._resume = (0, ())
         self._lock = threading.Lock()
@@ -76,11 +94,8 @@ class _Recurrence:
         """The forward table, filled to at least ``size`` entries."""
         fwd = self._fwd
         if len(fwd) < size:
-            k = self._k
-            with self._lock:
-                append = fwd.append
-                for i in range(len(fwd), size):
-                    append(fwd[i - 1] + fwd[i - k])
+            with self._lock:  # the walk reads its running value under the lock
+                _walk(fwd, self._k, size)
         return fwd
 
     def _backward(self, size):
@@ -113,8 +128,7 @@ class _Recurrence:
                 run = list(tail[start - base:])
             else:
                 run = list(self._power(start))
-            for _ in range(length + k - len(run)):  # through x_{stop+k-1}
-                run.append(run[-1] + run[-k])
+            _walk(run, k, length + k)  # through x_{stop+k-1}
             keep = max(0, length - 2 * k)
             self._resume = (start + keep, tuple(run[keep:length + k]))
             return run[:length]
@@ -131,8 +145,7 @@ class _Recurrence:
         k = self._k
         residue = t_power(k, n)
         xs = self._fwd[:k]
-        for _ in range(k - 1):  # extend the seeds to x_0, ..., x_{2k-2}
-            xs.append(xs[-1] + xs[-k])
+        _walk(xs, k, 2 * k - 1)  # extend the seeds to x_0, ..., x_{2k-2}
         # t^(n+j) = sum c_i t^(i+j), so x_{n+j} = sum c_i x_{i+j}
         return tuple(sum(c * x for c, x in zip(residue, xs[j:])) for j in range(k))
 

@@ -177,15 +177,22 @@ def test_herd_reads_shifted_narayana_across_cap():
         assert herd_total(year) == narayana(year + 3) == _herd_figurate(year) == herd[year - 1]
 
 
-def test_jump_states_shared_by_threads():
+@pytest.mark.parametrize("seeds, cap, indices", [
+    ((0, 1, 1), TABLE_CAP,
+     [TABLE_CAP, -TABLE_CAP, 3, 2000, -9, 5 * TABLE_CAP, 40, -2500, 1, -5 * TABLE_CAP]),
+    # a gen_fib seed engine: its k = 2 fill carries a running value under the lock
+    ((1031, -1033), GENFIB_TABLE_CAP,
+     [GENFIB_TABLE_CAP, -GENFIB_TABLE_CAP, 3, 250, -9, 5 * GENFIB_TABLE_CAP, 40, -300, 1,
+      -5 * GENFIB_TABLE_CAP]),
+], ids=["narayana", "gen_fib"])
+def test_jump_states_shared_by_threads(seeds, cap, indices):
     import sys
     import threading
 
     # the tables of a fresh engine are the only state the threads share; the
     # far reads take powers in between
-    engine = _Recurrence(0, 1, 1)
-    indices = [TABLE_CAP, -TABLE_CAP, 3, 2000, -9, 5 * TABLE_CAP, 40, -2500, 1, -5 * TABLE_CAP]
-    expected = [walk((0, 1, 1), n, n + 1)[0] for n in indices]
+    engine = _Recurrence(*seeds, cap=cap)
+    expected = [walk(seeds, n, n + 1)[0] for n in indices]
     results = {}
 
     def worker(tag):
